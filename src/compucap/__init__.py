@@ -61,7 +61,6 @@ from .model import (
 )
 from .solver import (
     CapacityResult,
-    characteristic_terms,
     eval_characteristic,
     member_log2_weight,
     member_mean_time,
@@ -109,7 +108,6 @@ __all__ = [
     "UnreachableTimeError",
     "bind",
     "capacity_estimate",
-    "characteristic_terms",
     "count_sequences",
     "data_path",
     "efficiency",

@@ -38,7 +38,7 @@ from .model import (
     parse_model,
     total_count,
 )
-from .solver import characteristic_terms, solve_capacity
+from .solver import solve_capacity
 
 _TOP_TERMS = 10
 
@@ -134,8 +134,8 @@ def _load_bound(args) -> tuple[BoundInstructionSet, dict]:
 
 def _capacity_results(bound: BoundInstructionSet, tolerance: float) -> dict:
     cap = solve_capacity(bound, tolerance)
-    terms = characteristic_terms(bound, cap.capacity_bits)
-    terms.sort(key=lambda item: (-item[1], item[0]))
+    masses = optimal_distribution(bound, cap).masses
+    terms = sorted(masses.items(), key=lambda item: (-item[1], item[0]))
     return {
         "set": bound.name,
         "total_instructions": total_count(bound),

@@ -256,3 +256,27 @@ def test_installed_console_script_matches_in_process(capsys):
     )
     assert code == 0 and proc.returncode == 0
     assert proc.stdout == out + "\n" or proc.stdout == out
+
+
+def test_huge_family_terms_capacity(capsys, tmp_path):
+    model = tmp_path / "huge.json"
+    model.write_text(
+        '{"name": "huge", "classes": [{"name": "g", "count": 1, "time": 1,'
+        ' "family": {"step": 1, "terms": "1*2^2000"}}]}'
+    )
+    code, out, err = run_cli(capsys, "capacity", str(model), "--json")
+    assert code == 0
+    assert err == ""
+    assert abs(json.loads(out)["results"]["capacity_bits"] - 1.0) <= 1e-12
+
+
+def test_capacity_past_float_range_exits_2(capsys, tmp_path):
+    model = tmp_path / "tiny.json"
+    model.write_text(
+        '{"name": "tiny", "classes": [{"name": "a", "count": 2, "time": 1e-320}]}'
+    )
+    code, out, err = run_cli(capsys, "capacity", str(model))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "outside the float range" in err
+    assert "Traceback" not in err

@@ -9,9 +9,13 @@ from compucap import (
     BoundInstructionSet,
     CountTable,
     CountingError,
+    ParameterBinding,
     UnreachableTimeError,
+    bind,
     capacity_estimate,
     count_sequences,
+    data_path,
+    parse_model,
     solve_capacity,
 )
 
@@ -183,3 +187,22 @@ def test_big_integer_logarithm_accuracy():
     table = count_sequences(classes((3, 1)), 400)
     assert table.counts[400] == 3**400
     assert capacity_estimate(table, 400) == pytest.approx(math.log2(3), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("toy.json", {}),
+        ("mix.json", {}),
+        ("mmix.json", {"mu": 1}),
+        ("mmix.json", {"mu": 2}),
+    ],
+    ids=["toy", "mix", "mmix-mu1", "mmix-mu2"],
+)
+def test_count_ratio_matches_solver_to_float_precision(name, params):
+    # N(T)/N(T-1) -> X0 geometrically, far faster than log2 N(T)/T does,
+    # and int / int is correctly rounded, so no big-integer log is needed.
+    bound = bind(parse_model(data_path(name).read_text()), ParameterBinding(params))
+    counts = count_sequences(bound, 128).counts
+    ratio_bits = math.log2(counts[128] / counts[127])
+    assert abs(ratio_bits - solve_capacity(bound).capacity_bits) <= 1e-12

@@ -1,0 +1,67 @@
+"""The README's examples must run as written.
+
+Every fenced `json` block must parse as a model or a memory problem, and
+every `$ compucap ...` example must succeed and print each output line
+the README shows for it (a `...` line stands for omitted output).
+"""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from compucap import parse_model, parse_problem
+from compucap.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+README = (REPO / "README.md").read_text(encoding="utf-8")
+DATA = REPO / "src" / "compucap" / "data"
+
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+JSON_BLOCKS = [body for lang, body in BLOCKS if lang == "json"]
+
+
+def _examples() -> list[tuple[str, list[str]]]:
+    """(command line, shown output lines) for each `$ compucap` example."""
+    examples: list[tuple[str, list[str]]] = []
+    for lang, body in BLOCKS:
+        if lang != "sh":
+            continue
+        shown = None
+        for line in body.splitlines():
+            if line.startswith("$ compucap "):
+                shown = []
+                examples.append((line[len("$ compucap "):], shown))
+            elif shown is not None and line.strip() not in ("", "..."):
+                shown.append(line)
+    return examples
+
+
+EXAMPLES = _examples()
+
+
+def test_readme_has_examples():
+    assert len(JSON_BLOCKS) >= 2
+    assert len(EXAMPLES) >= 5
+
+
+@pytest.mark.parametrize(
+    "body", JSON_BLOCKS, ids=[f"json{i}" for i in range(len(JSON_BLOCKS))]
+)
+def test_json_block_parses(body):
+    if "kinds" in json.loads(body):
+        parse_problem(body, base_dir=DATA)
+    else:
+        parse_model(body)
+
+
+@pytest.mark.parametrize("command, shown", EXAMPLES, ids=[c for c, _ in EXAMPLES])
+def test_command_example_output(command, shown, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    code = main(shlex.split(command))
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    for line in shown:
+        assert line in out

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -235,3 +236,118 @@ def test_huge_family_uses_closed_form():
     )
     expected = 2**25 * 0.5 * (4.0 / 3.0)  # sum 2^-(1+2F) -> (1/2)/(1 - 1/4)
     assert eval_characteristic(fam, 1.0) == pytest.approx(expected, rel=1e-12)
+
+
+def _log2_g(iset, y):
+    """log2 g(y) summed here from the per-member weights."""
+    return math.log2(sum(2.0 ** member_log2_weight(m, y) for m in iset.members))
+
+
+@pytest.mark.parametrize(
+    "iset",
+    [
+        TOY,
+        classes((7, 3), (2, 1), (1, 8)),
+        bound_model("mix.json"),
+        bound_model("mmix.json", mu="6/5"),
+    ],
+    ids=["toy", "three-class", "mix", "mmix"],
+)
+@pytest.mark.parametrize("tolerance", [1e-13, 1e-12, 1e-6])
+def test_root_certified_by_sign_change(iset, tolerance):
+    result = solve_capacity(iset, tolerance)
+    y, width = result.capacity_bits, result.bracket_width
+    assert result.residual <= 1e-10
+    assert width <= max(tolerance, math.ulp(y))
+    if width == 0.0:  # log2 g(y) evaluated to exactly 0
+        assert result.residual == 0.0
+        return
+    # the returned root is one end of the certified interval
+    right_of_root = _log2_g(iset, y - width) > 0.0 >= _log2_g(iset, y)
+    left_of_root = _log2_g(iset, y) > 0.0 >= _log2_g(iset, y + width)
+    assert right_of_root or left_of_root
+
+
+def test_newton_iterations_on_reference_models():
+    for iset in (TOY, bound_model("mix.json"), bound_model("mmix.json", mu="6/5")):
+        assert solve_capacity(iset).iterations <= 12
+
+
+@pytest.mark.parametrize("terms", ["1*2^25", "1*2^60", "1*2^2000"])
+def test_huge_family_terms_solve(terms):
+    # 2^-y * (1 - 2^-(terms*y)) / (1 - 2^-y) = 1: the tail term is below
+    # float resolution near the root, so the root is y = 1.
+    model = {
+        "name": "huge",
+        "classes": [
+            {"name": "g", "count": 1, "time": 1, "family": {"step": 1, "terms": terms}}
+        ],
+    }
+    result = solve_capacity(bind(parse_model(json.dumps(model)), ParameterBinding()))
+    assert abs(result.capacity_bits - 1.0) <= 1e-12
+    assert result.residual <= 1e-10
+
+
+def test_root_past_float_range_raises():
+    with pytest.raises(ValueError, match="outside the float range"):
+        solve_capacity(classes((2, Fraction("1e-320"))))
+
+
+def test_root_far_above_two_to_the_sixty():
+    result = solve_capacity(classes((2, Fraction("1e-300"))))
+    assert result.capacity_bits == pytest.approx(1e300, rel=1e-12)
+    assert result.residual <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "slow, expected",
+    [(1, math.log2(3)), (2, LOG2_SILVER)],
+    ids=["one-time", "toy-scaled"],
+)
+def test_tiny_root_needs_residual_before_stopping(slow, expected):
+    # Every Newton step here is far below the tolerance, so stopping on
+    # step size alone ends at once: at y = 0 (residual 2) if the step is
+    # judged before it is taken, or, with two times, at the first landing
+    # point, still far from the root.
+    unit = Fraction(10**38)
+    result = solve_capacity(classes((2, unit), (1, slow * unit)))
+    assert result.capacity_bits == pytest.approx(expected / 1e38, rel=1e-12)
+    assert result.residual <= 1e-10
+    assert result.iterations <= 10
+
+
+@pytest.mark.parametrize(
+    "iset",
+    [
+        classes(
+            (32149693, Fraction(16835, 849344)),
+            (124259, Fraction(422916, 58301)),
+            (170634, Fraction(575470, 5051)),
+            (3, Fraction(274317, 91)),
+        ),
+        BoundInstructionSet(
+            "noisy",
+            (
+                BoundClass("c0", 3, Fraction(864929, 40030)),
+                BoundFamily(
+                    "f1", 24710986352, Fraction(282273, 72491), Fraction(1, 7), 62040757294
+                ),
+                BoundClass("c2", 667099387489, Fraction(31669, 817818)),
+                BoundClass("c3", 25185452718, Fraction(147719)),
+                BoundClass("c4", 262011613083, Fraction(926231, 235099)),
+                BoundClass("c5", 37251196935, Fraction(270405)),
+                BoundClass("c6", 101, Fraction(534638, 1711)),
+            ),
+        ),
+    ],
+    ids=["one-spacing-steps", "two-spacing-steps"],
+)
+def test_root_below_float_spacing_terminates(iset):
+    # Roots near 1000 have a float spacing above the 1e-13 tolerance, and
+    # rounding in log2 g makes Newton steps hop across the root by one or
+    # two spacings; the solve must still stop with a certified root.
+    result = solve_capacity(iset, 1e-13)
+    y = result.capacity_bits
+    assert result.residual <= 1e-10
+    assert result.bracket_width <= math.ulp(y)
+    assert result.iterations <= 20
