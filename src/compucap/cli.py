@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -140,7 +141,6 @@ def _capacity_results(bound: BoundInstructionSet, tolerance: float) -> dict:
         "set": bound.name,
         "total_instructions": total_count(bound),
         "capacity_bits": cap.capacity_bits,
-        "log2_x0": cap.capacity_bits,
         "residual": cap.residual,
         "bracket_width": cap.bracket_width,
         "iterations": cap.iterations,
@@ -186,7 +186,6 @@ def cmd_distribution(args) -> dict:
         "results": {
             "set": bound.name,
             "capacity_bits": cap.capacity_bits,
-            "log2_x0": cap.capacity_bits,
             "mass_total": sum(dist.masses.values()),
             "members": members,
         },
@@ -365,7 +364,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_report(report, args.json))
+    try:
+        print(render_report(report, args.json))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Python flushes stdout again at
+        # exit, so point it at devnull to keep that flush from failing too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -13,12 +13,14 @@ efficiency of the observed process is entropy per mean instruction time.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping, Optional, Sequence, Union
 
-from .model import _IDENT_RE, BoundClass, BoundInstructionSet
-from .solver import CapacityResult, member_log2_weight, member_mean_time, solve_capacity
+from .model import IDENT_RE, BoundClass, BoundInstructionSet
+from .solver import CapacityResult, member_log2_weight, member_mean_time, solve_capacity, time_as_float
 
 _MASS_SLACK = 1e-10
 
@@ -82,7 +84,7 @@ def optimal_distribution(
 
 def _canonical_token(token: str) -> str:
     name, sep, anno = token.partition("@")
-    if not _IDENT_RE.match(name):
+    if not IDENT_RE.match(name):
         raise TraceError(f"invalid trace token {token!r}")
     if not sep:
         return name
@@ -173,14 +175,12 @@ class TraceStatistics:
             raise TraceError(
                 f"trace of length {n} is too short for order {max_order}"
             )
-        extended = list(symbols) + list(symbols[:max_order])
-        kgram_counts: dict[int, dict[tuple[str, ...], int]] = {}
-        for order in range(max_order + 1):
-            counts: dict[tuple[str, ...], int] = {}
-            for i in range(n):
-                gram = tuple(extended[i : i + order + 1])
-                counts[gram] = counts.get(gram, 0) + 1
-            kgram_counts[order] = counts
+        extended = [*symbols, *symbols[:max_order]]
+        # islice windows, not slices: no per-order copies of a long trace
+        kgram_counts = {
+            order: Counter(zip(*(islice(extended, i, i + n) for i in range(order + 1))))
+            for order in range(max_order + 1)
+        }
         return cls(
             alphabet=tuple(sorted(set(symbols))),
             length=n,
@@ -239,7 +239,7 @@ def efficiency(
         except KeyError:
             raise DistributionError(f"unknown member {name!r} in distribution") from None
         if sep or isinstance(member, BoundClass):
-            time = float(_token_time(iset, token))
+            time = time_as_float(_token_time(iset, token), token)
         elif dist.log2_x0 is not None:
             time = member_mean_time(member, dist.log2_x0)
         else:
@@ -293,7 +293,7 @@ def efficiency_from_trace(
     if not symbols:
         raise TraceError("trace is empty")
     stats = TraceStatistics.from_symbols(symbols, max_order)
-    times = {token: float(_token_time(iset, token)) for token in stats.alphabet}
+    times = {token: time_as_float(_token_time(iset, token), token) for token in stats.alphabet}
     freq0 = stats.frequencies(0)
     mean_time = sum(freq * times[gram[0]] for gram, freq in freq0.items())
     within_member = sum(

@@ -18,25 +18,24 @@ the brute-force check over a full integer grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional
 
 from .model import (
-    BindingError,
     BoundClass,
     BoundInstructionSet,
-    BoundMember,
     InstructionSet,
     ParameterBinding,
     TimeExpression,
-    _check_ident,
-    _parse_time,
     as_rational,
     bind,
+    check_binding,
+    check_ident,
     instruction_set_from_object,
     parse_count,
+    parse_time,
 )
 from .solver import CapacityResult, solve_capacity
 
@@ -73,7 +72,7 @@ class MemoryKind:
     access_classes: tuple[AccessClass, ...]
 
     def __post_init__(self):
-        _check_ident(self.name, "memory-kind name")
+        check_ident(self.name, "memory-kind name")
         object.__setattr__(self, "cell_cost", as_rational(self.cell_cost))
         object.__setattr__(self, "access_classes", tuple(self.access_classes))
         if self.cell_cost <= 0:
@@ -84,13 +83,15 @@ class MemoryKind:
 
 @dataclass(frozen=True)
 class MemoryDesignProblem:
-    """Base instructions, candidate memory kinds, and a spending budget."""
+    """Base instructions, candidate memory kinds, and a spending budget;
+    bound_base is the base set, bound once under its share of the binding."""
 
     base: InstructionSet
     registers: int
     kinds: tuple[MemoryKind, ...]
     budget: Fraction
     binding: ParameterBinding
+    bound_base: BoundInstructionSet = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(self.kinds))
@@ -100,19 +101,16 @@ class MemoryDesignProblem:
         if self.budget < 0:
             raise ProblemError("budget must be >= 0")
         names = set()
+        needed = set(self.base.parameters)
         for kind in self.kinds:
             if kind.name in names:
                 raise ProblemError(f"duplicate kind name {kind.name!r}")
             names.add(kind.name)
-        needed = set(self.base.parameters)
-        for kind in self.kinds:
             for ac in kind.access_classes:
                 needed |= ac.time.parameters
-        given = set(self.binding.values)
-        if needed - given:
-            raise BindingError(f"missing parameter {sorted(needed - given)[0]!r}")
-        if given - needed:
-            raise BindingError(f"undeclared parameter {sorted(given - needed)[0]!r}")
+        check_binding(needed, self.binding)
+        base_values = {p: self.binding.values[p] for p in self.base.parameters}
+        object.__setattr__(self, "bound_base", bind(self.base, ParameterBinding(base_values)))
 
 
 @dataclass(frozen=True)
@@ -143,25 +141,18 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
             raise ProblemError(f"unknown memory kind {name!r}")
         if not isinstance(n, int) or n < 0:
             raise ProblemError(f"cell count for {name!r} must be a non-negative integer")
-    base_binding = ParameterBinding(
-        {p: problem.binding.values[p] for p in problem.base.parameters}
-    )
-    members: list[BoundMember] = list(bind(problem.base, base_binding).members)
+    members = list(problem.bound_base.members)
     for kind in problem.kinds:
         n = cells.get(kind.name, 0)
         if n == 0:
             continue
         for index, ac in enumerate(kind.access_classes):
-            time = ac.time.evaluate(problem.binding.values)
-            if time <= 0:
-                raise BindingError(
-                    f"kind {kind.name!r}: access time {time} is not positive"
-                )
+            name = f"{kind.name}/{index}"
             members.append(
                 BoundClass(
-                    name=f"{kind.name}/{index}",
+                    name=name,
                     count=problem.registers * ac.count_per_cell * n,
-                    time=time,
+                    time=ac.time.evaluate_positive(problem.binding.values, name),
                 )
             )
     return BoundInstructionSet(problem.base.name, tuple(members))
@@ -290,7 +281,7 @@ def _parse_kind(obj: object, index: int) -> MemoryKind:
         if key not in obj:
             raise ProblemError(f"{where}: missing {key!r}")
     accesses = obj["access_classes"]
-    if not isinstance(accesses, list) or not accesses:
+    if not isinstance(accesses, list):
         raise ProblemError(f"{where}: access_classes must be a non-empty list")
     parsed = []
     for j, ac in enumerate(accesses):
@@ -299,14 +290,10 @@ def _parse_kind(obj: object, index: int) -> MemoryKind:
         parsed.append(
             AccessClass(
                 count_per_cell=parse_count(ac["count"]),
-                time=_parse_time(ac["time"], f"{where} access_classes[{j}]"),
+                time=parse_time(ac["time"], f"{where} access_classes[{j}]"),
             )
         )
-    return MemoryKind(
-        name=obj["name"],
-        cell_cost=as_rational(obj["cell_cost"]),
-        access_classes=tuple(parsed),
-    )
+    return MemoryKind(name=obj["name"], cell_cost=obj["cell_cost"], access_classes=parsed)
 
 
 def parse_problem(text: str, base_dir: Optional[Path] = None) -> MemoryDesignProblem:
@@ -356,6 +343,6 @@ def parse_problem(text: str, base_dir: Optional[Path] = None) -> MemoryDesignPro
         base=base,
         registers=parse_count(doc["registers"]),
         kinds=tuple(_parse_kind(k, i) for i, k in enumerate(kinds_obj)),
-        budget=as_rational(doc["budget"]),
-        binding=ParameterBinding({k: as_rational(v) for k, v in params.items()}),
+        budget=doc["budget"],
+        binding=ParameterBinding(params),
     )

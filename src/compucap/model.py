@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 
 class ModelError(ValueError):
@@ -28,32 +28,26 @@ class BindingError(ValueError):
     """Parameter values do not match the set's declared parameters."""
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _POW2_COUNT_RE = re.compile(r"\s*(\d+)\s*\*\s*2\s*\^\s*(\d+)\s*\Z")
 
 
-def _check_ident(name: object, what: str) -> str:
-    if not isinstance(name, str) or not _IDENT_RE.match(name):
+def check_ident(name: object, what: str) -> str:
+    """`name` itself if it is an identifier; ModelError naming `what` if not."""
+    if not isinstance(name, str) or not IDENT_RE.match(name):
         raise ModelError(f"{what} must be an identifier, got {name!r}")
     return name
 
 
-def as_rational(value: Union[int, str, Fraction]) -> Fraction:
-    """Coerce a model-file scalar (int, Fraction, "p/q" string) to Fraction."""
-    if isinstance(value, bool):
+def as_rational(value: Union[int, float, str, Fraction]) -> Fraction:
+    """Coerce a scalar (int, Fraction, float, "p/q" or decimal string) to an
+    exact Fraction; a float keeps its exact binary value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
         raise ModelError(f"expected a rational number, got {value!r}")
-    if isinstance(value, (int, Fraction)):
+    try:
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ModelError(f"invalid rational {value!r}: {exc}") from None
-    if isinstance(value, float):
-        # Floats only reach here from direct API use; JSON parsing keeps
-        # decimals exact via parse_float=Fraction.
-        return Fraction(value).limit_denominator(10**12)
-    raise ModelError(f"expected a rational number, got {value!r}")
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ModelError(f"invalid rational {value!r}: {exc}") from None
 
 
 def parse_count(value: Union[int, str]) -> int:
@@ -85,7 +79,7 @@ class TimeExpression:
         if self.base < 0:
             raise ModelError(f"time base must be non-negative, got {self.base}")
         for name, coeff in self.coeffs.items():
-            _check_ident(name, "parameter name")
+            check_ident(name, "parameter name")
             if coeff < 0:
                 raise ModelError(f"coefficient of {name!r} must be non-negative")
 
@@ -99,8 +93,12 @@ class TimeExpression:
             total += coeff * values[name]
         return total
 
-    def is_constant(self) -> bool:
-        return not self.coeffs
+    def evaluate_positive(self, values: Mapping[str, Fraction], member: str) -> Fraction:
+        """evaluate(values); BindingError naming `member` unless it is > 0."""
+        total = self.evaluate(values)
+        if total <= 0:
+            raise BindingError(f"member {member!r}: evaluated time {total} is not positive")
+        return total
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,7 @@ class InstructionClass:
     time: TimeExpression
 
     def __post_init__(self):
-        _check_ident(self.name, "member name")
+        check_ident(self.name, "member name")
         if not isinstance(self.count, int) or self.count < 1:
             raise ModelError(f"class {self.name!r}: count must be >= 1")
 
@@ -131,7 +129,7 @@ class InstructionFamily:
     num_terms: int
 
     def __post_init__(self):
-        _check_ident(self.name, "member name")
+        check_ident(self.name, "member name")
         object.__setattr__(self, "step", as_rational(self.step))
         if not isinstance(self.count_per_term, int) or self.count_per_term < 1:
             raise ModelError(f"family {self.name!r}: count must be >= 1")
@@ -153,14 +151,14 @@ class InstructionSet:
     members: tuple[Member, ...]
 
     def __post_init__(self):
-        _check_ident(self.name, "set name")
+        check_ident(self.name, "set name")
         object.__setattr__(self, "parameters", tuple(self.parameters))
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
-            raise ModelError(f"set {self.name!r} has no members")
+            raise ModelError(f"set {self.name!r}: members must be non-empty")
         seen: set[str] = set()
         for p in self.parameters:
-            _check_ident(p, "parameter name")
+            check_ident(p, "parameter name")
             if p in seen:
                 raise ModelError(f"duplicate parameter {p!r}")
             seen.add(p)
@@ -187,7 +185,7 @@ class ParameterBinding:
     def __post_init__(self):
         vals = {}
         for name, v in self.values.items():
-            _check_ident(name, "parameter name")
+            check_ident(name, "parameter name")
             r = as_rational(v)
             if r < 0:
                 raise BindingError(f"parameter {name!r} must be non-negative")
@@ -202,7 +200,7 @@ class ParameterBinding:
             name, sep, text = pair.partition("=")
             if not sep or not name:
                 raise ModelError(f"expected name=value, got {pair!r}")
-            values[name] = as_rational(text.strip())
+            values[name] = text.strip()
         return cls(values)
 
 
@@ -220,9 +218,6 @@ class BoundFamily:
     time_base: Fraction
     step: Fraction
     num_terms: int
-
-    def term_time(self, index: int) -> Fraction:
-        return self.time_base + index * self.step
 
 
 BoundMember = Union[BoundClass, BoundFamily]
@@ -242,13 +237,9 @@ class BoundInstructionSet:
         raise KeyError(name)
 
 
-def bind(iset: InstructionSet, binding: ParameterBinding) -> BoundInstructionSet:
-    """Evaluate every time expression under `binding`.
-
-    The binding must supply exactly the declared parameters; every evaluated
-    time must come out strictly positive.
-    """
-    declared = set(iset.parameters)
+def check_binding(declared: Iterable[str], binding: ParameterBinding) -> None:
+    """BindingError unless `binding` supplies exactly the `declared` parameters."""
+    declared = set(declared)
     given = set(binding.values)
     missing = declared - given
     if missing:
@@ -257,17 +248,21 @@ def bind(iset: InstructionSet, binding: ParameterBinding) -> BoundInstructionSet
     if extra:
         raise BindingError(f"undeclared parameter {sorted(extra)[0]!r}")
 
+
+def bind(iset: InstructionSet, binding: ParameterBinding) -> BoundInstructionSet:
+    """Evaluate every time expression under `binding`.
+
+    The binding must supply exactly the declared parameters; every evaluated
+    time must come out strictly positive.
+    """
+    check_binding(iset.parameters, binding)
+    values = binding.values
     members: list[BoundMember] = []
     for m in iset.members:
         if isinstance(m, InstructionClass):
-            t = m.time.evaluate(binding.values)
-            if t <= 0:
-                raise BindingError(f"member {m.name!r}: evaluated time {t} is not positive")
-            members.append(BoundClass(m.name, m.count, t))
+            members.append(BoundClass(m.name, m.count, m.time.evaluate_positive(values, m.name)))
         else:
-            t0 = m.time_base.evaluate(binding.values)
-            if t0 <= 0:
-                raise BindingError(f"member {m.name!r}: evaluated time {t0} is not positive")
+            t0 = m.time_base.evaluate_positive(values, m.name)
             members.append(BoundFamily(m.name, m.count_per_term, t0, m.step, m.num_terms))
     return BoundInstructionSet(iset.name, tuple(members))
 
@@ -291,9 +286,10 @@ _FAMILY_KEYS = {"step", "terms"}
 _MODEL_KEYS = {"name", "parameters", "classes"}
 
 
-def _parse_time(obj: object, where: str) -> TimeExpression:
+def parse_time(obj: object, where: str) -> TimeExpression:
+    """A TimeExpression from model JSON: a rational, or {"base", "coeffs"}."""
     if isinstance(obj, (int, str, Fraction)):
-        return TimeExpression(base=as_rational(obj))
+        return TimeExpression(base=obj)
     if not isinstance(obj, dict):
         raise ModelError(f"{where}: time must be an object or rational")
     unknown = set(obj) - _TIME_KEYS
@@ -304,10 +300,7 @@ def _parse_time(obj: object, where: str) -> TimeExpression:
     coeffs = obj.get("coeffs", {})
     if not isinstance(coeffs, dict):
         raise ModelError(f"{where}: coeffs must be an object")
-    return TimeExpression(
-        base=as_rational(obj["base"]),
-        coeffs={k: as_rational(v) for k, v in coeffs.items()},
-    )
+    return TimeExpression(base=obj["base"], coeffs=coeffs)
 
 
 def _parse_member(obj: object, index: int) -> Member:
@@ -320,11 +313,9 @@ def _parse_member(obj: object, index: int) -> Member:
     for key in ("name", "count", "time"):
         if key not in obj:
             raise ModelError(f"{where}: missing {key!r}")
-    name = _check_ident(obj["name"], f"{where} name")
+    name = obj["name"]
     count = parse_count(obj["count"])
-    if count < 1:
-        raise ModelError(f"{where}: count must be >= 1")
-    time = _parse_time(obj["time"], f"{where} ({name})")
+    time = parse_time(obj["time"], f"{where} ({name})")
     if "family" not in obj:
         return InstructionClass(name=name, count=count, time=time)
     fam = obj["family"]
@@ -336,14 +327,9 @@ def _parse_member(obj: object, index: int) -> Member:
     for key in _FAMILY_KEYS:
         if key not in fam:
             raise ModelError(f"{where}: family is missing {key!r}")
-    step = as_rational(fam["step"])
-    if step <= 0:
-        raise ModelError(f"{where}: family step must be > 0")
     terms = parse_count(fam["terms"])
-    if terms < 1:
-        raise ModelError(f"{where}: family terms must be >= 1")
     return InstructionFamily(
-        name=name, count_per_term=count, time_base=time, step=step, num_terms=terms
+        name=name, count_per_term=count, time_base=time, step=fam["step"], num_terms=terms
     )
 
 
@@ -371,13 +357,12 @@ def instruction_set_from_object(doc: object) -> InstructionSet:
     if not isinstance(params, list):
         raise ModelError("'parameters' must be a list of names")
     classes = doc["classes"]
-    if not isinstance(classes, list) or not classes:
+    if not isinstance(classes, list):
         raise ModelError("'classes' must be a non-empty list")
-    members = tuple(_parse_member(c, i) for i, c in enumerate(classes))
     return InstructionSet(
-        name=_check_ident(doc["name"], "set name"),
+        name=doc["name"],
         parameters=tuple(params),
-        members=members,
+        members=tuple(_parse_member(c, i) for i, c in enumerate(classes)),
     )
 
 

@@ -32,13 +32,16 @@ change of log2 g across an interval no wider than the tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .model import BoundClass, BoundInstructionSet, BoundMember, total_count
 
 _LN2 = math.log(2.0)
 _MAX_ITERATIONS = 10_000
 _RESIDUAL_LIMIT = 1e-10
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -90,15 +93,29 @@ def _geom(u: float, terms: int) -> tuple[float, float]:
     return log2_sum, (_phi(u) - _phi(b)) / u
 
 
+def time_as_float(value: Fraction, name: str) -> float:
+    """A positive time (or step) as a normal float; ValueError naming `name`
+    where floats cannot hold it at full precision (0.0, subnormal or inf)."""
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if not _FLOAT_MIN <= result <= _FLOAT_MAX:
+        raise ValueError(
+            f"time of {name!r} lies outside the float range [{_FLOAT_MIN:.4g}, {_FLOAT_MAX:.4g}]"
+        )
+    return result
+
+
 def _compile(member: BoundMember) -> tuple[float, float, float, int]:
     """(log2 count, base time, step, terms) in floats, a class as a one-term
     family; terms stays an exact int, as it may exceed the float range."""
     if isinstance(member, BoundClass):
-        return math.log2(member.count), float(member.time), 0.0, 1
+        return math.log2(member.count), time_as_float(member.time, member.name), 0.0, 1
     return (
         math.log2(member.count_per_term),
-        float(member.time_base),
-        float(member.step),
+        time_as_float(member.time_base, member.name),
+        time_as_float(member.step, member.name),
         member.num_terms,
     )
 

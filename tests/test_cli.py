@@ -280,3 +280,46 @@ def test_capacity_past_float_range_exits_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and "outside the float range" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("time", ["1e-400", "1e400"])
+@pytest.mark.parametrize("command", ["capacity", "efficiency"])
+def test_time_outside_float_range_exits_2(capsys, tmp_path, command, time):
+    model = tmp_path / "range.json"
+    model.write_text(
+        '{"name": "r", "classes": [{"name": "a", "count": 1, "time": %s},'
+        ' {"name": "b", "count": 1, "time": 1}]}' % time
+    )
+    trace = tmp_path / "trace.txt"
+    trace.write_text("a b a b\n")
+    argv = [command, str(model)] + ([str(trace)] if command == "efficiency" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "outside the float range" in err
+
+
+def test_closed_stdout_exits_1_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the child's first write fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [*console_script_launcher(), "distribution", MMIX, "--param", "mu=1", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("command", ["capacity", "distribution"])
+def test_results_carry_capacity_once(capsys, command):
+    code, out, _ = run_cli(capsys, command, TOY, "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert "capacity_bits" in results
+    assert "log2_x0" not in results

@@ -260,3 +260,59 @@ def test_parse_problem_errors(tmp_path):
             ' "access_classes": [{"count": 1, "time": 1}]}]}',
             base_dir=tmp_path,
         )
+
+
+@pytest.mark.parametrize(
+    "kind, fragment",
+    [
+        (
+            '{"name": "A", "cell_cost": 0, "access_classes": [{"count": 1, "time": 1}]}',
+            "cell_cost must be > 0",
+        ),
+        (
+            '{"name": "A", "cell_cost": 1, "access_classes": [{"count": 0, "time": 1}]}',
+            "count must be >= 1",
+        ),
+        ('{"name": "A", "cell_cost": 1, "access_classes": []}', "no access classes"),
+        (
+            '{"name": "9A", "cell_cost": 1, "access_classes": [{"count": 1, "time": 1}]}',
+            "must be an identifier",
+        ),
+    ],
+    ids=["cell-cost", "access-count", "no-access", "kind-name"],
+)
+def test_parse_problem_value_errors(kind, fragment):
+    text = '{"base": %s, "registers": 1, "budget": 1, "kinds": [%s]}' % (BASE_TWO, kind)
+    with pytest.raises(ValueError, match=fragment):
+        parse_problem(text)
+
+
+def test_instantiate_reuses_the_bound_base(monkeypatch):
+    import compucap.memory
+
+    problem = parse_problem(data_path("memory-example.json").read_text())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("instantiate must not bind the base again")
+
+    monkeypatch.setattr(compucap.memory, "bind", forbidden)
+    monkeypatch.setattr(compucap.memory, "ParameterBinding", forbidden)
+    assert instantiate(problem, {}).members == problem.bound_base.members
+    iset = instantiate(problem, {"kind1": 2})
+    assert iset.members[: len(problem.bound_base.members)] == problem.bound_base.members
+
+
+def test_access_time_must_be_positive():
+    kind = MemoryKind(
+        "A", Fraction(1), (AccessClass(1, TimeExpression(base=0, coeffs={"mu": 1})),)
+    )
+    problem = MemoryDesignProblem(
+        base=parse_model(BASE_TWO),
+        registers=1,
+        kinds=(kind,),
+        budget=Fraction(1),
+        binding=ParameterBinding({"mu": 0}),
+    )
+    assert instantiate(problem, {"A": 0}).members == problem.bound_base.members
+    with pytest.raises(BindingError, match="'A/0': evaluated time 0 is not positive"):
+        instantiate(problem, {"A": 1})

@@ -16,7 +16,7 @@ from compucap import (
     serialize_model,
     total_count,
 )
-from compucap.model import parse_count
+from compucap.model import as_rational, parse_count
 
 TOY = """
 {
@@ -97,6 +97,19 @@ def test_syntax_error_reports_position():
             '{"name": "x", "classes": [{"name": "a", "count": 1,'
             ' "time": {"base": 1, "coeffs": {"nu": 1}}}]}',
             "undeclared parameter 'nu'",
+        ),
+        (
+            '{"name": "x", "classes": [{"name": "a", "count": 1, "time": 1,'
+            ' "family": {"step": 1, "terms": 0}}]}',
+            "terms must be >= 1",
+        ),
+        (
+            '{"name": "x", "classes": [{"name": "9x", "count": 1, "time": 1}]}',
+            "must be an identifier, got '9x'",
+        ),
+        (
+            '{"name": 5, "classes": [{"name": "a", "count": 1, "time": 1}]}',
+            "set name must be an identifier, got 5",
         ),
     ],
 )
@@ -191,3 +204,15 @@ def test_single_member_total():
         members=(InstructionClass("only", 1, TimeExpression(base=5)),),
     )
     assert total_count(iset) == 1
+
+
+def test_as_rational_keeps_floats_exact():
+    assert as_rational(1e-13) == Fraction(1e-13) != 0
+    assert as_rational(0.1) == Fraction(0.1) != Fraction(1, 10)
+    assert ParameterBinding({"mu": 1e-13}).values["mu"] == Fraction(1e-13)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "nan", "inf"])
+def test_as_rational_rejects_non_finite(value):
+    with pytest.raises(ModelError, match="invalid rational"):
+        as_rational(value)

@@ -351,3 +351,18 @@ def test_root_below_float_spacing_terminates(iset):
     assert result.residual <= 1e-10
     assert result.bracket_width <= math.ulp(y)
     assert result.iterations <= 20
+
+
+@pytest.mark.parametrize("time", ["1e-400", "1e-320", "1e400"])
+def test_time_outside_float_range_raises(time):
+    # 1e-400 would round to 0.0 and 1e-320 to an imprecise subnormal; the
+    # exact root of {1 @ 1e-400, 1 @ 1} is near 1,320, not the 54.3 that a
+    # zero time gives.  1e400 has no float at all.
+    with pytest.raises(ValueError, match="'c0' lies outside the float range"):
+        solve_capacity(classes((1, Fraction(time)), (1, 1)))
+
+
+def test_family_step_outside_float_range_raises():
+    family = BoundFamily("f", 1, Fraction(1), Fraction("1e400"), 3)
+    with pytest.raises(ValueError, match="'f' lies outside the float range"):
+        solve_capacity(BoundInstructionSet("s", (family, BoundClass("c", 1, Fraction(1)))))
