@@ -17,9 +17,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .model import IDENT_RE, BoundClass, BoundInstructionSet
+from .model import IDENT_RE, BoundClass, BoundInstructionSet, BoundMember
 from .solver import CapacityResult, member_log2_weight, member_mean_time, solve_capacity, time_as_float
 
 _MASS_SLACK = 1e-10
@@ -97,6 +97,16 @@ def _canonical_token(token: str) -> str:
     return f"{name}@{time}"
 
 
+def _canonical_symbols(tokens: Sequence[str]) -> Iterator[str]:
+    """`_canonical_token` over `tokens`, run once per distinct spelling.
+
+    Distinct spellings are checked in first-use order, so an error names
+    the first bad token in trace order.
+    """
+    canonical = {t: _canonical_token(t) for t in dict.fromkeys(tokens)}
+    return map(canonical.__getitem__, tokens)
+
+
 def parse_trace(text: str) -> tuple[str, ...]:
     """Split a trace file into canonical symbol tokens.
 
@@ -104,16 +114,17 @@ def parse_trace(text: str) -> tuple[str, ...]:
     positive rational time ("29", "1.5", and "3/2" all work).  Equal times
     written differently canonicalize to the same token.
     """
-    return tuple(_canonical_token(t) for t in text.split())
+    return tuple(_canonical_symbols(text.split()))
 
 
-def _token_time(iset: BoundInstructionSet, token: str) -> Fraction:
-    """Execution time denoted by a canonical trace token."""
+def _member_index(iset: BoundInstructionSet) -> dict[str, BoundMember]:
+    """Name -> member; the first of equal names wins, as in `iset.member`."""
+    return {m.name: m for m in reversed(iset.members)}
+
+
+def _token_time(member: BoundMember, token: str) -> Fraction:
+    """Execution time denoted by a canonical trace token naming `member`."""
     name, sep, anno = token.partition("@")
-    try:
-        member = iset.member(name)
-    except KeyError:
-        raise TraceError(f"unknown instruction symbol {name!r}") from None
     if isinstance(member, BoundClass):
         if not sep:
             return member.time
@@ -132,14 +143,6 @@ def _token_time(iset: BoundInstructionSet, token: str) -> Fraction:
     if index.denominator != 1 or not 0 <= index < member.num_terms:
         raise TraceError(f"{token!r}: time {time} is not one of the family's terms")
     return time
-
-
-def _token_multiplicity(iset: BoundInstructionSet, token: str) -> int:
-    """How many equally likely instructions the trace token stands for."""
-    member = iset.member(token.partition("@")[0])
-    if isinstance(member, BoundClass):
-        return member.count
-    return member.count_per_term
 
 
 @dataclass(frozen=True)
@@ -176,13 +179,19 @@ class TraceStatistics:
                 f"trace of length {n} is too short for order {max_order}"
             )
         extended = [*symbols, *symbols[:max_order]]
-        # islice windows, not slices: no per-order copies of a long trace
-        kgram_counts = {
-            order: Counter(zip(*(islice(extended, i, i + n) for i in range(order + 1))))
-            for order in range(max_order + 1)
-        }
+        # one pass at the top order (islice windows, not slices: no copies of
+        # a long trace); with wrapped windows each k-gram is the prefix of the
+        # (k+1)-gram at the same position, so summing over the last symbol is
+        # exact and keeps each order's first-occurrence key order
+        counts = [Counter(zip(*(islice(extended, i, i + n) for i in range(max_order + 1))))]
+        for _ in range(max_order):
+            lower = Counter()
+            for gram, count in counts[-1].items():
+                lower[gram[:-1]] += count
+            counts.append(lower)
+        kgram_counts = dict(enumerate(reversed(counts)))
         return cls(
-            alphabet=tuple(sorted(set(symbols))),
+            alphabet=tuple(sorted(gram[0] for gram in kgram_counts[0])),
             length=n,
             max_order=max_order,
             kgram_counts=kgram_counts,
@@ -229,17 +238,17 @@ def efficiency(
         raise ValueError(f"entropy must be >= 0, got {entropy_bits}")
     if not isinstance(dist, InstructionDistribution):
         dist = InstructionDistribution(masses=dist)
+    members = _member_index(iset)
     mean_time = 0.0
     for token, mass in dist.masses.items():
         if mass == 0.0:
             continue
         name, sep, _ = token.partition("@")
-        try:
-            member = iset.member(name)
-        except KeyError:
-            raise DistributionError(f"unknown member {name!r} in distribution") from None
+        member = members.get(name)
+        if member is None:
+            raise DistributionError(f"unknown member {name!r} in distribution")
         if sep or isinstance(member, BoundClass):
-            time = time_as_float(_token_time(iset, token), token)
+            time = time_as_float(_token_time(member, _canonical_token(token)), token)
         elif dist.log2_x0 is not None:
             time = member_mean_time(member, dist.log2_x0)
         else:
@@ -289,16 +298,28 @@ def efficiency_from_trace(
     trace, an unknown or unannotated symbol, or a trace shorter than
     max_order + 1.
     """
-    symbols = [_canonical_token(s) for s in symbols]
+    # materialized first: the memoized pass reads the symbols twice
+    symbols = list(_canonical_symbols(list(symbols)))
     if not symbols:
         raise TraceError("trace is empty")
     stats = TraceStatistics.from_symbols(symbols, max_order)
-    times = {token: time_as_float(_token_time(iset, token), token) for token in stats.alphabet}
+    members = _member_index(iset)
+    times = {}
+    multiplicity = {}
+    for token in stats.alphabet:
+        name = token.partition("@")[0]
+        member = members.get(name)
+        if member is None:
+            raise TraceError(f"unknown instruction symbol {name!r}")
+        times[token] = time_as_float(_token_time(member, token), token)
+        # how many equally likely instructions the token stands for
+        multiplicity[token] = (
+            member.count if isinstance(member, BoundClass) else member.count_per_term
+        )
     freq0 = stats.frequencies(0)
     mean_time = sum(freq * times[gram[0]] for gram, freq in freq0.items())
     within_member = sum(
-        freq * math.log2(_token_multiplicity(iset, gram[0]))
-        for gram, freq in freq0.items()
+        freq * math.log2(multiplicity[gram[0]]) for gram, freq in freq0.items()
     )
     if capacity is None:
         capacity = solve_capacity(iset, tolerance)

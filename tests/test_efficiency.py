@@ -1,8 +1,14 @@
+import importlib
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compucap import (
     BoundClass,
@@ -19,6 +25,9 @@ from compucap import (
     parse_trace,
     solve_capacity,
 )
+
+# the package's `efficiency` attribute is the function, not this module
+efficiency_module = importlib.import_module("compucap.efficiency")
 
 LOG2_SILVER = 1.2715533031636120
 SQRT2_M1 = 0.41421356237309503  # sqrt(2) - 1 = 1/X0 for the two-speed set
@@ -328,3 +337,118 @@ def test_trace_errors():
         efficiency_from_trace(iset, [], 0)
     with pytest.raises(TraceError, match="too short"):
         efficiency_from_trace(iset, ["fast", "slow"], 5)
+
+
+# --- one-pass parsing and counting ---
+
+
+def class_and_family() -> BoundInstructionSet:
+    # family g has terms 1/2, 3/2 and 5/2
+    return BoundInstructionSet(
+        "f",
+        (
+            BoundClass("c", 2, Fraction(1)),
+            BoundFamily("g", 3, Fraction(1, 2), Fraction(1), 3),
+        ),
+    )
+
+
+def per_order_counts(symbols, max_order):
+    """Every order counted over its own wrapped windows: the reference the
+    one-pass count must match, key order included."""
+    n = len(symbols)
+    extended = [*symbols, *symbols[:max_order]]
+    return {
+        order: Counter(zip(*(islice(extended, i, i + n) for i in range(order + 1))))
+        for order in range(max_order + 1)
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_counts_match_per_order_counts(data):
+    max_order = data.draw(st.integers(0, 5))
+    alphabet = [f"s{i}" for i in range(data.draw(st.integers(1, 6)))]
+    symbols = data.draw(
+        st.lists(st.sampled_from(alphabet), min_size=max_order + 1, max_size=300)
+    )
+    stats = TraceStatistics.from_symbols(symbols, max_order)
+    expected = per_order_counts(symbols, max_order)
+    assert list(stats.kgram_counts) == list(expected)
+    for order, counts in expected.items():
+        assert type(stats.kgram_counts[order]) is Counter
+        assert list(stats.kgram_counts[order].items()) == list(counts.items())
+    assert stats.alphabet == tuple(sorted(set(symbols)))
+
+
+def test_each_distinct_token_is_parsed_once(monkeypatch):
+    calls = Counter()
+    canonical_token = efficiency_module._canonical_token
+
+    def spy(token):
+        calls[token] += 1
+        return canonical_token(token)
+
+    monkeypatch.setattr(efficiency_module, "_canonical_token", spy)
+    text = "g@1.5 c g@3/2 c g@1.5\ng@6/4 c c g@3/2"
+    symbols = parse_trace(text)
+    assert calls == Counter(set(text.split()))
+    calls.clear()
+    efficiency_from_trace(class_and_family(), symbols, 1)
+    assert calls == Counter(["c", "g@3/2"])
+
+
+@pytest.mark.parametrize(
+    "text, first_bad",
+    [("c g@x 9bad g@x", "g@x"), ("c 9bad g@x 9bad", "9bad"), ("c g@0 g@1/0", "g@0")],
+)
+def test_first_bad_token_in_trace_order_is_named(text, first_bad):
+    pattern = re.escape(repr(first_bad))
+    with pytest.raises(TraceError, match=pattern):
+        parse_trace(text)
+    with pytest.raises(TraceError, match=pattern):
+        efficiency_from_trace(class_and_family(), text.split(), 0)
+
+
+def test_trace_report_is_the_same_for_any_spelling_and_iterable():
+    iset = class_and_family()
+    mixed = "c g@1.5 g@3/2 c g@6/4 g@0.5 c g@5/2 g@2.5".split()
+    canonical = list(parse_trace(" ".join(mixed)))
+    assert canonical.count("g@3/2") == 3
+    expected = efficiency_from_trace(iset, canonical, 2)
+    assert efficiency_from_trace(iset, mixed, 2) == expected
+    assert efficiency_from_trace(iset, (s for s in mixed), 2) == expected
+    assert efficiency_from_trace(iset, (s for s in canonical), 2) == expected
+
+
+def test_members_resolve_without_linear_scans(monkeypatch):
+    # of two members with one name, the first wins, as in member()
+    iset = BoundInstructionSet(
+        "dup", (BoundClass("c", 1, Fraction(2)), BoundClass("c", 5, Fraction(3)))
+    )
+
+    def forbidden(self, name):
+        raise AssertionError("BoundInstructionSet.member scanned the members")
+
+    monkeypatch.setattr(BoundInstructionSet, "member", forbidden)
+    report = efficiency_from_trace(iset, ["c", "c@2"], 0)
+    assert report.mean_time == 2.0
+    assert efficiency(iset, {"c": 1.0}, 1.0) == 0.5
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("g@x", "invalid time annotation in 'g@x'"),
+        ("g@1/0", "invalid time annotation in 'g@1/0'"),
+        ("g@-3/2", "time annotation must be positive in 'g@-3/2'"),
+    ],
+)
+def test_efficiency_rejects_malformed_annotation(token, message):
+    with pytest.raises(TraceError, match=re.escape(message)):
+        efficiency(class_and_family(), {token: 1.0}, 1.0)
+
+
+def test_efficiency_unknown_name_stays_a_distribution_error():
+    with pytest.raises(DistributionError, match="unknown member '9z'"):
+        efficiency(class_and_family(), {"9z": 1.0}, 1.0)
