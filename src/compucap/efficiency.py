@@ -118,12 +118,12 @@ def parse_trace(text: str) -> tuple[str, ...]:
 
 
 def _member_index(iset: BoundInstructionSet) -> dict[str, BoundMember]:
-    """Name -> member; the first of equal names wins, as in `iset.member`."""
+    """Name -> member; of equal names the first wins."""
     return {m.name: m for m in reversed(iset.members)}
 
 
 def _token_time(member: BoundMember, token: str) -> Fraction:
-    """Execution time denoted by a canonical trace token naming `member`."""
+    """Execution time denoted by a validated trace token naming `member`."""
     name, sep, anno = token.partition("@")
     if isinstance(member, BoundClass):
         if not sep:
@@ -247,8 +247,10 @@ def efficiency(
         member = members.get(name)
         if member is None:
             raise DistributionError(f"unknown member {name!r} in distribution")
+        if sep:
+            _canonical_token(token)  # a malformed annotation raises TraceError
         if sep or isinstance(member, BoundClass):
-            time = time_as_float(_token_time(member, _canonical_token(token)), token)
+            time = time_as_float(_token_time(member, token), token)
         elif dist.log2_x0 is not None:
             time = member_mean_time(member, dist.log2_x0)
         else:

@@ -230,12 +230,6 @@ class BoundInstructionSet:
     name: str
     members: tuple[BoundMember, ...]
 
-    def member(self, name: str) -> BoundMember:
-        for m in self.members:
-            if m.name == name:
-                return m
-        raise KeyError(name)
-
 
 def check_binding(declared: Iterable[str], binding: ParameterBinding) -> None:
     """BindingError unless `binding` supplies exactly the `declared` parameters."""
