@@ -7,124 +7,122 @@ derives the capacity-achieving instruction distribution, estimates the
 efficiency of observed instruction traces, counts time-exact instruction
 sequences with exact integers, and optimizes memory cell counts under a
 budget.  Bundled example models live under data_path().
+
+Importing the package loads none of its submodules: each public name is
+resolved from its submodule on first access (PEP 562), so a program pays
+only for the layers it uses.  `compucap.efficiency` is the function; the
+module of the same name is importlib.import_module("compucap.efficiency").
 """
 
-from pathlib import Path
-
-from .counting import (
-    CountingError,
-    CountTable,
-    UnreachableTimeError,
-    capacity_estimate,
-    count_sequences,
-)
-from .efficiency import (
-    DistributionError,
-    InstructionDistribution,
-    OrderEstimate,
-    TraceEfficiencyReport,
-    TraceError,
-    TraceStatistics,
-    efficiency,
-    efficiency_from_trace,
-    entropy_order_n,
-    optimal_distribution,
-    parse_trace,
-)
-from .memory import (
-    AccessClass,
-    Allocation,
-    MemoryDesignProblem,
-    MemoryKind,
-    ProblemError,
-    instantiate,
-    optimize_grid,
-    optimize_vertex,
-    parse_problem,
-)
-from .model import (
-    BindingError,
-    BoundClass,
-    BoundFamily,
-    BoundInstructionSet,
-    InstructionClass,
-    InstructionFamily,
-    InstructionSet,
-    ModelError,
-    ParameterBinding,
-    TimeExpression,
-    bind,
-    instruction_set_from_object,
-    parse_model,
-    serialize_model,
-    total_count,
-)
-from .solver import (
-    CapacityResult,
-    eval_characteristic,
-    member_log2_weight,
-    member_mean_time,
-    solve_capacity,
-)
+import sys
+import types
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-_DATA = Path(__file__).resolve().parent / "data"
+_EXPORTS = {
+    "counting": (
+        "CountingError",
+        "CountTable",
+        "UnreachableTimeError",
+        "capacity_estimate",
+        "count_sequences",
+    ),
+    "efficiency": (
+        "DistributionError",
+        "InstructionDistribution",
+        "OrderEstimate",
+        "TraceEfficiencyReport",
+        "TraceError",
+        "TraceStatistics",
+        "efficiency",
+        "efficiency_from_trace",
+        "entropy_order_n",
+        "optimal_distribution",
+        "parse_trace",
+    ),
+    "memory": (
+        "AccessClass",
+        "Allocation",
+        "MemoryDesignProblem",
+        "MemoryKind",
+        "ProblemError",
+        "instantiate",
+        "optimize_grid",
+        "optimize_vertex",
+        "parse_problem",
+    ),
+    "model": (
+        "BindingError",
+        "BoundClass",
+        "BoundFamily",
+        "BoundInstructionSet",
+        "InstructionClass",
+        "InstructionFamily",
+        "InstructionSet",
+        "ModelError",
+        "ParameterBinding",
+        "TimeExpression",
+        "bind",
+        "instruction_set_from_object",
+        "parse_model",
+        "serialize_model",
+        "total_count",
+    ),
+    "solver": (
+        "CapacityResult",
+        "eval_characteristic",
+        "member_log2_weight",
+        "member_mean_time",
+        "solve_capacity",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_MODULE_OF, "data_path"])
 
 
-def data_path(name: str) -> Path:
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})
+
+
+def data_path(name: str):
     """Path of a bundled example file (e.g. "mix.json", "toy-trace.txt")."""
-    path = _DATA / name
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent / "data" / name
     if not path.is_file():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path
 
 
-__all__ = [
-    "AccessClass",
-    "Allocation",
-    "BindingError",
-    "BoundClass",
-    "BoundFamily",
-    "BoundInstructionSet",
-    "CapacityResult",
-    "CountTable",
-    "CountingError",
-    "DistributionError",
-    "InstructionClass",
-    "InstructionDistribution",
-    "InstructionFamily",
-    "InstructionSet",
-    "MemoryDesignProblem",
-    "MemoryKind",
-    "ModelError",
-    "OrderEstimate",
-    "ParameterBinding",
-    "ProblemError",
-    "TimeExpression",
-    "TraceEfficiencyReport",
-    "TraceError",
-    "TraceStatistics",
-    "UnreachableTimeError",
-    "bind",
-    "capacity_estimate",
-    "count_sequences",
-    "data_path",
-    "efficiency",
-    "efficiency_from_trace",
-    "entropy_order_n",
-    "eval_characteristic",
-    "instantiate",
-    "instruction_set_from_object",
-    "member_log2_weight",
-    "member_mean_time",
-    "optimal_distribution",
-    "optimize_grid",
-    "optimize_vertex",
-    "parse_model",
-    "parse_problem",
-    "parse_trace",
-    "serialize_model",
-    "solve_capacity",
-    "total_count",
-]
+class _Package(types.ModuleType):
+    """The package module, whose `efficiency` stays the function.
+
+    Loading the submodule compucap.efficiency makes the import system set
+    the package attribute of that name to the submodule, whichever import
+    loads it; the setter ignores that binding.
+    """
+
+    @property
+    def efficiency(self):
+        if "efficiency" not in vars(self):
+            vars(self)["efficiency"] = import_module(f"{__name__}.efficiency").efficiency
+        return vars(self)["efficiency"]
+
+    @efficiency.setter
+    def efficiency(self, value):
+        if not isinstance(value, types.ModuleType):
+            vars(self)["efficiency"] = value
+
+
+sys.modules[__name__].__class__ = _Package

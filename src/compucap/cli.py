@@ -5,14 +5,14 @@ count, optimize-memory.  Reports render either as readable text or, with
 --json, as deterministic JSON: keys sorted, floats at 15 significant
 digits, no timestamps — identical inputs produce byte-identical output.
 A report is printed only once it is complete, so failures never leave a
-partial JSON object on stdout.
+partial JSON object on stdout.  Each subcommand imports only the layers
+it runs, so a command starts without loading the others.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -20,26 +20,25 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .counting import CountingError, UnreachableTimeError, capacity_estimate, count_sequences
-from .efficiency import (
-    DistributionError,
-    TraceError,
-    efficiency_from_trace,
-    optimal_distribution,
-    parse_trace,
-)
-from .memory import ProblemError, optimize_grid, optimize_vertex, parse_problem
+try:
+    # Importing hashlib loads OpenSSL, about 4 ms of a cold command; like the
+    # stdlib's random module, take the same digest from the builtin first.
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from .model import (
     BindingError,
     BoundClass,
     BoundInstructionSet,
-    ModelError,
     ParameterBinding,
     bind,
     parse_model,
     total_count,
 )
-from .solver import solve_capacity
 
 _TOP_TERMS = 10
 
@@ -118,7 +117,7 @@ def render_report(report: dict, as_json: bool) -> str:
 def _file_input(path: Path, text: str) -> dict:
     return {
         "path": str(path),
-        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "sha256": sha256(text.encode("utf-8")).hexdigest(),
     }
 
 
@@ -134,6 +133,9 @@ def _load_bound(args) -> tuple[BoundInstructionSet, dict]:
 
 
 def _capacity_results(bound: BoundInstructionSet, tolerance: float) -> dict:
+    from .efficiency import optimal_distribution
+    from .solver import solve_capacity
+
     cap = solve_capacity(bound, tolerance)
     masses = optimal_distribution(bound, cap).masses
     terms = sorted(masses.items(), key=lambda item: (-item[1], item[0]))
@@ -161,6 +163,9 @@ def cmd_capacity(args) -> dict:
 
 
 def cmd_distribution(args) -> dict:
+    from .efficiency import optimal_distribution
+    from .solver import solve_capacity
+
     bound, model_input = _load_bound(args)
     cap = solve_capacity(bound, args.tolerance)
     dist = optimal_distribution(bound, cap)
@@ -194,6 +199,8 @@ def cmd_distribution(args) -> dict:
 
 
 def cmd_efficiency(args) -> dict:
+    from .efficiency import efficiency_from_trace, parse_trace
+
     bound, model_input = _load_bound(args)
     trace_path = Path(args.trace)
     trace_text = trace_path.read_text(encoding="utf-8")
@@ -225,6 +232,8 @@ def cmd_efficiency(args) -> dict:
 
 
 def cmd_count(args) -> dict:
+    from .counting import UnreachableTimeError, capacity_estimate, count_sequences
+
     bound, model_input = _load_bound(args)
     table = count_sequences(bound, args.max_time)
     warnings = []
@@ -250,6 +259,8 @@ def cmd_count(args) -> dict:
 
 
 def cmd_optimize_memory(args) -> dict:
+    from .memory import optimize_grid, optimize_vertex, parse_problem
+
     path = Path(args.problem)
     text = path.read_text(encoding="utf-8")
     problem = parse_problem(text, base_dir=path.parent)
@@ -353,15 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BindingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        ModelError,
-        ProblemError,
-        CountingError,
-        TraceError,
-        DistributionError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

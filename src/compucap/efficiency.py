@@ -97,13 +97,25 @@ def _canonical_token(token: str) -> str:
     return f"{name}@{time}"
 
 
-def _canonical_symbols(tokens: Sequence[str]) -> Iterator[str]:
+def _canonical_symbols(
+    tokens: Sequence[str], members: Optional[Mapping[str, BoundMember]] = None
+) -> Iterator[str]:
     """`_canonical_token` over `tokens`, run once per distinct spelling.
 
-    Distinct spellings are checked in first-use order, so an error names
-    the first bad token in trace order.
+    With a `members` index, a token that annotates a class with the class's
+    own time becomes the bare class name, so `c` and `c@2` are one symbol
+    when class c executes in time 2.  Distinct spellings are checked in
+    first-use order, so an error names the first bad token in trace order.
     """
-    canonical = {t: _canonical_token(t) for t in dict.fromkeys(tokens)}
+    canonical = {}
+    for token in dict.fromkeys(tokens):
+        symbol = _canonical_token(token)
+        name, sep, anno = symbol.partition("@")
+        if sep and members is not None:
+            member = members.get(name)
+            if isinstance(member, BoundClass) and Fraction(anno) == member.time:
+                symbol = name
+        canonical[token] = symbol
     return map(canonical.__getitem__, tokens)
 
 
@@ -300,12 +312,12 @@ def efficiency_from_trace(
     trace, an unknown or unannotated symbol, or a trace shorter than
     max_order + 1.
     """
+    members = _member_index(iset)
     # materialized first: the memoized pass reads the symbols twice
-    symbols = list(_canonical_symbols(list(symbols)))
+    symbols = list(_canonical_symbols(list(symbols), members))
     if not symbols:
         raise TraceError("trace is empty")
     stats = TraceStatistics.from_symbols(symbols, max_order)
-    members = _member_index(iset)
     times = {}
     multiplicity = {}
     for token in stats.alphabet:

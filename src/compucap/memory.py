@@ -33,6 +33,7 @@ from .model import (
     bind,
     check_binding,
     check_ident,
+    check_positive_time,
     instruction_set_from_object,
     parse_count,
     parse_time,
@@ -83,8 +84,13 @@ class MemoryKind:
 
 @dataclass(frozen=True)
 class MemoryDesignProblem:
-    """Base instructions, candidate memory kinds, and a spending budget;
-    bound_base is the base set, bound once under its share of the binding."""
+    """Base instructions, candidate memory kinds, and a spending budget.
+
+    bound_base is the base set, bound once under its share of the binding;
+    access_times holds each kind's access-class times, evaluated once under
+    the binding and checked positive only when a cell of the kind is
+    installed.
+    """
 
     base: InstructionSet
     registers: int
@@ -92,6 +98,9 @@ class MemoryDesignProblem:
     budget: Fraction
     binding: ParameterBinding
     bound_base: BoundInstructionSet = field(init=False, compare=False, repr=False)
+    access_times: tuple[tuple[Fraction, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(self.kinds))
@@ -111,6 +120,15 @@ class MemoryDesignProblem:
         check_binding(needed, self.binding)
         base_values = {p: self.binding.values[p] for p in self.base.parameters}
         object.__setattr__(self, "bound_base", bind(self.base, ParameterBinding(base_values)))
+        values = self.binding.values
+        object.__setattr__(
+            self,
+            "access_times",
+            tuple(
+                tuple(ac.time.evaluate(values) for ac in kind.access_classes)
+                for kind in self.kinds
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -142,17 +160,17 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
         if not isinstance(n, int) or n < 0:
             raise ProblemError(f"cell count for {name!r} must be a non-negative integer")
     members = list(problem.bound_base.members)
-    for kind in problem.kinds:
+    for kind, times in zip(problem.kinds, problem.access_times):
         n = cells.get(kind.name, 0)
         if n == 0:
             continue
-        for index, ac in enumerate(kind.access_classes):
+        for index, (ac, time) in enumerate(zip(kind.access_classes, times)):
             name = f"{kind.name}/{index}"
             members.append(
                 BoundClass(
                     name=name,
                     count=problem.registers * ac.count_per_cell * n,
-                    time=ac.time.evaluate_positive(problem.binding.values, name),
+                    time=check_positive_time(time, name),
                 )
             )
     return BoundInstructionSet(problem.base.name, tuple(members))

@@ -95,10 +95,14 @@ class TimeExpression:
 
     def evaluate_positive(self, values: Mapping[str, Fraction], member: str) -> Fraction:
         """evaluate(values); BindingError naming `member` unless it is > 0."""
-        total = self.evaluate(values)
-        if total <= 0:
-            raise BindingError(f"member {member!r}: evaluated time {total} is not positive")
-        return total
+        return check_positive_time(self.evaluate(values), member)
+
+
+def check_positive_time(time: Fraction, member: str) -> Fraction:
+    """`time` itself if it is > 0; BindingError naming `member` if not."""
+    if time <= 0:
+        raise BindingError(f"member {member!r}: evaluated time {time} is not positive")
+    return time
 
 
 @dataclass(frozen=True)

@@ -393,6 +393,20 @@ def test_trace_report_is_the_same_for_any_spelling_and_iterable():
     assert efficiency_from_trace(iset, (s for s in canonical), 2) == expected
 
 
+def test_class_annotated_with_its_own_time_is_the_bare_symbol():
+    iset = class_and_family()  # class c executes in time 1
+    for spelling in (["c", "c@1"], ["c@1", "c@1.0"], ["c@2/2", "c"]):
+        report = efficiency_from_trace(iset, spelling, 1)
+        assert [e.entropy_bits for e in report.orders] == [1.0, 1.0]  # log2(count) only
+        assert report == efficiency_from_trace(iset, ["c", "c"], 1)
+    mixed = "c g@1/2 c@1 g@3/2 c".split()
+    assert efficiency_from_trace(iset, mixed, 2) == efficiency_from_trace(
+        iset, "c g@1/2 c g@3/2 c".split(), 2
+    )
+    with pytest.raises(TraceError, match="executes in time 1, not 2"):
+        efficiency_from_trace(iset, ["c", "c@2"], 0)
+
+
 def test_first_of_equal_member_names_wins():
     iset = BoundInstructionSet(
         "dup", (BoundClass("c", 1, Fraction(2)), BoundClass("c", 5, Fraction(3)))
