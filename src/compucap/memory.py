@@ -17,7 +17,6 @@ the brute-force check over a full integer grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -32,9 +31,12 @@ from .model import (
     as_rational,
     bind,
     check_binding,
+    check_container,
     check_ident,
+    check_object,
     check_positive_time,
     instruction_set_from_object,
+    load_json,
     parse_count,
     parse_time,
 )
@@ -105,6 +107,8 @@ class MemoryDesignProblem:
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "budget", as_rational(self.budget))
+        if not self.kinds:
+            raise ProblemError("kinds must be non-empty")
         if not isinstance(self.registers, int) or self.registers < 1:
             raise ProblemError("registers must be >= 1")
         if self.budget < 0:
@@ -242,6 +246,25 @@ def _grid_points(problem: MemoryDesignProblem, step: int):
     yield from rec(0, problem.budget, {})
 
 
+def _grid_size(problem: MemoryDesignProblem, step: int, limit: int) -> int:
+    """The number of feasible cells mappings on the step grid, counted
+    exactly up to `limit` and stopped at the first count past it."""
+
+    def rec(index: int, remaining: Fraction) -> int:
+        kind = problem.kinds[index]
+        top = int(remaining // kind.cell_cost)
+        if index == len(problem.kinds) - 1:
+            return top // step + 1
+        total = 0
+        for n in range(0, top + 1, step):
+            total += rec(index + 1, remaining - kind.cell_cost * n)
+            if total > limit:
+                break
+        return total
+
+    return rec(0, problem.budget)
+
+
 def optimize_grid(
     problem: MemoryDesignProblem, step: int = 1, tolerance: float = 1e-12
 ) -> Allocation:
@@ -254,13 +277,12 @@ def optimize_grid(
     """
     if not isinstance(step, int) or step < 1:
         raise ProblemError(f"step must be a positive integer, got {step!r}")
+    points = _grid_size(problem, step, _MAX_GRID_POINTS)
+    if points > _MAX_GRID_POINTS:
+        raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
     order = [kind.name for kind in problem.kinds]
     best: Optional[tuple[float, tuple[int, ...], dict[str, int], CapacityResult]] = None
-    points = 0
     for cells in _grid_points(problem, step):
-        points += 1
-        if points > _MAX_GRID_POINTS:
-            raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
         cap = solve_capacity(instantiate(problem, cells), tolerance)
         vec = tuple(cells[name] for name in order)
         if (
@@ -283,35 +305,22 @@ def optimize_grid(
 
 # --- problem file (JSON) parsing ---
 
-_PROBLEM_KEYS = {"base", "registers", "budget", "parameters", "kinds"}
-_KIND_KEYS = {"name", "cell_cost", "access_classes"}
-_ACCESS_KEYS = {"count", "time"}
+
+def _parse_access(obj: object, where: str) -> AccessClass:
+    check_object(obj, where, ProblemError, ("count", "time"))
+    return AccessClass(parse_count(obj["count"]), parse_time(obj["time"], f"{where} time"))
 
 
 def _parse_kind(obj: object, index: int) -> MemoryKind:
     where = f"kinds[{index}]"
-    if not isinstance(obj, dict):
-        raise ProblemError(f"{where}: expected an object")
-    unknown = set(obj) - _KIND_KEYS
-    if unknown:
-        raise ProblemError(f"{where}: unknown key {sorted(unknown)[0]!r}")
-    for key in _KIND_KEYS:
-        if key not in obj:
-            raise ProblemError(f"{where}: missing {key!r}")
-    accesses = obj["access_classes"]
-    if not isinstance(accesses, list):
-        raise ProblemError(f"{where}: access_classes must be a non-empty list")
-    parsed = []
-    for j, ac in enumerate(accesses):
-        if not isinstance(ac, dict) or set(ac) - _ACCESS_KEYS or "count" not in ac or "time" not in ac:
-            raise ProblemError(f"{where}: access_classes[{j}] needs count and time")
-        parsed.append(
-            AccessClass(
-                count_per_cell=parse_count(ac["count"]),
-                time=parse_time(ac["time"], f"{where} access_classes[{j}]"),
-            )
-        )
-    return MemoryKind(name=obj["name"], cell_cost=obj["cell_cost"], access_classes=parsed)
+    check_object(obj, where, ProblemError, ("name", "cell_cost", "access_classes"))
+    at = f"{where} access_classes"
+    accesses = check_container(obj["access_classes"], list, at, ProblemError)
+    return MemoryKind(
+        name=obj["name"],
+        cell_cost=obj["cell_cost"],
+        access_classes=tuple(_parse_access(ac, f"{at}[{j}]") for j, ac in enumerate(accesses)),
+    )
 
 
 def parse_problem(text: str, base_dir: Optional[Path] = None) -> MemoryDesignProblem:
@@ -320,47 +329,29 @@ def parse_problem(text: str, base_dir: Optional[Path] = None) -> MemoryDesignPro
     A path is resolved relative to base_dir (the problem file's own
     directory, when loaded from disk).
     """
-    try:
-        doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise ProblemError(
-            f"problem syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise ProblemError("problem file must contain a JSON object")
-    unknown = set(doc) - _PROBLEM_KEYS
-    if unknown:
-        raise ProblemError(f"unknown problem key {sorted(unknown)[0]!r}")
-    for key in ("base", "registers", "budget", "kinds"):
-        if key not in doc:
-            raise ProblemError(f"problem file is missing {key!r}")
-
+    doc = load_json(text, "problem", ProblemError)
+    check_object(
+        doc, "problem file", ProblemError, ("base", "registers", "budget", "kinds"),
+        ("parameters",),
+    )
     base_obj = doc["base"]
     if isinstance(base_obj, str):
         path = Path(base_obj)
         if not path.is_absolute():
             path = (base_dir or Path.cwd()) / path
         try:
-            base = instruction_set_from_object(
-                json.loads(path.read_text(encoding="utf-8"), parse_float=Fraction)
-            )
+            base_text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ProblemError(f"cannot read base model {base_obj!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ProblemError(f"base model {base_obj!r}: {exc.msg}") from None
-    else:
-        base = instruction_set_from_object(base_obj)
+        base_obj = load_json(base_text, f"base model {base_obj!r}", ProblemError)
+    base = instruction_set_from_object(base_obj)
 
-    params = doc.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ProblemError("'parameters' must be an object")
-    kinds_obj = doc["kinds"]
-    if not isinstance(kinds_obj, list) or not kinds_obj:
-        raise ProblemError("'kinds' must be a non-empty list")
+    params = check_container(doc.get("parameters", {}), dict, "parameters", ProblemError)
+    kinds = check_container(doc["kinds"], list, "kinds", ProblemError)
     return MemoryDesignProblem(
         base=base,
         registers=parse_count(doc["registers"]),
-        kinds=tuple(_parse_kind(k, i) for i, k in enumerate(kinds_obj)),
+        kinds=tuple(_parse_kind(k, i) for i, k in enumerate(kinds)),
         budget=doc["budget"],
         binding=ParameterBinding(params),
     )

@@ -30,6 +30,8 @@ class BindingError(ValueError):
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _POW2_COUNT_RE = re.compile(r"\s*(\d+)\s*\*\s*2\s*\^\s*(\d+)\s*\Z")
+# the largest b in a count "a*2^b": 2**b takes b/8 bytes to build
+_MAX_COUNT_EXPONENT = 1_000_000
 
 
 def check_ident(name: object, what: str) -> str:
@@ -60,7 +62,13 @@ def parse_count(value: Union[int, str]) -> int:
         m = _POW2_COUNT_RE.match(value)
         if not m:
             raise ModelError(f'invalid count {value!r}: expected integer or "a*2^b"')
-        return int(m.group(1)) * 2 ** int(m.group(2))
+        try:
+            a, b = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:  # past the int-to-str digit limit
+            raise ModelError(f"invalid count: {exc}") from None
+        if b > _MAX_COUNT_EXPONENT:
+            raise ModelError(f"invalid count {value!r}: exponent above {_MAX_COUNT_EXPONENT}")
+        return a * 2**b
     raise ModelError(f"invalid count {value!r}")
 
 
@@ -278,85 +286,80 @@ def total_count(iset: Union[InstructionSet, BoundInstructionSet]) -> int:
 
 # --- model file (JSON) parsing and serialization ---
 
-_TIME_KEYS = {"base", "coeffs"}
-_CLASS_KEYS = {"name", "count", "time", "family"}
-_FAMILY_KEYS = {"step", "terms"}
-_MODEL_KEYS = {"name", "parameters", "classes"}
+
+def load_json(text: str, what: str, error: type[ValueError]) -> object:
+    """Decode JSON text with exact rationals; `error` naming `what`, and the
+    line and column of a syntax error, if it does not decode."""
+    try:
+        return json.loads(text, parse_float=Fraction)
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"{what} syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError as exc:  # an integer past the int-to-str digit limit
+        raise error(f"{what}: {exc}") from None
+
+
+def check_object(
+    obj: object, where: str, error: type[ValueError], required: tuple[str, ...],
+    optional: tuple[str, ...] = (),
+) -> dict:
+    """`obj` itself if it is a JSON object with every `required` key and no key
+    outside `required` and `optional`; `error` naming the JSON path `where`
+    if not."""
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected an object")
+    for key in required:
+        if key not in obj:
+            raise error(f"{where}: missing {key!r} (requires {', '.join(map(repr, required))})")
+    if len(obj) > len(required):
+        unknown = (obj.keys() - required).difference(optional)
+        if unknown:
+            raise error(f"{where}: unknown key {sorted(unknown)[0]!r}")
+    return obj
+
+
+def check_container(
+    obj: object, kind: type, where: str, error: type[ValueError]
+) -> Union[dict, list]:
+    """`obj` itself if it is a JSON object (`kind` dict) or list (`kind`
+    list); `error` naming the JSON path `where` if not."""
+    if not isinstance(obj, kind):
+        raise error(f"{where}: expected {'an object' if kind is dict else 'a list'}")
+    return obj
 
 
 def parse_time(obj: object, where: str) -> TimeExpression:
     """A TimeExpression from model JSON: a rational, or {"base", "coeffs"}."""
     if isinstance(obj, (int, str, Fraction)):
         return TimeExpression(base=obj)
-    if not isinstance(obj, dict):
-        raise ModelError(f"{where}: time must be an object or rational")
-    unknown = set(obj) - _TIME_KEYS
-    if unknown:
-        raise ModelError(f"{where}: unknown time key {sorted(unknown)[0]!r}")
-    if "base" not in obj:
-        raise ModelError(f"{where}: time is missing 'base'")
-    coeffs = obj.get("coeffs", {})
-    if not isinstance(coeffs, dict):
-        raise ModelError(f"{where}: coeffs must be an object")
+    check_object(obj, where, ModelError, ("base",), ("coeffs",))
+    coeffs = check_container(obj.get("coeffs", {}), dict, f"{where} coeffs", ModelError)
     return TimeExpression(base=obj["base"], coeffs=coeffs)
 
 
 def _parse_member(obj: object, index: int) -> Member:
     where = f"classes[{index}]"
-    if not isinstance(obj, dict):
-        raise ModelError(f"{where}: expected an object")
-    unknown = set(obj) - _CLASS_KEYS
-    if unknown:
-        raise ModelError(f"{where}: unknown key {sorted(unknown)[0]!r}")
-    for key in ("name", "count", "time"):
-        if key not in obj:
-            raise ModelError(f"{where}: missing {key!r}")
+    check_object(obj, where, ModelError, ("name", "count", "time"), ("family",))
     name = obj["name"]
     count = parse_count(obj["count"])
-    time = parse_time(obj["time"], f"{where} ({name})")
+    time = parse_time(obj["time"], f"{where} time")
     if "family" not in obj:
         return InstructionClass(name=name, count=count, time=time)
-    fam = obj["family"]
-    if not isinstance(fam, dict):
-        raise ModelError(f"{where}: 'family' must be an object")
-    unknown = set(fam) - _FAMILY_KEYS
-    if unknown:
-        raise ModelError(f"{where}: unknown family key {sorted(unknown)[0]!r}")
-    for key in _FAMILY_KEYS:
-        if key not in fam:
-            raise ModelError(f"{where}: family is missing {key!r}")
-    terms = parse_count(fam["terms"])
-    return InstructionFamily(
-        name=name, count_per_term=count, time_base=time, step=fam["step"], num_terms=terms
-    )
+    fam = check_object(obj["family"], f"{where} family", ModelError, ("step", "terms"))
+    return InstructionFamily(name, count, time, fam["step"], parse_count(fam["terms"]))
 
 
 def parse_model(text: str) -> InstructionSet:
     """Parse and validate a model file (see the JSON schema in the README)."""
-    try:
-        doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise ModelError(
-            f"model syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    return instruction_set_from_object(doc)
+    return instruction_set_from_object(load_json(text, "model", ModelError))
 
 
 def instruction_set_from_object(doc: object) -> InstructionSet:
     """Build a validated InstructionSet from already-parsed model JSON."""
-    if not isinstance(doc, dict):
-        raise ModelError("model file must contain a JSON object")
-    unknown = set(doc) - _MODEL_KEYS
-    if unknown:
-        raise ModelError(f"unknown model key {sorted(unknown)[0]!r}")
-    if "name" not in doc or "classes" not in doc:
-        raise ModelError("model file requires 'name' and 'classes'")
-    params = doc.get("parameters", [])
-    if not isinstance(params, list):
-        raise ModelError("'parameters' must be a list of names")
-    classes = doc["classes"]
-    if not isinstance(classes, list):
-        raise ModelError("'classes' must be a non-empty list")
+    check_object(doc, "model file", ModelError, ("name", "classes"), ("parameters",))
+    params = check_container(doc.get("parameters", []), list, "parameters", ModelError)
+    classes = check_container(doc["classes"], list, "classes", ModelError)
     return InstructionSet(
         name=doc["name"],
         parameters=tuple(params),

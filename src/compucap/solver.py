@@ -139,9 +139,13 @@ def _log2_char(members: list[tuple], y: float) -> tuple[float, float]:
     points = [_member_at(m, y) for m in members]
     hi = max(value for value, _ in points)
     weights = [2.0 ** (value - hi) for value, _ in points]
-    wsum = sum(weights)
-    mean = sum(w * time for w, (_, time) in zip(weights, points)) / wsum
-    return hi + math.log2(wsum), -mean
+    mean = sum(w * time for w, (_, time) in zip(weights, points))
+    # log2(1 + rest), not log2 of a rounded 1 + rest: where one member
+    # dominates, the others' mass lies below the rounding of 1.  The top
+    # weight is exactly 1; zeroing another weight of 1 leaves the same sum.
+    weights[weights.index(1.0)] = 0.0
+    rest = sum(weights)
+    return hi + math.log1p(rest) / _LN2, -mean / (1.0 + rest)
 
 
 def member_log2_weight(member: BoundMember, y: float) -> float:

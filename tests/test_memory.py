@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -285,6 +287,92 @@ def test_parse_problem_value_errors(kind, fragment):
     text = '{"base": %s, "registers": 1, "budget": 1, "kinds": [%s]}' % (BASE_TWO, kind)
     with pytest.raises(ValueError, match=fragment):
         parse_problem(text)
+
+
+KIND_A = '{"name": "A", "cell_cost": 1, "access_classes": [{"count": 1, "time": 1}]}'
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("[1]", "problem file: expected an object"),
+        (
+            '{"base": %s, "registers": 1, "budget": 1, "kinds": [%s], "colour": 1}'
+            % (BASE_TWO, KIND_A),
+            "problem file: unknown key 'colour'",
+        ),
+        (
+            '{"base": %s, "registers": 1, "budget": 1, "parameters": ["mu"], "kinds": [%s]}'
+            % (BASE_TWO, KIND_A),
+            "parameters: expected an object",
+        ),
+        ('{"base": %s, "registers": 1, "budget": 1, "kinds": []}' % BASE_TWO, "kinds must be non-empty"),
+        (
+            '{"base": %s, "registers": 1, "budget": 1, "kinds": [{"name": "A",'
+            ' "cell_cost": 1, "speed": 2, "access_classes": [{"count": 1, "time": 1}]}]}'
+            % BASE_TWO,
+            r"kinds\[0\]: unknown key 'speed'",
+        ),
+        (
+            '{"base": %s, "registers": 1, "budget": 1, "kinds": [{"name": "A",'
+            ' "cell_cost": 1, "access_classes": [5]}]}' % BASE_TWO,
+            r"kinds\[0\] access_classes\[0\]: expected an object",
+        ),
+        (
+            '{"base": %s, "registers": 1, "budget": 1, "kinds": [{"name": "A",'
+            ' "cell_cost": 1, "access_classes": [{"count": 1}]}]}' % BASE_TWO,
+            r"kinds\[0\] access_classes\[0\]: missing 'time'",
+        ),
+        (
+            '{"base": "bad.json", "registers": 1, "budget": 1, "kinds": [%s]}' % KIND_A,
+            r"base model 'bad.json' syntax error at line 2, column \d+",
+        ),
+        (
+            '{"base": %s, "registers": %s, "budget": 1, "kinds": [%s]}'
+            % (BASE_TWO, "1" * 5000, KIND_A),
+            "problem: Exceeds the limit",
+        ),
+    ],
+    ids=[
+        "not-object",
+        "unknown-key",
+        "parameters-list",
+        "no-kinds",
+        "unknown-kind-key",
+        "access-not-object",
+        "access-no-time",
+        "base-syntax",
+        "digit-limit",
+    ],
+)
+def test_parse_problem_shape_errors(tmp_path, text, fragment):
+    (tmp_path / "bad.json").write_text('{"name": "b",\n "classes": [}')
+    with pytest.raises(ProblemError, match=fragment):
+        parse_problem(text, base_dir=tmp_path)
+
+
+def test_oversized_grid_is_refused_before_solving():
+    # memory-example's step-1 grid holds about 2**34 points; solving even
+    # the first million of them takes minutes
+    problem = parse_problem(data_path("memory-example.json").read_text())
+    start = time.perf_counter()
+    with pytest.raises(ProblemError, match="grid exceeds 1000000 points"):
+        optimize_grid(problem, 1)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_grid_reports_every_feasible_point(step):
+    problem = small_problem(
+        7, ("A", 2, [(1, 1)]), ("B", Fraction(3, 2), [(1, 2)]), ("C", 1, [(1, 3)])
+    )
+    feasible = [
+        cells
+        for cells in itertools.product(range(0, 8, step), repeat=3)
+        if 2 * cells[0] + Fraction(3, 2) * cells[1] + cells[2] <= 7
+    ]
+    grid = optimize_grid(problem, step)
+    assert f"evaluated {len(feasible)} feasible allocations" in grid.justification
 
 
 def test_instantiate_reuses_the_bound_base(monkeypatch):

@@ -52,6 +52,33 @@ def test_parse_count_grammar():
         parse_count(True)
 
 
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [
+        (
+            '{"name": "x", "classes": [{"name": "a", "count": "1*2^1000001", "time": 1}]}',
+            "exponent above 1000000",
+        ),
+        (
+            '{"name": "x", "classes": [{"name": "a", "count": "%s*2^1", "time": 1}]}'
+            % ("1" * 5000),
+            "invalid count: Exceeds the limit",
+        ),
+        (
+            '{"name": "x", "classes": [{"name": "a", "count": %s, "time": 1}]}'
+            % ("1" * 5000),
+            "model: Exceeds the limit",
+        ),
+    ],
+    ids=["exponent", "digits-in-string", "digits-in-integer"],
+)
+def test_count_bounds(doc, fragment):
+    # 2**b is built in full, and the int-to-str digit limit raises a bare
+    # ValueError; both must end in the model's own error
+    with pytest.raises(ModelError, match=fragment):
+        parse_model(doc)
+
+
 def test_time_expression_evaluate():
     t = TimeExpression(base=1, coeffs={"mu": 20})
     assert t.evaluate({"mu": Fraction(7, 5)}) == 29
@@ -110,6 +137,48 @@ def test_syntax_error_reports_position():
         (
             '{"name": 5, "classes": [{"name": "a", "count": 1, "time": 1}]}',
             "set name must be an identifier, got 5",
+        ),
+        ('{"name": "x", "classes": [5]}', r"classes\[0\]: expected an object"),
+        (
+            '{"name": "x", "classes": [{"name": "a", "count": 1, "time": 1, "speed": 2}]}',
+            r"classes\[0\]: unknown key 'speed'",
+        ),
+        (
+            '{"name": "x", "classes": [{"name": "a", "time": 1}]}',
+            r"classes\[0\]: missing 'count'",
+        ),
+        (
+            '{"name": "x", "classes": [{"name": "a", "count": 1, "time": 1,'
+            ' "family": {"step": 1, "terms": 2, "stride": 1}}]}',
+            r"classes\[0\] family: unknown key 'stride'",
+        ),
+        (
+            '{"name": "x", "classes": [{"name": "a", "count": 1, "time": 1,'
+            ' "family": {"step": 1}}]}',
+            r"classes\[0\] family: missing 'terms'",
+        ),
+        (
+            '{"name": "x", "classes": [{"name": "a", "count": 1,'
+            ' "time": {"base": 1, "scale": 2}}]}',
+            r"classes\[0\] time: unknown key 'scale'",
+        ),
+        (
+            '{"name": "x", "classes": [{"name": "a", "count": 1, "time": {"coeffs": {}}}]}',
+            r"classes\[0\] time: missing 'base'",
+        ),
+        (
+            '{"name": "x", "parameters": ["mu"], "classes": [{"name": "a", "count": 1,'
+            ' "time": {"base": 1, "coeffs": ["mu"]}}]}',
+            r"classes\[0\] time coeffs: expected an object",
+        ),
+        (
+            '{"name": "x", "parameters": "mu", "classes": [{"name": "a", "count": 1,'
+            ' "time": {"base": 1, "coeffs": {"mu": 1}}}]}',
+            "parameters: expected a list",
+        ),
+        (
+            '{"name": "x", "classes": {"a": {"count": 1, "time": 1}}}',
+            "classes: expected a list",
         ),
     ],
 )

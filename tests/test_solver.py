@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -366,3 +367,29 @@ def test_family_step_outside_float_range_raises():
     family = BoundFamily("f", 1, Fraction(1), Fraction("1e400"), 3)
     with pytest.raises(ValueError, match="'f' lies outside the float range"):
         solve_capacity(BoundInstructionSet("s", (family, BoundClass("c", 1, Fraction(1)))))
+
+
+def _decimal_root(eps: str) -> Decimal:
+    """Root of 2**(-eps*y) + 2**(-y) = 1 by bisection at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ln2, e = Decimal(2).ln(), Decimal(eps)
+
+        def g(y):
+            return (-e * y * ln2).exp() + (-y * ln2).exp() - 1
+
+        lo, hi = Decimal(0), Decimal(200)
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+        return lo
+
+
+@pytest.mark.parametrize("eps", ["1e-10", "1e-14", "1e-16", "1e-20", "1e-30"])
+def test_fast_class_beside_a_slow_one(eps):
+    # Near the root the slow class's weight is below the rounding of the
+    # fast one's, so g must not be summed as 1 + rest before its logarithm.
+    result = solve_capacity(classes((1, Fraction(eps)), (1, 1)))
+    assert abs(result.capacity_bits - float(_decimal_root(eps))) <= 2e-12
+    assert result.residual <= 1e-10
+    assert result.iterations <= 100
