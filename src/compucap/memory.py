@@ -12,11 +12,15 @@ At any fixed root X the characteristic sum is linear and increasing in
 each cell count, so a continuous-relaxation optimum always sits at a
 vertex of the budget simplex: the entire budget on one kind.
 optimize_vertex compares exactly those pure allocations; optimize_grid is
-the brute-force check over a full integer grid.
+the brute-force check over a full integer grid.  Each optimizer compiles
+the problem once per call: every allocation is solved from floats already
+held, with the same members in the same order as instantiate builds, so
+each result is the one solve_capacity gives for that instance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -39,8 +43,9 @@ from .model import (
     load_json,
     parse_count,
     parse_time,
+    total_count,
 )
-from .solver import CapacityResult, solve_capacity
+from .solver import CapacityResult, check_tolerance, compile_member, solve_compiled, time_as_float
 
 _TIE_WIDTH = 1e-11
 _MAX_GRID_POINTS = 1_000_000
@@ -180,6 +185,46 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
     return BoundInstructionSet(problem.base.name, tuple(members))
 
 
+def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
+    """solve(vec), equal to solve_capacity(instantiate(problem, cells),
+    tolerance) for the cells vector vec in kind-declaration order.
+
+    The base is compiled, and a kind's access times are checked positive
+    and then converted, the first time a solve needs them, so the errors
+    and their order are those of instantiate and solve_capacity.
+    """
+    check_tolerance(tolerance)
+    kinds, registers = problem.kinds, problem.registers
+    base_total = total_count(problem.bound_base)
+    per_cell = [registers * sum(ac.count_per_cell for ac in kind.access_classes) for kind in kinds]
+    base: list[tuple] = []
+    checked: list = [None] * len(kinds)  # per kind: [(name, time), ...]
+    compiled: list = [None] * len(kinds)  # per kind: [(R * count_per_cell, float time), ...]
+
+    def solve(vec: tuple[int, ...]) -> CapacityResult:
+        installed = [k for k, n in enumerate(vec) if n]
+        for k in installed:
+            if checked[k] is None:
+                names = [f"{kinds[k].name}/{index}" for index in range(len(kinds[k].access_classes))]
+                checked[k] = [(at, check_positive_time(t, at)) for at, t in zip(names, problem.access_times[k])]
+        if base_total + sum(vec[k] * per_cell[k] for k in installed) == 1:
+            # g(0) = 1 already: a single instruction carries no choice.
+            return CapacityResult(0.0, 0.0, 0.0, 0)
+        if not base:
+            base[:] = [compile_member(m) for m in problem.bound_base.members]
+        members = list(base)
+        for k in installed:
+            if compiled[k] is None:
+                compiled[k] = [
+                    (registers * ac.count_per_cell, time_as_float(t, at))
+                    for ac, (at, t) in zip(kinds[k].access_classes, checked[k])
+                ]
+            members += [(math.log2(scale * vec[k]), t, 0.0, 1) for scale, t in compiled[k]]
+        return solve_compiled(members, problem.base.name, tolerance)
+
+    return solve
+
+
 def _allocation_cost(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Fraction:
     return sum(
         (kind.cell_cost * cells.get(kind.name, 0) for kind in problem.kinds),
@@ -204,10 +249,10 @@ def optimize_vertex(
         if n > 0:
             candidates.append((kind.name, {**zero, kind.name: n}))
 
-    solved: list[tuple[str, dict[str, int], CapacityResult]] = []
-    for label, cells in candidates:
-        cap = solve_capacity(instantiate(problem, cells), tolerance)
-        solved.append((label, cells, cap))
+    solve = _allocation_solver(problem, tolerance)
+    solved: list[tuple[str, dict[str, int], CapacityResult]] = [
+        (label, cells, solve(tuple(cells.values()))) for label, cells in candidates
+    ]
 
     best_label, best_cells, best_cap = solved[0]
     for label, cells, cap in solved[1:]:
@@ -229,40 +274,52 @@ def optimize_vertex(
     )
 
 
+def _scaled_budget(problem: MemoryDesignProblem) -> tuple[int, list[int]]:
+    """The budget and each kind's cell cost, times the lcm of their
+    denominators: integers that divide exactly as the rationals do."""
+    scale = math.lcm(problem.budget.denominator, *(k.cell_cost.denominator for k in problem.kinds))
+    return int(problem.budget * scale), [int(k.cell_cost * scale) for k in problem.kinds]
+
+
 def _grid_points(problem: MemoryDesignProblem, step: int):
-    """Yield every feasible cells mapping on the step grid, depth-first."""
+    """Yield every feasible cells vector on the step grid, in kind-declaration
+    order, depth-first."""
+    budget, costs = _scaled_budget(problem)
+    last = len(costs)
+    chosen: list[int] = []
 
-    def rec(index: int, remaining: Fraction, chosen: dict[str, int]):
-        if index == len(problem.kinds):
-            yield dict(chosen)
+    def rec(index: int, remaining: int):
+        if index == last:
+            yield tuple(chosen)
             return
-        kind = problem.kinds[index]
-        limit = int(remaining // kind.cell_cost)
-        for n in range(0, limit + 1, step):
-            chosen[kind.name] = n
-            yield from rec(index + 1, remaining - kind.cell_cost * n, chosen)
-        del chosen[kind.name]
+        cost = costs[index]
+        for n in range(0, remaining // cost + 1, step):
+            chosen.append(n)
+            yield from rec(index + 1, remaining - cost * n)
+            chosen.pop()
 
-    yield from rec(0, problem.budget, {})
+    yield from rec(0, budget)
 
 
 def _grid_size(problem: MemoryDesignProblem, step: int, limit: int) -> int:
-    """The number of feasible cells mappings on the step grid, counted
+    """The number of feasible cells vectors on the step grid, counted
     exactly up to `limit` and stopped at the first count past it."""
+    budget, costs = _scaled_budget(problem)
+    last = len(costs) - 1
 
-    def rec(index: int, remaining: Fraction) -> int:
-        kind = problem.kinds[index]
-        top = int(remaining // kind.cell_cost)
-        if index == len(problem.kinds) - 1:
+    def rec(index: int, remaining: int) -> int:
+        cost = costs[index]
+        top = remaining // cost
+        if index == last:
             return top // step + 1
         total = 0
         for n in range(0, top + 1, step):
-            total += rec(index + 1, remaining - kind.cell_cost * n)
+            total += rec(index + 1, remaining - cost * n)
             if total > limit:
                 break
         return total
 
-    return rec(0, problem.budget)
+    return rec(0, budget)
 
 
 def optimize_grid(
@@ -280,19 +337,19 @@ def optimize_grid(
     points = _grid_size(problem, step, _MAX_GRID_POINTS)
     if points > _MAX_GRID_POINTS:
         raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
-    order = [kind.name for kind in problem.kinds]
-    best: Optional[tuple[float, tuple[int, ...], dict[str, int], CapacityResult]] = None
-    for cells in _grid_points(problem, step):
-        cap = solve_capacity(instantiate(problem, cells), tolerance)
-        vec = tuple(cells[name] for name in order)
+    solve = _allocation_solver(problem, tolerance)
+    best: Optional[tuple[float, tuple[int, ...], CapacityResult]] = None
+    for vec in _grid_points(problem, step):
+        cap = solve(vec)
         if (
             best is None
             or cap.capacity_bits > best[0] + _TIE_WIDTH
             or (abs(cap.capacity_bits - best[0]) <= _TIE_WIDTH and vec > best[1])
         ):
-            best = (cap.capacity_bits, vec, cells, cap)
+            best = (cap.capacity_bits, vec, cap)
     assert best is not None  # the all-zero point is always feasible
-    _, _, cells, cap = best
+    _, vec, cap = best
+    cells = {kind.name: n for kind, n in zip(problem.kinds, vec)}
     return Allocation(
         cells=cells,
         total_cost=_allocation_cost(problem, cells),

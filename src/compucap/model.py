@@ -32,6 +32,9 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _POW2_COUNT_RE = re.compile(r"\s*(\d+)\s*\*\s*2\s*\^\s*(\d+)\s*\Z")
 # the largest b in a count "a*2^b": 2**b takes b/8 bytes to build
 _MAX_COUNT_EXPONENT = 1_000_000
+# the largest |e| in a decimal "...e<e>": Fraction builds 10**e, which then
+# has about as many digits as the int-to-str limit lets a JSON integer have
+_MAX_DECIMAL_EXPONENT = 4300
 
 
 def check_ident(name: object, what: str) -> str:
@@ -41,13 +44,24 @@ def check_ident(name: object, what: str) -> str:
     return name
 
 
+def _decimal_fraction(text: str) -> Fraction:
+    """Fraction(text), refused with ValueError before it is built when the
+    decimal exponent exceeds _MAX_DECIMAL_EXPONENT in magnitude."""
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-0_").replace("_", "")
+    # a digit string longer than 9 is past the bound without int()
+    if e and digits.isdigit() and (len(digits) > 9 or int(digits) > _MAX_DECIMAL_EXPONENT):
+        raise ValueError(f"decimal exponent above {_MAX_DECIMAL_EXPONENT} in magnitude")
+    return Fraction(text)
+
+
 def as_rational(value: Union[int, float, str, Fraction]) -> Fraction:
     """Coerce a scalar (int, Fraction, float, "p/q" or decimal string) to an
     exact Fraction; a float keeps its exact binary value."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
         raise ModelError(f"expected a rational number, got {value!r}")
     try:
-        return Fraction(value)
+        return _decimal_fraction(value) if isinstance(value, str) else Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ModelError(f"invalid rational {value!r}: {exc}") from None
 
@@ -291,12 +305,13 @@ def load_json(text: str, what: str, error: type[ValueError]) -> object:
     """Decode JSON text with exact rationals; `error` naming `what`, and the
     line and column of a syntax error, if it does not decode."""
     try:
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(text, parse_float=_decimal_fraction)
     except json.JSONDecodeError as exc:
         raise error(
             f"{what} syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # an integer past the int-to-str digit limit
+    except ValueError as exc:  # an integer past the int-to-str digit limit or
+        # a decimal exponent past _MAX_DECIMAL_EXPONENT
         raise error(f"{what}: {exc}") from None
 
 

@@ -107,9 +107,10 @@ def time_as_float(value: Fraction, name: str) -> float:
     return result
 
 
-def _compile(member: BoundMember) -> tuple[float, float, float, int]:
+def compile_member(member: BoundMember) -> tuple[float, float, float, int]:
     """(log2 count, base time, step, terms) in floats, a class as a one-term
-    family; terms stays an exact int, as it may exceed the float range."""
+    family with step 0.0; terms stays an exact int, as it may exceed the
+    float range.  solve_compiled takes a list of these."""
     if isinstance(member, BoundClass):
         return math.log2(member.count), time_as_float(member.time, member.name), 0.0, 1
     return (
@@ -150,12 +151,12 @@ def _log2_char(members: list[tuple], y: float) -> tuple[float, float]:
 
 def member_log2_weight(member: BoundMember, y: float) -> float:
     """log2 of the member's aggregate weight sum(count * 2**(-tau * y))."""
-    return _member_at(_compile(member), y)[0]
+    return _member_at(compile_member(member), y)[0]
 
 
 def member_mean_time(member: BoundMember, y: float) -> float:
     """Mean execution time within the member under 2**(-tau*y) weighting."""
-    return _member_at(_compile(member), y)[1]
+    return _member_at(compile_member(member), y)[1]
 
 
 def eval_characteristic(iset: BoundInstructionSet, y: float) -> float:
@@ -164,7 +165,7 @@ def eval_characteristic(iset: BoundInstructionSet, y: float) -> float:
         raise ValueError(f"y must be >= 0, got {y}")
     if y == 0.0:
         return _float(total_count(iset))
-    log2_g = _log2_char([_compile(m) for m in iset.members], y)[0]
+    log2_g = _log2_char([compile_member(m) for m in iset.members], y)[0]
     return 2.0 ** log2_g if log2_g < 1024.0 else math.inf
 
 
@@ -173,8 +174,33 @@ def _residual(log2_g: float) -> float:
     return abs(math.expm1(log2_g * _LN2))
 
 
+def check_tolerance(tolerance: float) -> None:
+    """ValueError unless the solve tolerance lies in [1e-13, 1e-6]."""
+    if not 1e-13 <= tolerance <= 1e-6:
+        raise ValueError(f"tolerance must be in [1e-13, 1e-6], got {tolerance}")
+
+
 def solve_capacity(iset: BoundInstructionSet, tolerance: float = 1e-12) -> CapacityResult:
     """Find y* with g(y*) = 1; capacity_bits = y* = log2(X0).
+
+    Checks the tolerance, then the total count (one instruction carries
+    no choice: capacity 0), then compiles the members and hands them to
+    solve_compiled.
+    """
+    check_tolerance(tolerance)
+    total = total_count(iset)
+    if total < 1:
+        raise ValueError("instruction set has no instructions")
+    if total == 1:
+        # g(0) = 1 already: a single instruction carries no choice.
+        return CapacityResult(0.0, 0.0, 0.0, 0)
+    return solve_compiled([compile_member(m) for m in iset.members], iset.name, tolerance)
+
+
+def solve_compiled(members: list[tuple], name: str, tolerance: float) -> CapacityResult:
+    """The root y* of g for compiled members (see compile_member) that hold
+    at least two instructions, with a tolerance check_tolerance accepts;
+    errors name the set `name`.
 
     Newton steps on log2 g climb from y = 0 (see the module docstring)
     until a step is at most tolerance/2 with |g - 1| <= 1e-10, or no
@@ -182,20 +208,10 @@ def solve_capacity(iset: BoundInstructionSet, tolerance: float = 1e-12) -> Capac
     The root is then certified by a sign change, log2 g > 0 at the left
     end and <= 0 at the right, across y and its neighbour at distance
     tolerance (or one float spacing, where y is too large for that);
-    without one, Newton resumes from the neighbour.  tolerance must lie
-    in [1e-13, 1e-6].  Raises ValueError when the root is out of float
-    range or its residual cannot reach 1e-10 in floats.
+    without one, Newton resumes from the neighbour.  Raises ValueError
+    when the root is out of float range or its residual cannot reach
+    1e-10 in floats.
     """
-    if not 1e-13 <= tolerance <= 1e-6:
-        raise ValueError(f"tolerance must be in [1e-13, 1e-6], got {tolerance}")
-    total = total_count(iset)
-    if total < 1:
-        raise ValueError("instruction set has no instructions")
-    if total == 1:
-        # g(0) = 1 already: a single instruction carries no choice.
-        return CapacityResult(0.0, 0.0, 0.0, 0)
-
-    members = [_compile(m) for m in iset.members]
     y = 0.0
     f, slope = _log2_char(members, y)
     iterations = 1
@@ -204,7 +220,7 @@ def solve_capacity(iset: BoundInstructionSet, tolerance: float = 1e-12) -> Capac
             return CapacityResult(y, 0.0, 0.0, iterations)
         step = f / slope if slope else math.inf
         if not math.isfinite(step):
-            raise ValueError(f"set {iset.name!r}: the capacity lies outside the float range")
+            raise ValueError(f"set {name!r}: the capacity lies outside the float range")
         if y - step != y:
             y -= step
             f, slope = _log2_char(members, y)
@@ -227,6 +243,6 @@ def solve_capacity(iset: BoundInstructionSet, tolerance: float = 1e-12) -> Capac
         if abs(f_end) < abs(f):
             y, f = end, f_end
         if _residual(f) > _RESIDUAL_LIMIT:
-            raise ValueError(f"set {iset.name!r}: residual above 1e-10 at float precision")
+            raise ValueError(f"set {name!r}: residual above 1e-10 at float precision")
         return CapacityResult(y, _residual(f), width, iterations)
     raise RuntimeError("internal error: capacity solve did not converge")

@@ -3,6 +3,8 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -323,3 +325,52 @@ def test_results_carry_capacity_once(capsys, command):
     results = json.loads(out)["results"]
     assert "capacity_bits" in results
     assert "log2_x0" not in results
+
+
+HUGE = "1e10000000"
+MODEL_WITH = '{"name": "m", "classes": [{"name": "a", "count": 2, "time": %s}]}'
+PROBLEM_WITH = (
+    '{"base": {"name": "b", "classes": [{"name": "x", "count": 2, "time": 1}]},'
+    ' "registers": 1, "budget": %s, "parameters": {"mu": %s},'
+    ' "kinds": [{"name": "A", "cell_cost": %s,'
+    ' "access_classes": [{"count": 1, "time": {"base": 1, "coeffs": {"mu": 1}}}]}]}'
+)
+
+
+@pytest.mark.parametrize("spelling", [HUGE, f'"{HUGE}"', "1e-10000000"], ids=["number", "string", "negative"])
+@pytest.mark.parametrize("where", ["time", "budget", "parameters", "cell_cost"])
+def test_huge_decimal_exponent_exits_2_at_once(capsys, tmp_path, where, spelling):
+    path = tmp_path / "input.json"
+    if where == "time":
+        path.write_text(MODEL_WITH % spelling)
+        argv = ["capacity", str(path)]
+    else:
+        values = {"budget": "1", "parameters": "1", "cell_cost": "1", where: spelling}
+        path.write_text(PROBLEM_WITH % (values["budget"], values["parameters"], values["cell_cost"]))
+        argv = ["optimize-memory", str(path)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "decimal exponent above 4300 in magnitude" in err
+
+
+def test_huge_decimal_exponent_in_param_flag_exits_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "capacity", MMIX, "--param", f"mu={HUGE}")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "decimal exponent above 4300" in err
+
+
+@pytest.mark.parametrize("exponent", [-300, 300])
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_float_range_decimal_exponents_still_parse(exponent, quote):
+    from compucap import parse_model, parse_problem
+
+    spelling = f"{quote}1e{exponent}{quote}"
+    exact = Fraction(10) ** exponent
+    assert parse_model(MODEL_WITH % spelling).members[0].time.base == exact
+    problem = parse_problem(PROBLEM_WITH % (spelling, spelling, spelling))
+    assert problem.budget == problem.binding.values["mu"] == problem.kinds[0].cell_cost == exact

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -9,6 +10,7 @@ import pytest
 from compucap import (
     AccessClass,
     BindingError,
+    CapacityResult,
     MemoryDesignProblem,
     MemoryKind,
     ParameterBinding,
@@ -23,6 +25,7 @@ from compucap import (
     solve_capacity,
     total_count,
 )
+from compucap.memory import _allocation_solver, _grid_points, _grid_size
 
 # Pure-allocation capacities of the bundled two-kind example, solved
 # independently at 60-digit precision: the cheap slow kind loses to the
@@ -404,3 +407,131 @@ def test_access_time_must_be_positive():
     assert instantiate(problem, {"A": 0}).members == problem.bound_base.members
     with pytest.raises(BindingError, match="'A/0': evaluated time 0 is not positive"):
         instantiate(problem, {"A": 1})
+
+
+# --- the optimizers' compiled path against one solve_capacity per instance ---
+BASE_ONE = '{"name": "one", "classes": [{"name": "x", "count": 1, "time": 1}]}'
+
+
+def random_problem(rng: random.Random) -> MemoryDesignProblem:
+    base = {
+        "name": "b",
+        "classes": [
+            {"name": f"c{i}", "count": rng.randint(1, 5), "time": f"{rng.randint(1, 9)}/{rng.randint(1, 4)}"}
+            for i in range(rng.randint(1, 3))
+        ],
+    }
+    kinds = tuple(
+        MemoryKind(
+            f"k{i}",
+            Fraction(rng.randint(1, 5), rng.randint(1, 4)),
+            tuple(
+                AccessClass(rng.randint(1, 4), TimeExpression(base=Fraction(rng.randint(1, 12), rng.randint(1, 5))))
+                for _ in range(rng.randint(1, 2))
+            ),
+        )
+        for i in range(rng.randint(1, 3))
+    )
+    return MemoryDesignProblem(
+        base=parse_model(json.dumps(base)),
+        registers=rng.randint(1, 4),
+        kinds=kinds,
+        budget=Fraction(rng.randint(0, 12), rng.randint(1, 3)),
+        binding=ParameterBinding({}),
+    )
+
+
+def fraction_grid(problem: MemoryDesignProblem, step: int) -> list[tuple[int, ...]]:
+    """Every feasible cells vector, enumerated with exact rationals."""
+    ranges = [range(0, int(problem.budget // k.cell_cost) + 1, step) for k in problem.kinds]
+    return [
+        vec
+        for vec in itertools.product(*ranges)
+        if sum(k.cell_cost * n for k, n in zip(problem.kinds, vec)) <= problem.budget
+    ]
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_every_grid_point_matches_solve_capacity(step):
+    rng = random.Random(0xC0DE + step)
+    for _ in range(12):
+        problem = random_problem(rng)
+        names = [kind.name for kind in problem.kinds]
+        solve = _allocation_solver(problem, 1e-12)
+        points = list(_grid_points(problem, step))
+        assert points == fraction_grid(problem, step)
+        reference = {
+            vec: solve_capacity(instantiate(problem, dict(zip(names, vec))), 1e-12) for vec in points
+        }
+        for vec in points:
+            assert solve(vec) == reference[vec]
+        grid = optimize_grid(problem, step)
+        assert grid.capacity == reference[tuple(grid.cells.values())]
+
+
+def test_vertex_candidates_match_solve_capacity():
+    problem = parse_problem(data_path("memory-example.json").read_text())
+    solve = _allocation_solver(problem, 1e-12)
+    candidates = [(0, 0), (2**30, 0), (0, 2**34)]
+    for vec in candidates:
+        cells = dict(zip(("kind1", "kind2"), vec))
+        assert solve(vec) == solve_capacity(instantiate(problem, cells), 1e-12)
+    best = optimize_vertex(problem)
+    assert best.capacity == solve_capacity(instantiate(problem, best.cells), 1e-12)
+
+
+def zero_time_problem(cost) -> MemoryDesignProblem:
+    kind = MemoryKind("A", Fraction(cost), (AccessClass(1, TimeExpression(base=0)),))
+    return MemoryDesignProblem(
+        base=parse_model(BASE_TWO), registers=1, kinds=(kind,), budget=Fraction(1),
+        binding=ParameterBinding({}),
+    )
+
+
+def test_unaffordable_kind_with_zero_time_raises_nothing():
+    problem = zero_time_problem(2)
+    assert optimize_vertex(problem).label == "none"
+    assert optimize_grid(problem).cells == {"A": 0}
+    affordable = zero_time_problem(1)
+    for optimize in (optimize_vertex, optimize_grid):
+        with pytest.raises(BindingError, match="'A/0': evaluated time 0 is not positive"):
+            optimize(affordable)
+
+
+@pytest.mark.parametrize("optimize", [optimize_vertex, optimize_grid])
+def test_access_time_past_float_range_names_the_class(optimize):
+    problem = small_problem(1, ("A", 1, [(1, Fraction(10) ** 400)]))
+    with pytest.raises(ValueError, match="time of 'A/0' lies outside the float range"):
+        optimize(problem)
+
+
+@pytest.mark.parametrize("budget", [0, 2])
+@pytest.mark.parametrize("optimize", [optimize_vertex, optimize_grid])
+def test_bad_tolerance_raises_from_optimizers(optimize, budget):
+    problem = small_problem(budget, ("A", 1, [(2, 1)]))
+    with pytest.raises(ValueError, match="tolerance must be in"):
+        optimize(problem, tolerance=1e-3)
+
+
+@pytest.mark.parametrize("optimize", [optimize_vertex, optimize_grid])
+def test_one_instruction_base_at_zero_budget(optimize):
+    kind = MemoryKind("A", Fraction(1), (AccessClass(1, TimeExpression(base=1)),))
+    problem = MemoryDesignProblem(
+        base=parse_model(BASE_ONE), registers=1, kinds=(kind,), budget=Fraction(0),
+        binding=ParameterBinding({}),
+    )
+    assert optimize(problem).capacity == CapacityResult(0.0, 0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_grid_size_matches_enumeration_across_denominators(step):
+    problem = small_problem(
+        Fraction(8, 5),
+        ("A", Fraction(2**27 + 1, 2**30), [(1, 1)]),
+        ("B", Fraction(1, 3), [(1, 2)]),
+        ("C", Fraction(2, 7), [(1, 3)]),
+    )
+    assert [k.cell_cost.denominator for k in problem.kinds] == [2**30, 3, 7]
+    points = fraction_grid(problem, step)
+    assert list(_grid_points(problem, step)) == points
+    assert _grid_size(problem, step, 10**6) == len(points)
