@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .model import IDENT_RE, BoundClass, BoundInstructionSet, BoundMember
-from .solver import CapacityResult, member_log2_weight, member_mean_time, solve_capacity, time_as_float
+from .model import IDENT_RE, BoundClass, BoundInstructionSet, BoundMember, decimal_fraction
+from .solver import CapacityResult, compile_columns, member_mean_time, member_points, solve_capacity, time_as_float
 
 _MASS_SLACK = 1e-10
 
@@ -75,7 +75,8 @@ def optimal_distribution(
     residual, since their sum is exactly the characteristic value g(y*).
     """
     y = cap.capacity_bits
-    masses = {m.name: 2.0 ** member_log2_weight(m, y) for m in iset.members}
+    log2_weights, _ = member_points(compile_columns(iset.members), y)
+    masses = {m.name: 2.0 ** w for m, w in zip(iset.members, log2_weights)}
     return InstructionDistribution(masses=masses, log2_x0=y)
 
 
@@ -89,12 +90,15 @@ def _canonical_token(token: str) -> str:
     if not sep:
         return name
     try:
-        time = Fraction(anno)
+        time = decimal_fraction(anno)
+        # the exponent bound still lets through times of a few more digits
+        # than str() converts
+        symbol = f"{name}@{time}"
     except (ValueError, ZeroDivisionError):
         raise TraceError(f"invalid time annotation in {token!r}") from None
     if time <= 0:
         raise TraceError(f"time annotation must be positive in {token!r}")
-    return f"{name}@{time}"
+    return symbol
 
 
 def _canonical_symbols(
@@ -113,7 +117,7 @@ def _canonical_symbols(
         name, sep, anno = symbol.partition("@")
         if sep and members is not None:
             member = members.get(name)
-            if isinstance(member, BoundClass) and Fraction(anno) == member.time:
+            if isinstance(member, BoundClass) and decimal_fraction(anno) == member.time:
                 symbol = name
         canonical[token] = symbol
     return map(canonical.__getitem__, tokens)
@@ -140,7 +144,7 @@ def _token_time(member: BoundMember, token: str) -> Fraction:
     if isinstance(member, BoundClass):
         if not sep:
             return member.time
-        time = Fraction(anno)
+        time = decimal_fraction(anno)
         if time != member.time:
             raise TraceError(
                 f"{token!r}: class {name!r} executes in time {member.time}, not {time}"
@@ -150,7 +154,7 @@ def _token_time(member: BoundMember, token: str) -> Fraction:
         raise TraceError(
             f"symbol {name!r} is a family; annotate its time as {name}@time"
         )
-    time = Fraction(anno)
+    time = decimal_fraction(anno)
     index = (time - member.time_base) / member.step
     if index.denominator != 1 or not 0 <= index < member.num_terms:
         raise TraceError(f"{token!r}: time {time} is not one of the family's terms")

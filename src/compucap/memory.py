@@ -45,7 +45,7 @@ from .model import (
     parse_time,
     total_count,
 )
-from .solver import CapacityResult, check_tolerance, compile_member, solve_compiled, time_as_float
+from .solver import CapacityResult, check_tolerance, compile_columns, solve_compiled, time_as_float
 
 _TIE_WIDTH = 1e-11
 _MAX_GRID_POINTS = 1_000_000
@@ -189,19 +189,25 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
     """solve(vec), equal to solve_capacity(instantiate(problem, cells),
     tolerance) for the cells vector vec in kind-declaration order.
 
-    The base is compiled, and a kind's access times are checked positive
-    and then converted, the first time a solve needs them, so the errors
-    and their order are those of instantiate and solve_capacity.
+    The base is compiled to columns, and a kind's access times are checked
+    positive and then converted, the first time a solve needs them, so
+    the errors and their order are those of instantiate and
+    solve_capacity.  A solve then appends each installed kind's classes
+    to the base columns: log2(R * count_per_cell * n) and the access
+    times.  The base's families keep their indices, as the access
+    classes follow the base.
     """
     check_tolerance(tolerance)
     kinds, registers = problem.kinds, problem.registers
     base_total = total_count(problem.bound_base)
-    per_cell = [registers * sum(ac.count_per_cell for ac in kind.access_classes) for kind in kinds]
-    base: list[tuple] = []
+    scales = [[registers * ac.count_per_cell for ac in kind.access_classes] for kind in kinds]
+    per_cell = [sum(scale) for scale in scales]
+    base = None  # the base's columns, once compiled
     checked: list = [None] * len(kinds)  # per kind: [(name, time), ...]
-    compiled: list = [None] * len(kinds)  # per kind: [(R * count_per_cell, float time), ...]
+    times: list = [None] * len(kinds)  # per kind: [float time, ...]
 
     def solve(vec: tuple[int, ...]) -> CapacityResult:
+        nonlocal base
         installed = [k for k, n in enumerate(vec) if n]
         for k in installed:
             if checked[k] is None:
@@ -210,17 +216,18 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
         if base_total + sum(vec[k] * per_cell[k] for k in installed) == 1:
             # g(0) = 1 already: a single instruction carries no choice.
             return CapacityResult(0.0, 0.0, 0.0, 0)
-        if not base:
-            base[:] = [compile_member(m) for m in problem.bound_base.members]
-        members = list(base)
+        if base is None:
+            base = compile_columns(problem.bound_base.members)
         for k in installed:
-            if compiled[k] is None:
-                compiled[k] = [
-                    (registers * ac.count_per_cell, time_as_float(t, at))
-                    for ac, (at, t) in zip(kinds[k].access_classes, checked[k])
-                ]
-            members += [(math.log2(scale * vec[k]), t, 0.0, 1) for scale, t in compiled[k]]
-        return solve_compiled(members, problem.base.name, tolerance)
+            if times[k] is None:
+                times[k] = [time_as_float(t, at) for at, t in checked[k]]
+        log2_counts, base_times, families = base
+        columns = (
+            log2_counts + [math.log2(scale * vec[k]) for k in installed for scale in scales[k]],
+            base_times + [t for k in installed for t in times[k]],
+            families,
+        )
+        return solve_compiled(columns, problem.base.name, tolerance)
 
     return solve
 

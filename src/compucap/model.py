@@ -44,7 +44,7 @@ def check_ident(name: object, what: str) -> str:
     return name
 
 
-def _decimal_fraction(text: str) -> Fraction:
+def decimal_fraction(text: str) -> Fraction:
     """Fraction(text), refused with ValueError before it is built when the
     decimal exponent exceeds _MAX_DECIMAL_EXPONENT in magnitude."""
     _, e, exponent = text.lower().rpartition("e")
@@ -61,7 +61,7 @@ def as_rational(value: Union[int, float, str, Fraction]) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
         raise ModelError(f"expected a rational number, got {value!r}")
     try:
-        return _decimal_fraction(value) if isinstance(value, str) else Fraction(value)
+        return decimal_fraction(value) if isinstance(value, str) else Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ModelError(f"invalid rational {value!r}: {exc}") from None
 
@@ -305,7 +305,7 @@ def load_json(text: str, what: str, error: type[ValueError]) -> object:
     """Decode JSON text with exact rationals; `error` naming `what`, and the
     line and column of a syntax error, if it does not decode."""
     try:
-        return json.loads(text, parse_float=_decimal_fraction)
+        return json.loads(text, parse_float=decimal_fraction)
     except json.JSONDecodeError as exc:
         raise error(
             f"{what} syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

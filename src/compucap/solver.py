@@ -27,6 +27,20 @@ log2 g = log2(total count) > 0, therefore climbs monotonically toward y*:
 every tangent of a convex curve lies below it, so in exact arithmetic no
 step passes the root.  Floats round, so the result is certified by a sign
 change of log2 g across an interval no wider than the tolerance.
+
+A bound set is compiled to floats once per solve, as columns (see
+compile_columns): a log2 count and a base time for every member, and
+(index, step, terms) for each member of more than one term.  One pass
+over the columns, member_points, gives every member's log2 weight and
+mean time at y; the solve, the distribution, the per-member helpers and
+the memory optimizer all evaluate through it.  The pass fixes each
+float operation and its order: a member's log2 weight is
+(log2 count - time * y) + log2 of its closed sum, its mean time is
+time + step * mean index, and the aggregate sums weights and
+weight * mean in member order.  So a member's figures are the same
+floats whichever caller asks and whatever members stand beside it, and
+tests compare the pass with a per-member reference by ==, not by a
+tolerance.
 """
 
 from __future__ import annotations
@@ -35,6 +49,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import Iterable
 
 from .model import BoundClass, BoundInstructionSet, BoundMember, total_count
 
@@ -110,7 +126,9 @@ def time_as_float(value: Fraction, name: str) -> float:
 def compile_member(member: BoundMember) -> tuple[float, float, float, int]:
     """(log2 count, base time, step, terms) in floats, a class as a one-term
     family with step 0.0; terms stays an exact int, as it may exceed the
-    float range.  solve_compiled takes a list of these."""
+    float range.  compile_columns lays these out as columns: the first two
+    fields of every member, and the last two of each member with more
+    than one term."""
     if isinstance(member, BoundClass):
         return math.log2(member.count), time_as_float(member.time, member.name), 0.0, 1
     return (
@@ -121,26 +139,59 @@ def compile_member(member: BoundMember) -> tuple[float, float, float, int]:
     )
 
 
-def _member_at(member: tuple, y: float) -> tuple[float, float]:
-    """(log2 of sum(count * 2**(-tau * y)) over the member's terms, mean tau
-    under those weights) for a compiled member."""
-    log2_count, time, step, terms = member
-    if terms == 1:
-        return log2_count - time * y, time
-    log2_sum, mean_index = _geom(_LN2 * step * y, terms)
-    return log2_count - time * y + log2_sum, time + step * mean_index
+# (log2 counts, base times, [(index, step, terms) per family]); see compile_columns
+Columns = tuple[list[float], list[float], list[tuple[int, float, int]]]
 
 
-def _log2_char(members: list[tuple], y: float) -> tuple[float, float]:
+def compile_columns(members: Iterable[BoundMember]) -> Columns:
+    """The members compiled (compile_member, in order, so the first member
+    that does not compile is the one named) and laid out as columns:
+    log2 counts and base times, one entry per member, and (index, step,
+    terms) for each member of more than one term.  A one-term family
+    evaluates as a class.  solve_compiled and member_points take these;
+    neither changes them."""
+    log2_counts: list[float] = []
+    times: list[float] = []
+    families: list[tuple[int, float, int]] = []
+    for index, member in enumerate(members):
+        log2_count, time, step, terms = compile_member(member)
+        log2_counts.append(log2_count)
+        times.append(time)
+        if terms != 1:
+            families.append((index, step, terms))
+    return log2_counts, times, families
+
+
+def member_points(columns: Columns, y: float) -> tuple[list[float], list[float]]:
+    """Per member: log2 of its weight sum(count * 2**(-tau * y)) over its
+    terms, and its mean tau under those weights.
+
+    Every member's value starts as log2 count - time * y and its mean as
+    its base time; a family then adds the log2 of its closed geometric
+    sum to the value and step times its mean index to the mean.
+    """
+    log2_counts, times, families = columns
+    values = [a - t * y for a, t in zip(log2_counts, times)]
+    means = times
+    if families:
+        means = times.copy()
+        for index, step, terms in families:
+            log2_sum, mean_index = _geom(_LN2 * step * y, terms)
+            values[index] += log2_sum
+            means[index] += step * mean_index
+    return values, means
+
+
+def _log2_char(columns: Columns, y: float) -> tuple[float, float]:
     """Return (log2 g(y), d/dy log2 g(y)).
 
     For each member the slope of its log2 weight is minus its mean time,
     so the total slope is -E[tau] under the 2**(-tau*y) weighting.
     """
-    points = [_member_at(m, y) for m in members]
-    hi = max(value for value, _ in points)
-    weights = [2.0 ** (value - hi) for value, _ in points]
-    mean = sum(w * time for w, (_, time) in zip(weights, points))
+    values, means = member_points(columns, y)
+    hi = max(values)
+    weights = [2.0 ** (value - hi) for value in values]
+    mean = sum(map(mul, weights, means))
     # log2(1 + rest), not log2 of a rounded 1 + rest: where one member
     # dominates, the others' mass lies below the rounding of 1.  The top
     # weight is exactly 1; zeroing another weight of 1 leaves the same sum.
@@ -151,12 +202,12 @@ def _log2_char(members: list[tuple], y: float) -> tuple[float, float]:
 
 def member_log2_weight(member: BoundMember, y: float) -> float:
     """log2 of the member's aggregate weight sum(count * 2**(-tau * y))."""
-    return _member_at(compile_member(member), y)[0]
+    return member_points(compile_columns((member,)), y)[0][0]
 
 
 def member_mean_time(member: BoundMember, y: float) -> float:
     """Mean execution time within the member under 2**(-tau*y) weighting."""
-    return _member_at(compile_member(member), y)[1]
+    return member_points(compile_columns((member,)), y)[1][0]
 
 
 def eval_characteristic(iset: BoundInstructionSet, y: float) -> float:
@@ -165,7 +216,7 @@ def eval_characteristic(iset: BoundInstructionSet, y: float) -> float:
         raise ValueError(f"y must be >= 0, got {y}")
     if y == 0.0:
         return _float(total_count(iset))
-    log2_g = _log2_char([compile_member(m) for m in iset.members], y)[0]
+    log2_g = _log2_char(compile_columns(iset.members), y)[0]
     return 2.0 ** log2_g if log2_g < 1024.0 else math.inf
 
 
@@ -194,11 +245,11 @@ def solve_capacity(iset: BoundInstructionSet, tolerance: float = 1e-12) -> Capac
     if total == 1:
         # g(0) = 1 already: a single instruction carries no choice.
         return CapacityResult(0.0, 0.0, 0.0, 0)
-    return solve_compiled([compile_member(m) for m in iset.members], iset.name, tolerance)
+    return solve_compiled(compile_columns(iset.members), iset.name, tolerance)
 
 
-def solve_compiled(members: list[tuple], name: str, tolerance: float) -> CapacityResult:
-    """The root y* of g for compiled members (see compile_member) that hold
+def solve_compiled(columns: Columns, name: str, tolerance: float) -> CapacityResult:
+    """The root y* of g for compiled columns (see compile_columns) that hold
     at least two instructions, with a tolerance check_tolerance accepts;
     errors name the set `name`.
 
@@ -213,7 +264,7 @@ def solve_compiled(members: list[tuple], name: str, tolerance: float) -> Capacit
     1e-10 in floats.
     """
     y = 0.0
-    f, slope = _log2_char(members, y)
+    f, slope = _log2_char(columns, y)
     iterations = 1
     while iterations < _MAX_ITERATIONS:
         if f == 0.0:
@@ -223,7 +274,7 @@ def solve_compiled(members: list[tuple], name: str, tolerance: float) -> Capacit
             raise ValueError(f"set {name!r}: the capacity lies outside the float range")
         if y - step != y:
             y -= step
-            f, slope = _log2_char(members, y)
+            f, slope = _log2_char(columns, y)
             iterations += 1
             # f keeps its sign, as it must in exact arithmetic, unless
             # rounding carried the step past the root
@@ -234,7 +285,7 @@ def solve_compiled(members: list[tuple], name: str, tolerance: float) -> Capacit
         # rounding y +- w moves it by at most ulp(y) more than w
         w = max(tolerance - math.ulp(y), math.ulp(y))
         end = y + w if f > 0.0 else max(y - w, 0.0)
-        f_end, slope_end = _log2_char(members, end)
+        f_end, slope_end = _log2_char(columns, end)
         iterations += 1
         if (f_end > 0.0) == (f > 0.0):
             y, f, slope = end, f_end, slope_end

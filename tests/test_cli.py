@@ -374,3 +374,16 @@ def test_float_range_decimal_exponents_still_parse(exponent, quote):
     assert parse_model(MODEL_WITH % spelling).members[0].time.base == exact
     problem = parse_problem(PROBLEM_WITH % (spelling, spelling, spelling))
     assert problem.budget == problem.binding.values["mu"] == problem.kinds[0].cell_cost == exact
+
+
+@pytest.mark.parametrize("annotation", ["1e5000", HUGE])
+def test_huge_trace_time_annotation_exits_2_at_once(capsys, tmp_path, annotation):
+    # 1e5000 once built a 5001-digit time that str() refused, in a message
+    # that named no token; 1e10000000 took seconds to build
+    trace = tmp_path / "trace.txt"
+    trace.write_text(f"fast@{annotation} fast slow\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "efficiency", TOY, str(trace))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"invalid time annotation in 'fast@{annotation}'" in err

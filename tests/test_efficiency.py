@@ -2,6 +2,7 @@ import importlib
 import math
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -459,3 +460,19 @@ def test_efficiency_errors_quote_the_callers_key(token, message):
 def test_efficiency_unknown_name_stays_a_distribution_error():
     with pytest.raises(DistributionError, match="unknown member '9z'"):
         efficiency(class_and_family(), {"9z": 1.0}, 1.0)
+
+
+@pytest.mark.parametrize("annotation", ["1e5000", "1e10000000", "1e4300", "1e-4300"])
+def test_huge_time_annotation_is_a_trace_error_naming_the_token(annotation):
+    # the exponent bound refuses the first two before they are built; the
+    # last two pass it but have more digits than str() converts
+    token = f"c@{annotation}"
+    message = re.escape(f"invalid time annotation in {token!r}")
+    start = time.perf_counter()
+    with pytest.raises(TraceError, match=message):
+        parse_trace(f"{token} c g@1/2")
+    with pytest.raises(TraceError, match=message):
+        efficiency_from_trace(class_and_family(), [token, "c", "g@1/2"], 0)
+    with pytest.raises(TraceError, match=message):
+        efficiency(class_and_family(), {token: 1.0}, 1.0)
+    assert time.perf_counter() - start < 1.0

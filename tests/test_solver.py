@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import random
@@ -16,6 +17,7 @@ from compucap import (
     eval_characteristic,
     member_log2_weight,
     member_mean_time,
+    optimal_distribution,
     parse_model,
     solve_capacity,
 )
@@ -393,3 +395,68 @@ def test_fast_class_beside_a_slow_one(eps):
     assert abs(result.capacity_bits - float(_decimal_root(eps))) <= 2e-12
     assert result.residual <= 1e-10
     assert result.iterations <= 100
+
+
+# --- the column kernel against a per-member reference ---
+
+solver = importlib.import_module("compucap.solver")
+
+
+def _reference_point(member, y):
+    """(log2 weight, mean time) of one member, evaluated on its own.
+
+    It shares only the closed geometric sum (_geom) with the solver, so
+    the comparisons below pin the kernel's layout and order of operations.
+    """
+    if isinstance(member, BoundClass):
+        return math.log2(member.count) - float(member.time) * y, float(member.time)
+    log2_count, time, step = math.log2(member.count_per_term), float(member.time_base), float(member.step)
+    if member.num_terms == 1:
+        return log2_count - time * y, time
+    log2_sum, mean_index = solver._geom(math.log(2.0) * step * y, member.num_terms)
+    return log2_count - time * y + log2_sum, time + step * mean_index
+
+
+def _reference_log2_char(members, y):
+    """(log2 g, slope) aggregated member by member, in member order."""
+    points = [_reference_point(m, y) for m in members]
+    hi = max(value for value, _ in points)
+    weights = [2.0 ** (value - hi) for value, _ in points]
+    mean = sum(w * time for w, (_, time) in zip(weights, points))
+    weights[weights.index(1.0)] = 0.0
+    rest = sum(weights)
+    return hi + math.log1p(rest) / math.log(2.0), -mean / (1.0 + rest)
+
+
+def _family(name, count, base, step, terms):
+    return BoundFamily(name, count, Fraction(base), Fraction(step), terms)
+
+
+COLUMN_SETS = {
+    "classes": [BoundClass(f"c{i}", 3 * i + 1, Fraction(2 * i + 1, 3)) for i in range(9)],
+    "family-first": [_family("f", 5, 1, "1/2", 40), BoundClass("a", 3, Fraction(2)), BoundClass("b", 1, Fraction(7, 3))],
+    "family-middle": [BoundClass("a", 3, Fraction(2)), _family("f", 5, 1, "1/2", 40), BoundClass("b", 1, Fraction(7, 3))],
+    "family-last": [BoundClass("a", 3, Fraction(2)), BoundClass("b", 1, Fraction(7, 3)), _family("f", 5, 1, "1/2", 40)],
+    "families": [_family("f", 5, 1, "1/2", 40), _family("g", 2, "3/2", 3, 7), _family("h", 1, 4, "1/9", 1)],
+    "single": [BoundClass("a", 6, Fraction(5, 2))],
+    "2^25-terms": [_family("mv", 2**25, 1, 2, 2**25 + 1), BoundClass("a", 9, Fraction(3))],
+}
+
+
+@pytest.mark.parametrize("members", COLUMN_SETS.values(), ids=COLUMN_SETS.keys())
+def test_column_kernel_equals_the_per_member_reference(members):
+    columns = solver.compile_columns(members)
+    root = solve_capacity(BoundInstructionSet("cols", tuple(members))).capacity_bits
+    for y in (0.0, 1e-9, 0.37, 1.0, 6.5, root):
+        assert solver._log2_char(columns, y) == _reference_log2_char(members, y)
+        points = [_reference_point(m, y) for m in members]
+        assert list(zip(*solver.member_points(columns, y))) == points
+        assert [(member_log2_weight(m, y), member_mean_time(m, y)) for m in members] == points
+
+
+@pytest.mark.parametrize("members", COLUMN_SETS.values(), ids=COLUMN_SETS.keys())
+def test_distribution_masses_are_the_reference_weights_at_the_root(members):
+    iset = BoundInstructionSet("cols", tuple(members))
+    cap = solve_capacity(iset)
+    masses = optimal_distribution(iset, cap).masses
+    assert masses == {m.name: 2.0 ** _reference_point(m, cap.capacity_bits)[0] for m in members}
