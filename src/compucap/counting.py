@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import BoundClass, BoundInstructionSet
+from .model import BoundClass, BoundInstructionSet, brief_int
 
 _MAX_TIME = 100_000
 _MAX_PAIRS = 1_000_000
@@ -68,22 +68,30 @@ class CountTable:
 
 def _multiplicities(iset: BoundInstructionSet, max_time: int) -> dict[int, int]:
     """Total instruction multiplicity per integer time value <= max_time."""
-    denominators = set()
+    denominators = {}  # denominator -> the first member that has it
     for m in iset.members:
         if isinstance(m, BoundClass):
-            denominators.add(m.time.denominator)
+            denominators.setdefault(m.time.denominator, m.name)
         else:
-            denominators.add(m.time_base.denominator)
+            denominators.setdefault(m.time_base.denominator, m.name)
             if m.num_terms > 1:
-                denominators.add(m.step.denominator)
+                denominators.setdefault(m.step.denominator, m.name)
     scale = math.lcm(*denominators)
     if scale != 1:
-        raise CountingError(
-            f"counting needs integer times; multiplying every time by {scale} "
-            f"would make them integers (and divide the resulting capacity "
-            f"estimate's time unit by {scale})",
-            suggested_scale=scale,
-        )
+        try:
+            message = (
+                f"counting needs integer times; multiplying every time by {scale} "
+                f"would make them integers (and divide the resulting capacity "
+                f"estimate's time unit by {scale})"
+            )
+        except ValueError:  # the scale is past the int-to-str digit limit
+            largest = max(denominators)
+            message = (
+                f"counting needs integer times; multiplying every time by "
+                f"{brief_int(scale)} would make them integers; the time of "
+                f"{denominators[largest]!r} has the denominator {brief_int(largest)}"
+            )
+        raise CountingError(message, suggested_scale=scale)
     mult: dict[int, int] = {}
     pairs = 0
     for m in iset.members:

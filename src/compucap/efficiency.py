@@ -19,10 +19,12 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .model import IDENT_RE, BoundClass, BoundInstructionSet, BoundMember, decimal_fraction
-from .solver import CapacityResult, compile_columns, member_mean_time, member_points, solve_capacity, time_as_float
+from .model import BoundClass, BoundInstructionSet, BoundMember, brief_rational, decimal_fraction, is_ident
+from .solver import CapacityResult, bound_columns, member_mean_time, member_points, solve_capacity, time_as_float
 
 _MASS_SLACK = 1e-10
+# a token of more characters is quoted in a message by its ends (_quote)
+_QUOTE_CHARS = 60
 
 
 class DistributionError(ValueError):
@@ -75,7 +77,7 @@ def optimal_distribution(
     residual, since their sum is exactly the characteristic value g(y*).
     """
     y = cap.capacity_bits
-    log2_weights, _ = member_points(compile_columns(iset.members), y)
+    log2_weights, _ = member_points(bound_columns(iset), y)
     masses = {m.name: 2.0 ** w for m, w in zip(iset.members, log2_weights)}
     return InstructionDistribution(masses=masses, log2_x0=y)
 
@@ -83,10 +85,18 @@ def optimal_distribution(
 # --- traces and empirical statistics ---
 
 
+def _quote(token: str) -> str:
+    """repr(token), or past _QUOTE_CHARS characters the repr of its first
+    40 and last 10 joined by "...", so that an error line stays short."""
+    if len(token) > _QUOTE_CHARS:
+        token = f"{token[:40]}...{token[-10:]}"
+    return repr(token)
+
+
 def _canonical_token(token: str) -> str:
     name, sep, anno = token.partition("@")
-    if not IDENT_RE.match(name):
-        raise TraceError(f"invalid trace token {token!r}")
+    if not is_ident(name):
+        raise TraceError(f"invalid trace token {_quote(token)}")
     if not sep:
         return name
     try:
@@ -95,9 +105,9 @@ def _canonical_token(token: str) -> str:
         # than str() converts
         symbol = f"{name}@{time}"
     except (ValueError, ZeroDivisionError):
-        raise TraceError(f"invalid time annotation in {token!r}") from None
+        raise TraceError(f"invalid time annotation in {_quote(token)}") from None
     if time <= 0:
-        raise TraceError(f"time annotation must be positive in {token!r}")
+        raise TraceError(f"time annotation must be positive in {_quote(token)}")
     return symbol
 
 
@@ -147,7 +157,8 @@ def _token_time(member: BoundMember, token: str) -> Fraction:
         time = decimal_fraction(anno)
         if time != member.time:
             raise TraceError(
-                f"{token!r}: class {name!r} executes in time {member.time}, not {time}"
+                f"{_quote(token)}: class {name!r} executes in time "
+                f"{brief_rational(member.time)}, not {brief_rational(time)}"
             )
         return time
     if not sep:
@@ -157,7 +168,9 @@ def _token_time(member: BoundMember, token: str) -> Fraction:
     time = decimal_fraction(anno)
     index = (time - member.time_base) / member.step
     if index.denominator != 1 or not 0 <= index < member.num_terms:
-        raise TraceError(f"{token!r}: time {time} is not one of the family's terms")
+        raise TraceError(
+            f"{_quote(token)}: time {brief_rational(time)} is not one of the family's terms"
+        )
     return time
 
 

@@ -12,10 +12,12 @@ At any fixed root X the characteristic sum is linear and increasing in
 each cell count, so a continuous-relaxation optimum always sits at a
 vertex of the budget simplex: the entire budget on one kind.
 optimize_vertex compares exactly those pure allocations; optimize_grid is
-the brute-force check over a full integer grid.  Each optimizer compiles
-the problem once per call: every allocation is solved from floats already
-held, with the same members in the same order as instantiate builds, so
-each result is the one solve_capacity gives for that instance.
+the brute-force check over a full integer grid.  The base is compiled
+once per problem (its columns stay on bound_base) and each optimizer
+converts the access times once per call: every allocation is solved
+from floats already held, with the same members in the same order as
+instantiate builds, so each result is the one solve_capacity gives for
+that instance.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .model import (
     parse_time,
     total_count,
 )
-from .solver import CapacityResult, check_tolerance, compile_columns, solve_compiled, time_as_float
+from .solver import CapacityResult, bound_columns, check_tolerance, solve_compiled, time_as_float
 
 _TIE_WIDTH = 1e-11
 _MAX_GRID_POINTS = 1_000_000
@@ -189,10 +191,10 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
     """solve(vec), equal to solve_capacity(instantiate(problem, cells),
     tolerance) for the cells vector vec in kind-declaration order.
 
-    The base is compiled to columns, and a kind's access times are checked
-    positive and then converted, the first time a solve needs them, so
-    the errors and their order are those of instantiate and
-    solve_capacity.  A solve then appends each installed kind's classes
+    The base's columns (bound_columns), and a kind's access times,
+    checked positive and then converted, are taken the first time a
+    solve needs them, so the errors and their order are those of
+    instantiate and solve_capacity.  A solve then appends each installed kind's classes
     to the base columns: log2(R * count_per_cell * n) and the access
     times.  The base's families keep their indices, as the access
     classes follow the base.
@@ -217,7 +219,7 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
             # g(0) = 1 already: a single instruction carries no choice.
             return CapacityResult(0.0, 0.0, 0.0, 0)
         if base is None:
-            base = compile_columns(problem.bound_base.members)
+            base = bound_columns(problem.bound_base)
         for k in installed:
             if times[k] is None:
                 times[k] = [time_as_float(t, at) for at, t in checked[k]]

@@ -14,6 +14,7 @@ exact integers throughout.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,25 +29,80 @@ class BindingError(ValueError):
     """Parameter values do not match the set's declared parameters."""
 
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _POW2_COUNT_RE = re.compile(r"\s*(\d+)\s*\*\s*2\s*\^\s*(\d+)\s*\Z")
 # the largest b in a count "a*2^b": 2**b takes b/8 bytes to build
 _MAX_COUNT_EXPONENT = 1_000_000
 # the largest |e| in a decimal "...e<e>": Fraction builds 10**e, which then
 # has about as many digits as the int-to-str limit lets a JSON integer have
 _MAX_DECIMAL_EXPONENT = 4300
+# the smallest int-to-str digit limit Python allows: int() takes any
+# shorter digit string, whatever limit is set
+_PLAIN_DECIMAL_CHARS = 640
+# an integer of more digits prints in a message as its first and last ten
+# digits and its length (brief_int)
+_BRIEF_DIGITS = 30
+
+
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of |n|, without converting it to str."""
+    n = abs(n)
+    digits = max(1, int((n.bit_length() - 1) * math.log10(2)))
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
+def brief_int(n: int) -> str:
+    """str(n), or past _BRIEF_DIGITS digits its first and last ten digits
+    and its length, "1000000000...0000000000 (4301 digits)", which also
+    holds past the int-to-str digit limit."""
+    digits = _decimal_digits(n)
+    if digits <= _BRIEF_DIGITS:
+        return str(n)
+    head, tail = divmod(abs(n), 10 ** (digits - 10))
+    return f"{'-' if n < 0 else ''}{head}...{tail % 10**10:010d} ({digits} digits)"
+
+
+def brief_rational(value: Fraction) -> str:
+    """str(value), with numerator and denominator each as brief_int."""
+    if value.denominator == 1:
+        return brief_int(value.numerator)
+    return f"{brief_int(value.numerator)}/{brief_int(value.denominator)}"
+
+
+def is_ident(text: str) -> bool:
+    """Whether `text` matches [A-Za-z_][A-Za-z0-9_]* (an ASCII identifier)."""
+    return text.isascii() and text.isidentifier()
 
 
 def check_ident(name: object, what: str) -> str:
     """`name` itself if it is an identifier; ModelError naming `what` if not."""
-    if not isinstance(name, str) or not IDENT_RE.match(name):
+    if not isinstance(name, str) or not is_ident(name):
         raise ModelError(f"{what} must be an identifier, got {name!r}")
     return name
 
 
 def decimal_fraction(text: str) -> Fraction:
     """Fraction(text), refused with ValueError before it is built when the
-    decimal exponent exceeds _MAX_DECIMAL_EXPONENT in magnitude."""
+    decimal exponent exceeds _MAX_DECIMAL_EXPONENT in magnitude.
+
+    The plain spellings -- an integer, "p/q" or "i.f" in ASCII digits with
+    an optional leading "-", shorter than any int-to-str digit limit -- are
+    built from ints, the value Fraction(text) gives without its regex.
+    Every other spelling (exponents, spaces, "_", "+", "1.", ".5", long
+    digit strings) goes to Fraction(text).
+    """
+    if len(text) <= _PLAIN_DECIMAL_CHARS and text.isascii():
+        unsigned = text[1:] if text[:1] == "-" else text
+        if unsigned.isdigit():
+            return Fraction(int(text))
+        head, sep, tail = unsigned.partition("/")
+        if not sep:
+            head, sep, tail = unsigned.partition(".")
+        if head.isdigit() and tail.isdigit():
+            if sep == "/":
+                return Fraction(int(text[: -len(tail) - 1]), int(tail))
+            return Fraction(int(text.replace(".", "")), 10 ** len(tail))
     _, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-0_").replace("_", "")
     # a digit string longer than 9 is past the bound without int()
@@ -57,7 +113,12 @@ def decimal_fraction(text: str) -> Fraction:
 
 def as_rational(value: Union[int, float, str, Fraction]) -> Fraction:
     """Coerce a scalar (int, Fraction, float, "p/q" or decimal string) to an
-    exact Fraction; a float keeps its exact binary value."""
+    exact Fraction; a float keeps its exact binary value.  A Fraction is
+    returned as it is."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
     if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
         raise ModelError(f"expected a rational number, got {value!r}")
     try:
@@ -95,14 +156,17 @@ class TimeExpression:
 
     def __post_init__(self):
         object.__setattr__(self, "base", as_rational(self.base))
-        object.__setattr__(
-            self, "coeffs", {k: as_rational(v) for k, v in self.coeffs.items()}
-        )
-        if self.base < 0:
+        if type(self.coeffs) is dict and not self.coeffs:
+            object.__setattr__(self, "coeffs", {})  # not the caller's dict
+        else:
+            object.__setattr__(
+                self, "coeffs", {k: as_rational(v) for k, v in self.coeffs.items()}
+            )
+        if self.base.numerator < 0:
             raise ModelError(f"time base must be non-negative, got {self.base}")
         for name, coeff in self.coeffs.items():
             check_ident(name, "parameter name")
-            if coeff < 0:
+            if coeff.numerator < 0:
                 raise ModelError(f"coefficient of {name!r} must be non-negative")
 
     @property
@@ -116,13 +180,14 @@ class TimeExpression:
         return total
 
     def evaluate_positive(self, values: Mapping[str, Fraction], member: str) -> Fraction:
-        """evaluate(values); BindingError naming `member` unless it is > 0."""
-        return check_positive_time(self.evaluate(values), member)
+        """evaluate(values); BindingError naming `member` unless it is > 0.
+        A time without coeffs is its base, taken as it is."""
+        return check_positive_time(self.evaluate(values) if self.coeffs else self.base, member)
 
 
 def check_positive_time(time: Fraction, member: str) -> Fraction:
     """`time` itself if it is > 0; BindingError naming `member` if not."""
-    if time <= 0:
+    if time.numerator <= 0:
         raise BindingError(f"member {member!r}: evaluated time {time} is not positive")
     return time
 
@@ -159,7 +224,7 @@ class InstructionFamily:
         object.__setattr__(self, "step", as_rational(self.step))
         if not isinstance(self.count_per_term, int) or self.count_per_term < 1:
             raise ModelError(f"family {self.name!r}: count must be >= 1")
-        if self.step <= 0:
+        if self.step.numerator <= 0:
             raise ModelError(f"family {self.name!r}: step must be > 0")
         if not isinstance(self.num_terms, int) or self.num_terms < 1:
             raise ModelError(f"family {self.name!r}: terms must be >= 1")
@@ -188,15 +253,14 @@ class InstructionSet:
             if p in seen:
                 raise ModelError(f"duplicate parameter {p!r}")
             seen.add(p)
-        declared = frozenset(self.parameters)
         names: set[str] = set()
         for m in self.members:
             if m.name in names:
                 raise ModelError(f"duplicate member name {m.name!r}")
             names.add(m.name)
             time = m.time if isinstance(m, InstructionClass) else m.time_base
-            for ref in time.parameters:
-                if ref not in declared:
+            for ref in time.coeffs:
+                if ref not in seen:
                     raise ModelError(
                         f"member {m.name!r} references undeclared parameter {ref!r}"
                     )
@@ -213,7 +277,7 @@ class ParameterBinding:
         for name, v in self.values.items():
             check_ident(name, "parameter name")
             r = as_rational(v)
-            if r < 0:
+            if r.numerator < 0:
                 raise BindingError(f"parameter {name!r} must be non-negative")
             vals[name] = r
         object.__setattr__(self, "values", vals)
@@ -251,7 +315,11 @@ BoundMember = Union[BoundClass, BoundFamily]
 
 @dataclass(frozen=True)
 class BoundInstructionSet:
-    """An instruction set whose times are all concrete positive rationals."""
+    """An instruction set whose times are all concrete positive rationals.
+
+    solver.bound_columns keeps the set's compiled columns in the attribute
+    _columns, outside the dataclass fields.
+    """
 
     name: str
     members: tuple[BoundMember, ...]
@@ -344,24 +412,33 @@ def check_container(
     return obj
 
 
-def parse_time(obj: object, where: str) -> TimeExpression:
-    """A TimeExpression from model JSON: a rational, or {"base", "coeffs"}."""
+def parse_time(obj: object, where: str, error: type[ValueError] = ModelError) -> TimeExpression:
+    """A TimeExpression from model JSON: a rational, or {"base", "coeffs"};
+    `error` naming the JSON path `where` if it is neither."""
     if isinstance(obj, (int, str, Fraction)):
         return TimeExpression(base=obj)
-    check_object(obj, where, ModelError, ("base",), ("coeffs",))
-    coeffs = check_container(obj.get("coeffs", {}), dict, f"{where} coeffs", ModelError)
+    check_object(obj, where, error, ("base",), ("coeffs",))
+    coeffs = check_container(obj.get("coeffs", {}), dict, f"{where} coeffs", error)
     return TimeExpression(base=obj["base"], coeffs=coeffs)
 
 
+class _MemberShapeError(ModelError):
+    """A shape error inside one entry of "classes", its message starting
+    at the JSON path below the entry; _parse_member prefixes the entry's
+    own path, so that path is formatted only for a model that fails."""
+
+
 def _parse_member(obj: object, index: int) -> Member:
-    where = f"classes[{index}]"
-    check_object(obj, where, ModelError, ("name", "count", "time"), ("family",))
-    name = obj["name"]
-    count = parse_count(obj["count"])
-    time = parse_time(obj["time"], f"{where} time")
-    if "family" not in obj:
-        return InstructionClass(name=name, count=count, time=time)
-    fam = check_object(obj["family"], f"{where} family", ModelError, ("step", "terms"))
+    try:
+        check_object(obj, "", _MemberShapeError, ("name", "count", "time"), ("family",))
+        name = obj["name"]
+        count = parse_count(obj["count"])
+        time = parse_time(obj["time"], " time", _MemberShapeError)
+        if "family" not in obj:
+            return InstructionClass(name=name, count=count, time=time)
+        fam = check_object(obj["family"], " family", _MemberShapeError, ("step", "terms"))
+    except _MemberShapeError as exc:
+        raise ModelError(f"classes[{index}]{exc}") from None
     return InstructionFamily(name, count, time, fam["step"], parse_count(fam["terms"]))
 
 
@@ -378,7 +455,7 @@ def instruction_set_from_object(doc: object) -> InstructionSet:
     return InstructionSet(
         name=doc["name"],
         parameters=tuple(params),
-        members=tuple(_parse_member(c, i) for i, c in enumerate(classes)),
+        members=tuple([_parse_member(c, i) for i, c in enumerate(classes)]),
     )
 
 

@@ -28,15 +28,15 @@ every tangent of a convex curve lies below it, so in exact arithmetic no
 step passes the root.  Floats round, so the result is certified by a sign
 change of log2 g across an interval no wider than the tolerance.
 
-A bound set is compiled to floats once per solve, as columns (see
-compile_columns): a log2 count and a base time for every member, and
-(index, step, terms) for each member of more than one term.  One pass
-over the columns, member_points, gives every member's log2 weight and
-mean time at y; the solve, the distribution, the per-member helpers and
-the memory optimizer all evaluate through it.  The pass fixes each
-float operation and its order: a member's log2 weight is
-(log2 count - time * y) + log2 of its closed sum, its mean time is
-time + step * mean index, and the aggregate sums weights and
+A bound set is compiled to floats once, on first use, as columns (see
+compile_columns and bound_columns): a log2 count and a base time for
+every member, and (index, step, terms) for each member of more than one
+term.  One pass over the columns, member_points, gives every member's
+log2 weight and mean time at y; the solve, the distribution, the
+per-member helpers and the memory optimizer all evaluate through it.
+The pass fixes each float operation and its order: a member's log2
+weight is (log2 count - time * y) + log2 of its closed sum, its mean
+time is time + step * mean index, and the aggregate sums weights and
 weight * mean in member order.  So a member's figures are the same
 floats whichever caller asks and whatever members stand beside it, and
 tests compare the pass with a per-member reference by ==, not by a
@@ -162,6 +162,19 @@ def compile_columns(members: Iterable[BoundMember]) -> Columns:
     return log2_counts, times, families
 
 
+def bound_columns(iset: BoundInstructionSet) -> Columns:
+    """compile_columns(iset.members), compiled on first use and kept on the
+    set in an attribute outside its dataclass fields, so the set's ==,
+    hash, repr and asdict do not see it.  A set that does not compile
+    keeps nothing and raises again on the next call."""
+    try:
+        return iset._columns
+    except AttributeError:
+        columns = compile_columns(iset.members)
+        object.__setattr__(iset, "_columns", columns)
+        return columns
+
+
 def member_points(columns: Columns, y: float) -> tuple[list[float], list[float]]:
     """Per member: log2 of its weight sum(count * 2**(-tau * y)) over its
     terms, and its mean tau under those weights.
@@ -216,7 +229,7 @@ def eval_characteristic(iset: BoundInstructionSet, y: float) -> float:
         raise ValueError(f"y must be >= 0, got {y}")
     if y == 0.0:
         return _float(total_count(iset))
-    log2_g = _log2_char(compile_columns(iset.members), y)[0]
+    log2_g = _log2_char(bound_columns(iset), y)[0]
     return 2.0 ** log2_g if log2_g < 1024.0 else math.inf
 
 
@@ -235,8 +248,8 @@ def solve_capacity(iset: BoundInstructionSet, tolerance: float = 1e-12) -> Capac
     """Find y* with g(y*) = 1; capacity_bits = y* = log2(X0).
 
     Checks the tolerance, then the total count (one instruction carries
-    no choice: capacity 0), then compiles the members and hands them to
-    solve_compiled.
+    no choice: capacity 0), then hands the set's columns (bound_columns)
+    to solve_compiled.
     """
     check_tolerance(tolerance)
     total = total_count(iset)
@@ -245,7 +258,7 @@ def solve_capacity(iset: BoundInstructionSet, tolerance: float = 1e-12) -> Capac
     if total == 1:
         # g(0) = 1 already: a single instruction carries no choice.
         return CapacityResult(0.0, 0.0, 0.0, 0)
-    return solve_compiled(compile_columns(iset.members), iset.name, tolerance)
+    return solve_compiled(bound_columns(iset), iset.name, tolerance)
 
 
 def solve_compiled(columns: Columns, name: str, tolerance: float) -> CapacityResult:

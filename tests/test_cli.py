@@ -202,6 +202,44 @@ def test_rational_time_count_suggests_scale(capsys, tmp_path):
     assert "by 2" in err
 
 
+def test_count_with_a_scale_past_the_digit_limit_names_the_member(capsys, tmp_path):
+    # lcm(3, 10**4300) has 4,301 digits, more than str() converts
+    model = tmp_path / "huge-scale.json"
+    model.write_text(
+        '{"name": "h", "classes": [{"name": "a", "count": 2, "time": "1/3"},'
+        ' {"name": "b", "count": 1, "time": "1e-4300"}]}'
+    )
+    code, out, err = run_cli(capsys, "count", str(model), "--max-time", "3")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: counting needs integer times; multiplying every time by "
+        "3000000000...0000000000 (4301 digits) would make them integers; the time "
+        "of 'b' has the denominator 1000000000...0000000000 (4301 digits)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "trace, message",
+    [
+        ("fast@1e4299 fast slow", "error: 'fast@10000000000000000000000000000000000...0000000000': "
+         "class 'fast' executes in time 1, not 1000000000...0000000000 (4300 digits)\n"),
+        ("fast fast@2 slow", "error: 'fast@2': class 'fast' executes in time 1, not 2\n"),
+        ("fast slow fast@%s" % ("9" * 5000), "error: invalid time annotation in "
+         "'fast@99999999999999999999999999999999999...9999999999'\n"),
+    ],
+    ids=["4300-digit-time", "short-time", "past-the-digit-limit"],
+)
+def test_trace_annotation_errors_stay_short(capsys, tmp_path, trace, message):
+    path = tmp_path / "trace.txt"
+    path.write_text(trace + "\n")
+    code, out, err = run_cli(capsys, "efficiency", TOY, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == message
+    assert len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("argv", GOLDEN_INVOCATIONS, ids=lambda a: " ".join(a[:2]))
 def test_json_output_byte_identical_across_runs(capsys, argv):
     first = run_cli(capsys, *argv)

@@ -206,3 +206,28 @@ def test_count_ratio_matches_solver_to_float_precision(name, params):
     counts = count_sequences(bound, 128).counts
     ratio_bits = math.log2(counts[128] / counts[127])
     assert abs(ratio_bits - solve_capacity(bound).capacity_bits) <= 1e-12
+
+
+def test_scale_past_the_digit_limit_names_the_member():
+    # the message cannot print a 4,301-digit scale; it abbreviates it and
+    # names the member whose denominator makes it, and the exact scale
+    # stays on the error
+    iset = classes((2, Fraction(1, 3)), (1, Fraction("1e-4300")), (1, 1))
+    with pytest.raises(CountingError) as info:
+        count_sequences(iset, 3)
+    assert str(info.value) == (
+        "counting needs integer times; multiplying every time by "
+        "3000000000...0000000000 (4301 digits) would make them integers; the time "
+        "of 'c1' has the denominator 1000000000...0000000000 (4301 digits)"
+    )
+    assert info.value.suggested_scale == 3 * 10**4300
+
+
+def test_printable_scale_message_is_unchanged():
+    iset = classes((1, Fraction(3, 2)), (1, Fraction(1, 3)))
+    with pytest.raises(CountingError) as info:
+        count_sequences(iset, 4)
+    assert str(info.value) == (
+        "counting needs integer times; multiplying every time by 6 would make "
+        "them integers (and divide the resulting capacity estimate's time unit by 6)"
+    )

@@ -16,7 +16,7 @@ from compucap import (
     serialize_model,
     total_count,
 )
-from compucap.model import as_rational, parse_count
+from compucap.model import as_rational, brief_int, brief_rational, parse_count
 
 TOY = """
 {
@@ -285,3 +285,12 @@ def test_as_rational_keeps_floats_exact():
 def test_as_rational_rejects_non_finite(value):
     with pytest.raises(ModelError, match="invalid rational"):
         as_rational(value)
+
+
+def test_brief_numbers_keep_short_ones_and_abbreviate_long_ones():
+    assert brief_int(-(10**29)) == "-100000000000000000000000000000"
+    assert brief_int(10**30 + 7) == "1000000000...0000000007 (31 digits)"
+    # past the int-to-str digit limit, where str() raises
+    assert brief_int(-3 * 10**5000) == "-3000000000...0000000000 (5001 digits)"
+    assert brief_rational(Fraction(-7, 2)) == "-7/2"
+    assert brief_rational(Fraction(1, 10**40)) == "1/1000000000...0000000000 (41 digits)"

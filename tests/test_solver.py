@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -460,3 +461,83 @@ def test_distribution_masses_are_the_reference_weights_at_the_root(members):
     cap = solve_capacity(iset)
     masses = optimal_distribution(iset, cap).masses
     assert masses == {m.name: 2.0 ** _reference_point(m, cap.capacity_bits)[0] for m in members}
+
+
+# --- the compile cache: one compile per bound set ---
+
+
+def _counting_compiles(monkeypatch):
+    calls = []
+    compile_columns = solver.compile_columns
+
+    def counted(members):
+        calls.append(1)
+        return compile_columns(members)
+
+    monkeypatch.setattr(solver, "compile_columns", counted)
+    return calls
+
+
+def test_solve_and_distribution_share_one_compile(monkeypatch):
+    calls = _counting_compiles(monkeypatch)
+    iset = bound_model("mmix.json", mu="6/5")
+    cap = solve_capacity(iset)
+    optimal_distribution(iset, cap)
+    eval_characteristic(iset, cap.capacity_bits)
+    solve_capacity(iset, 1e-9)
+    assert len(calls) == 1
+    # an equal set built anew compiles for itself
+    solve_capacity(bound_model("mmix.json", mu="6/5"))
+    assert len(calls) == 2
+
+
+def test_compile_cache_is_invisible_to_the_dataclass():
+    fresh, used = bound_model("mix.json"), bound_model("mix.json")
+    before = (repr(used), hash(used), dataclasses.asdict(used))
+    optimal_distribution(used, solve_capacity(used))
+    assert "_columns" in vars(used)
+    assert used == fresh and fresh == used
+    assert (repr(used), hash(used), dataclasses.asdict(used)) == before
+    assert [f.name for f in dataclasses.fields(used)] == ["name", "members"]
+    replaced = dataclasses.replace(used, name="other")
+    assert "_columns" not in vars(replaced)
+    assert replaced == BoundInstructionSet("other", used.members)
+
+
+def test_replaced_members_are_compiled_anew():
+    iset = classes((2, 1), (1, 2))
+    solve_capacity(iset)
+    faster = dataclasses.replace(iset, members=(BoundClass("c0", 2, Fraction(1)), BoundClass("c1", 1, Fraction(1))))
+    assert solve_capacity(faster).capacity_bits == pytest.approx(math.log2(3))
+
+
+@pytest.mark.parametrize("time", ["1e-400", "1e400"])
+def test_a_set_that_does_not_compile_raises_on_every_call(monkeypatch, time):
+    calls = _counting_compiles(monkeypatch)
+    iset = classes((1, Fraction(time)), (1, 1))
+    for call in (
+        lambda: solve_capacity(iset),
+        lambda: optimal_distribution(iset, solver.CapacityResult(1.0, 0.0, 0.0, 1)),
+        lambda: eval_characteristic(iset, 1.0),
+        lambda: solve_capacity(iset),
+    ):
+        with pytest.raises(ValueError, match="'c0' lies outside the float range"):
+            call()
+    assert len(calls) == 4
+    assert "_columns" not in vars(iset)
+
+
+@pytest.mark.parametrize(
+    "iset",
+    [TOY, bound_model("mix.json"), bound_model("mmix.json", mu="1")]
+    + [BoundInstructionSet("cols", tuple(members)) for members in COLUMN_SETS.values()],
+)
+def test_cached_results_are_the_uncached_ones(iset):
+    # the uncached path: compile the members for each call, as before the cache
+    uncached = solver.solve_compiled(solver.compile_columns(iset.members), iset.name, 1e-12)
+    log2_weights = solver.member_points(solver.compile_columns(iset.members), uncached.capacity_bits)[0]
+    uncached_masses = {m.name: 2.0 ** w for m, w in zip(iset.members, log2_weights)}
+    cap = solve_capacity(iset)
+    assert repr(cap) == repr(uncached)
+    assert repr(optimal_distribution(iset, cap).masses) == repr(uncached_masses)
+    assert repr(solve_capacity(iset)) == repr(uncached)
