@@ -72,8 +72,6 @@ _EXPORTS = {
     "solver": (
         "CapacityResult",
         "eval_characteristic",
-        "member_log2_weight",
-        "member_mean_time",
         "solve_capacity",
     ),
 }

@@ -199,13 +199,12 @@ def cmd_distribution(args) -> dict:
 
 
 def cmd_efficiency(args) -> dict:
-    from .efficiency import efficiency_from_trace, parse_trace
+    from .efficiency import efficiency_from_trace
 
     bound, model_input = _load_bound(args)
     trace_path = Path(args.trace)
     trace_text = trace_path.read_text(encoding="utf-8")
-    symbols = parse_trace(trace_text)
-    report = efficiency_from_trace(bound, symbols, args.order, args.tolerance)
+    report = efficiency_from_trace(bound, trace_text.split(), args.order, args.tolerance)
     return {
         "command": "efficiency",
         "inputs": {

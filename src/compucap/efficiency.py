@@ -20,7 +20,7 @@ from itertools import islice
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .model import BoundClass, BoundInstructionSet, BoundMember, brief_rational, decimal_fraction, is_ident
-from .solver import CapacityResult, bound_columns, member_mean_time, member_points, solve_capacity, time_as_float
+from .solver import CapacityResult, bound_columns, compile_columns, member_points, solve_capacity, time_as_float
 
 _MASS_SLACK = 1e-10
 # a token of more characters is quoted in a message by its ends (_quote)
@@ -281,7 +281,7 @@ def efficiency(
         if sep or isinstance(member, BoundClass):
             time = time_as_float(_token_time(member, token), token)
         elif dist.log2_x0 is not None:
-            time = member_mean_time(member, dist.log2_x0)
+            time = member_points(compile_columns((member,)), dist.log2_x0)[1][0]
         else:
             raise DistributionError(
                 f"family {name!r} has no single time; annotate the symbol "

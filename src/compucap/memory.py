@@ -13,11 +13,11 @@ each cell count, so a continuous-relaxation optimum always sits at a
 vertex of the budget simplex: the entire budget on one kind.
 optimize_vertex compares exactly those pure allocations; optimize_grid is
 the brute-force check over a full integer grid.  The base is compiled
-once per problem (its columns stay on bound_base) and each optimizer
-converts the access times once per call: every allocation is solved
-from floats already held, with the same members in the same order as
-instantiate builds, so each result is the one solve_capacity gives for
-that instance.
+once per problem (its columns stay on bound_base), instantiate and the
+optimizers read one table of access classes, and each optimizer converts
+their times once per call: every allocation is solved from floats
+already held, with the same members in the same order as instantiate
+builds, so each result is the one solve_capacity gives for that instance.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ class MemoryDesignProblem:
     """Base instructions, candidate memory kinds, and a spending budget.
 
     bound_base is the base set, bound once under its share of the binding;
-    access_times holds each kind's access-class times, evaluated once under
-    the binding and checked positive only when a cell of the kind is
-    installed.
+    accesses holds per kind one (kind/index, registers * count_per_cell,
+    time) entry per access class, its time evaluated once under the binding
+    and checked positive only when a cell of the kind is installed.
     """
 
     base: InstructionSet
@@ -107,7 +107,7 @@ class MemoryDesignProblem:
     budget: Fraction
     binding: ParameterBinding
     bound_base: BoundInstructionSet = field(init=False, compare=False, repr=False)
-    access_times: tuple[tuple[Fraction, ...], ...] = field(
+    accesses: tuple[tuple[tuple[str, int, Fraction], ...], ...] = field(
         init=False, compare=False, repr=False
     )
 
@@ -132,14 +132,14 @@ class MemoryDesignProblem:
         base_values = {p: self.binding.values[p] for p in self.base.parameters}
         object.__setattr__(self, "bound_base", bind(self.base, ParameterBinding(base_values)))
         values = self.binding.values
-        object.__setattr__(
-            self,
-            "access_times",
+        accesses = tuple(
             tuple(
-                tuple(ac.time.evaluate(values) for ac in kind.access_classes)
-                for kind in self.kinds
-            ),
+                (f"{kind.name}/{index}", self.registers * ac.count_per_cell, ac.time.evaluate(values))
+                for index, ac in enumerate(kind.access_classes)
+            )
+            for kind in self.kinds
         )
+        object.__setattr__(self, "accesses", accesses)
 
 
 @dataclass(frozen=True)
@@ -171,18 +171,12 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
         if not isinstance(n, int) or n < 0:
             raise ProblemError(f"cell count for {name!r} must be a non-negative integer")
     members = list(problem.bound_base.members)
-    for kind, times in zip(problem.kinds, problem.access_times):
+    for kind, accesses in zip(problem.kinds, problem.accesses):
         n = cells.get(kind.name, 0)
-        if n == 0:
-            continue
-        for index, (ac, time) in enumerate(zip(kind.access_classes, times)):
-            name = f"{kind.name}/{index}"
-            members.append(
-                BoundClass(
-                    name=name,
-                    count=problem.registers * ac.count_per_cell * n,
-                    time=check_positive_time(time, name),
-                )
+        if n:
+            members += (
+                BoundClass(name, scale * n, check_positive_time(time, name))
+                for name, scale, time in accesses
             )
     return BoundInstructionSet(problem.base.name, tuple(members))
 
@@ -191,41 +185,41 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
     """solve(vec), equal to solve_capacity(instantiate(problem, cells),
     tolerance) for the cells vector vec in kind-declaration order.
 
-    The base's columns (bound_columns), and a kind's access times,
-    checked positive and then converted, are taken the first time a
-    solve needs them, so the errors and their order are those of
-    instantiate and solve_capacity.  A solve then appends each installed kind's classes
-    to the base columns: log2(R * count_per_cell * n) and the access
-    times.  The base's families keep their indices, as the access
-    classes follow the base.
+    The base's columns (bound_columns) compile when a solve first needs
+    them; a kind's access times are checked positive when it is first
+    installed and made floats once the base has compiled, so the errors and
+    their order are those of instantiate and solve_capacity.  A solve then
+    appends each installed kind's classes to the base columns: log2(R *
+    count_per_cell * n) and the access times.  The base's families keep
+    their indices, as the access classes follow the base.
     """
     check_tolerance(tolerance)
-    kinds, registers = problem.kinds, problem.registers
-    base_total = total_count(problem.bound_base)
-    scales = [[registers * ac.count_per_cell for ac in kind.access_classes] for kind in kinds]
-    per_cell = [sum(scale) for scale in scales]
+    accesses = problem.accesses
+    one_instruction = total_count(problem.bound_base) == 1
     base = None  # the base's columns, once compiled
-    checked: list = [None] * len(kinds)  # per kind: [(name, time), ...]
-    times: list = [None] * len(kinds)  # per kind: [float time, ...]
+    checked = [False] * len(accesses)
+    times: list = [None] * len(accesses)  # per kind: [float time, ...]
 
     def solve(vec: tuple[int, ...]) -> CapacityResult:
         nonlocal base
         installed = [k for k, n in enumerate(vec) if n]
         for k in installed:
-            if checked[k] is None:
-                names = [f"{kinds[k].name}/{index}" for index in range(len(kinds[k].access_classes))]
-                checked[k] = [(at, check_positive_time(t, at)) for at, t in zip(names, problem.access_times[k])]
-        if base_total + sum(vec[k] * per_cell[k] for k in installed) == 1:
-            # g(0) = 1 already: a single instruction carries no choice.
+            if not checked[k]:
+                for name, _, time in accesses[k]:
+                    check_positive_time(time, name)
+                checked[k] = True
+        if one_instruction and not installed:
+            # g(0) = 1 already: a single instruction carries no choice; an
+            # installed kind adds at least one instruction to the base's one.
             return CapacityResult(0.0, 0.0, 0.0, 0)
         if base is None:
             base = bound_columns(problem.bound_base)
         for k in installed:
             if times[k] is None:
-                times[k] = [time_as_float(t, at) for at, t in checked[k]]
+                times[k] = [time_as_float(time, name) for name, _, time in accesses[k]]
         log2_counts, base_times, families = base
         columns = (
-            log2_counts + [math.log2(scale * vec[k]) for k in installed for scale in scales[k]],
+            log2_counts + [math.log2(scale * vec[k]) for k in installed for _, scale, _ in accesses[k]],
             base_times + [t for k in installed for t in times[k]],
             families,
         )
@@ -290,45 +284,29 @@ def _scaled_budget(problem: MemoryDesignProblem) -> tuple[int, list[int]]:
     return int(problem.budget * scale), [int(k.cell_cost * scale) for k in problem.kinds]
 
 
-def _grid_points(problem: MemoryDesignProblem, step: int):
-    """Yield every feasible cells vector on the step grid, in kind-declaration
-    order, depth-first."""
+def _grid_rows(problem: MemoryDesignProblem, step: int):
+    """Yield every feasible cells vector on the step grid as rows (prefix,
+    top): a row stands for the vectors prefix + (n,), for n in
+    range(0, top + 1, step).  Vectors come in kind-declaration order,
+    depth-first.  The level above the last yields the rows itself, so a
+    row costs no generator of its own."""
     budget, costs = _scaled_budget(problem)
-    last = len(costs)
-    chosen: list[int] = []
+    *heads, last = costs
+    if not heads:
+        yield (), budget // last
+        return
 
-    def rec(index: int, remaining: int):
-        if index == last:
-            yield tuple(chosen)
-            return
-        cost = costs[index]
-        for n in range(0, remaining // cost + 1, step):
-            chosen.append(n)
-            yield from rec(index + 1, remaining - cost * n)
-            chosen.pop()
+    def rec(prefix: tuple[int, ...], remaining: int):
+        cost = costs[len(prefix)]
+        counts = range(0, remaining // cost + 1, step)
+        if len(prefix) + 1 == len(heads):
+            for n in counts:
+                yield prefix + (n,), (remaining - cost * n) // last
+        else:
+            for n in counts:
+                yield from rec(prefix + (n,), remaining - cost * n)
 
-    yield from rec(0, budget)
-
-
-def _grid_size(problem: MemoryDesignProblem, step: int, limit: int) -> int:
-    """The number of feasible cells vectors on the step grid, counted
-    exactly up to `limit` and stopped at the first count past it."""
-    budget, costs = _scaled_budget(problem)
-    last = len(costs) - 1
-
-    def rec(index: int, remaining: int) -> int:
-        cost = costs[index]
-        top = remaining // cost
-        if index == last:
-            return top // step + 1
-        total = 0
-        for n in range(0, top + 1, step):
-            total += rec(index + 1, remaining - cost * n)
-            if total > limit:
-                break
-        return total
-
-    return rec(0, budget)
+    yield from rec((), budget)
 
 
 def optimize_grid(
@@ -343,19 +321,23 @@ def optimize_grid(
     """
     if not isinstance(step, int) or step < 1:
         raise ProblemError(f"step must be a positive integer, got {step!r}")
-    points = _grid_size(problem, step, _MAX_GRID_POINTS)
-    if points > _MAX_GRID_POINTS:
-        raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
+    points = 0
+    for _, top in _grid_rows(problem, step):
+        points += top // step + 1
+        if points > _MAX_GRID_POINTS:
+            raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
     solve = _allocation_solver(problem, tolerance)
     best: Optional[tuple[float, tuple[int, ...], CapacityResult]] = None
-    for vec in _grid_points(problem, step):
-        cap = solve(vec)
-        if (
-            best is None
-            or cap.capacity_bits > best[0] + _TIE_WIDTH
-            or (abs(cap.capacity_bits - best[0]) <= _TIE_WIDTH and vec > best[1])
-        ):
-            best = (cap.capacity_bits, vec, cap)
+    for prefix, top in _grid_rows(problem, step):
+        for n in range(0, top + 1, step):
+            vec = prefix + (n,)
+            cap = solve(vec)
+            if (
+                best is None
+                or cap.capacity_bits > best[0] + _TIE_WIDTH
+                or (abs(cap.capacity_bits - best[0]) <= _TIE_WIDTH and vec > best[1])
+            ):
+                best = (cap.capacity_bits, vec, cap)
     assert best is not None  # the all-zero point is always feasible
     _, vec, cap = best
     cells = {kind.name: n for kind, n in zip(problem.kinds, vec)}

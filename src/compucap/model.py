@@ -149,10 +149,12 @@ def parse_count(value: Union[int, str]) -> int:
 
 @dataclass(frozen=True)
 class TimeExpression:
-    """Execution time, affine in named parameters: base + sum(coeff * param)."""
+    """Execution time, affine in named parameters: base + sum(coeff * param).
+
+    == compares coeffs; the hash leaves the dict out, so models hash."""
 
     base: Fraction = Fraction(0)
-    coeffs: Mapping[str, Fraction] = field(default_factory=dict)
+    coeffs: Mapping[str, Fraction] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", as_rational(self.base))

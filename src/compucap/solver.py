@@ -32,9 +32,9 @@ A bound set is compiled to floats once, on first use, as columns (see
 compile_columns and bound_columns): a log2 count and a base time for
 every member, and (index, step, terms) for each member of more than one
 term.  One pass over the columns, member_points, gives every member's
-log2 weight and mean time at y; the solve, the distribution, the
-per-member helpers and the memory optimizer all evaluate through it.
-The pass fixes each float operation and its order: a member's log2
+log2 weight and mean time at y; the solve, the distribution, a family's
+mean time in efficiency() and the memory optimizer all evaluate through
+it.  The pass fixes each float operation and its order: a member's log2
 weight is (log2 count - time * y) + log2 of its closed sum, its mean
 time is time + step * mean index, and the aggregate sums weights and
 weight * mean in member order.  So a member's figures are the same
@@ -123,42 +123,31 @@ def time_as_float(value: Fraction, name: str) -> float:
     return result
 
 
-def compile_member(member: BoundMember) -> tuple[float, float, float, int]:
-    """(log2 count, base time, step, terms) in floats, a class as a one-term
-    family with step 0.0; terms stays an exact int, as it may exceed the
-    float range.  compile_columns lays these out as columns: the first two
-    fields of every member, and the last two of each member with more
-    than one term."""
-    if isinstance(member, BoundClass):
-        return math.log2(member.count), time_as_float(member.time, member.name), 0.0, 1
-    return (
-        math.log2(member.count_per_term),
-        time_as_float(member.time_base, member.name),
-        time_as_float(member.step, member.name),
-        member.num_terms,
-    )
-
-
 # (log2 counts, base times, [(index, step, terms) per family]); see compile_columns
 Columns = tuple[list[float], list[float], list[tuple[int, float, int]]]
 
 
 def compile_columns(members: Iterable[BoundMember]) -> Columns:
-    """The members compiled (compile_member, in order, so the first member
-    that does not compile is the one named) and laid out as columns:
-    log2 counts and base times, one entry per member, and (index, step,
-    terms) for each member of more than one term.  A one-term family
-    evaluates as a class.  solve_compiled and member_points take these;
-    neither changes them."""
+    """The members compiled to floats in order, so the first member that
+    does not compile is the one named, and laid out as columns: log2
+    count and base time, one entry per member, a class taken as one term,
+    and (index, step, terms) for each member of more than one term; terms
+    stays an exact int, as it may exceed the float range.  A one-term
+    family converts its step, then evaluates as a class.  solve_compiled
+    and member_points take these; neither changes them."""
     log2_counts: list[float] = []
     times: list[float] = []
     families: list[tuple[int, float, int]] = []
     for index, member in enumerate(members):
-        log2_count, time, step, terms = compile_member(member)
-        log2_counts.append(log2_count)
-        times.append(time)
-        if terms != 1:
-            families.append((index, step, terms))
+        if isinstance(member, BoundClass):
+            log2_counts.append(math.log2(member.count))
+            times.append(time_as_float(member.time, member.name))
+            continue
+        log2_counts.append(math.log2(member.count_per_term))
+        times.append(time_as_float(member.time_base, member.name))
+        step = time_as_float(member.step, member.name)
+        if member.num_terms != 1:
+            families.append((index, step, member.num_terms))
     return log2_counts, times, families
 
 
@@ -211,16 +200,6 @@ def _log2_char(columns: Columns, y: float) -> tuple[float, float]:
     weights[weights.index(1.0)] = 0.0
     rest = sum(weights)
     return hi + math.log1p(rest) / _LN2, -mean / (1.0 + rest)
-
-
-def member_log2_weight(member: BoundMember, y: float) -> float:
-    """log2 of the member's aggregate weight sum(count * 2**(-tau * y))."""
-    return member_points(compile_columns((member,)), y)[0][0]
-
-
-def member_mean_time(member: BoundMember, y: float) -> float:
-    """Mean execution time within the member under 2**(-tau*y) weighting."""
-    return member_points(compile_columns((member,)), y)[1][0]
 
 
 def eval_characteristic(iset: BoundInstructionSet, y: float) -> float:

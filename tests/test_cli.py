@@ -95,6 +95,35 @@ def test_efficiency_report(capsys):
     assert all(0.0 <= o["utilization"] <= 1.0 for o in orders)
 
 
+CLASS_AND_FAMILY = (
+    '{"name": "f", "classes": [{"name": "c", "count": 2, "time": 1},'
+    ' {"name": "g", "count": 3, "time": "1/2", "family": {"step": 1, "terms": 3}}]}'
+)
+
+
+def test_efficiency_reads_any_spelling_of_a_trace(capsys, tmp_path):
+    model, trace = tmp_path / "f.json", tmp_path / "trace.txt"
+    model.write_text(CLASS_AND_FAMILY)
+    reports = []
+    for text in ("c g@1.5 c@1 g@3/2 g@6/4", "c g@3/2 c g@3/2 g@3/2"):
+        trace.write_text(text)
+        code, out, err = run_cli(capsys, "efficiency", str(model), str(trace), "--order", "2", "--json")
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    mixed, canonical = reports
+    assert mixed["results"] == canonical["results"]
+    assert mixed["inputs"]["trace"].pop("sha256") != canonical["inputs"]["trace"].pop("sha256")
+    assert mixed == canonical
+
+
+def test_efficiency_names_the_first_bad_trace_token(capsys, tmp_path):
+    model, trace = tmp_path / "f.json", tmp_path / "trace.txt"
+    model.write_text(CLASS_AND_FAMILY)
+    trace.write_text("c g@x 9bad")
+    code, out, err = run_cli(capsys, "efficiency", str(model), str(trace), "--json")
+    assert (code, out, err) == (2, "", "error: invalid time annotation in 'g@x'\n")
+
+
 def test_count_report(capsys):
     code, out, _ = run_cli(capsys, "count", TOY, "--max-time", "8", "--json")
     assert code == 0

@@ -25,7 +25,7 @@ from compucap import (
     solve_capacity,
     total_count,
 )
-from compucap.memory import _allocation_solver, _grid_points, _grid_size
+from compucap.memory import _allocation_solver, _grid_rows
 
 # Pure-allocation capacities of the bundled two-kind example, solved
 # independently at 60-digit precision: the cheap slow kind loses to the
@@ -354,10 +354,16 @@ def test_parse_problem_shape_errors(tmp_path, text, fragment):
         parse_problem(text, base_dir=tmp_path)
 
 
-def test_oversized_grid_is_refused_before_solving():
-    # memory-example's step-1 grid holds about 2**34 points; solving even
-    # the first million of them takes minutes
-    problem = parse_problem(data_path("memory-example.json").read_text())
+@pytest.mark.parametrize("shape", ["memory-example", "one-point-rows"])
+def test_oversized_grid_is_refused_before_solving(shape):
+    if shape == "memory-example":
+        # the step-1 grid holds about 2**34 points; solving even the first
+        # million of them takes minutes
+        problem = parse_problem(data_path("memory-example.json").read_text())
+    else:
+        # the worst case for counting by rows: the last kind never fits,
+        # so each of the two million rows holds one point
+        problem = small_problem(2000, ("A", 1, [(1, 1)]), ("B", 1, [(1, 2)]), ("C", 10**6, [(1, 3)]))
     start = time.perf_counter()
     with pytest.raises(ProblemError, match="grid exceeds 1000000 points"):
         optimize_grid(problem, 1)
@@ -441,6 +447,11 @@ def random_problem(rng: random.Random) -> MemoryDesignProblem:
     )
 
 
+def walked_grid(problem: MemoryDesignProblem, step: int) -> list[tuple[int, ...]]:
+    """Every cells vector the grid walker's rows stand for, in walk order."""
+    return [prefix + (n,) for prefix, top in _grid_rows(problem, step) for n in range(0, top + 1, step)]
+
+
 def fraction_grid(problem: MemoryDesignProblem, step: int) -> list[tuple[int, ...]]:
     """Every feasible cells vector, enumerated with exact rationals."""
     ranges = [range(0, int(problem.budget // k.cell_cost) + 1, step) for k in problem.kinds]
@@ -458,7 +469,7 @@ def test_every_grid_point_matches_solve_capacity(step):
         problem = random_problem(rng)
         names = [kind.name for kind in problem.kinds]
         solve = _allocation_solver(problem, 1e-12)
-        points = list(_grid_points(problem, step))
+        points = walked_grid(problem, step)
         assert points == fraction_grid(problem, step)
         reference = {
             vec: solve_capacity(instantiate(problem, dict(zip(names, vec))), 1e-12) for vec in points
@@ -524,7 +535,7 @@ def test_one_instruction_base_at_zero_budget(optimize):
 
 
 @pytest.mark.parametrize("step", [1, 2, 3])
-def test_grid_size_matches_enumeration_across_denominators(step):
+def test_grid_walker_matches_enumeration_across_denominators(step):
     problem = small_problem(
         Fraction(8, 5),
         ("A", Fraction(2**27 + 1, 2**30), [(1, 1)]),
@@ -532,6 +543,4 @@ def test_grid_size_matches_enumeration_across_denominators(step):
         ("C", Fraction(2, 7), [(1, 3)]),
     )
     assert [k.cell_cost.denominator for k in problem.kinds] == [2**30, 3, 7]
-    points = fraction_grid(problem, step)
-    assert list(_grid_points(problem, step)) == points
-    assert _grid_size(problem, step, 10**6) == len(points)
+    assert walked_grid(problem, step) == fraction_grid(problem, step)

@@ -247,6 +247,23 @@ def test_serialize_round_trip_bundled_models():
         assert parse_model(serialize_model(iset)) == iset
 
 
+PARAMETERIZED = (
+    '{"name": "m", "parameters": ["mu"], "classes": ['
+    '{"name": "a", "count": "3*2^4", "time": {"base": "1/2", "coeffs": {"mu": 2}}},'
+    '{"name": "f", "count": 2, "time": {"base": 1, "coeffs": {"mu": "1/3"}},'
+    ' "family": {"step": "2/3", "terms": 5}}]}'
+)
+
+
+@pytest.mark.parametrize("name", ["toy.json", "mix.json", "mmix.json", "parameterized"])
+def test_parsed_models_hash_and_key_a_dict(name):
+    text = PARAMETERIZED if name == "parameterized" else data_path(name).read_text()
+    first, second = parse_model(text), parse_model(text)
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    assert {first: name}[second] == name
+
+
 def test_mix_model_structure():
     # counts 2^28, 2^26, 2^26, 2^25 and a 2^25-per-term family stepping by 2
     iset = parse_model(data_path("mix.json").read_text())

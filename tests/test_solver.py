@@ -16,12 +16,11 @@ from compucap import (
     bind,
     data_path,
     eval_characteristic,
-    member_log2_weight,
-    member_mean_time,
     optimal_distribution,
     parse_model,
     solve_capacity,
 )
+from compucap.solver import compile_columns, member_points
 
 # Independently derived reference roots (quadratic closed form for the
 # two-speed set; high-precision root solves for the bundled models).
@@ -215,22 +214,28 @@ def test_time_scaling_divides_capacity(lam):
         assert scaled * lam == pytest.approx(base, rel=1e-10)
 
 
-def test_member_mean_time_class_is_its_time():
+def _one_member(member, y):
+    """(log2 weight, mean time) of `member` from a one-member column pass."""
+    values, means = member_points(compile_columns((member,)), y)
+    return values[0], means[0]
+
+
+def test_class_mean_time_is_its_time():
     c = BoundClass("a", 4, Fraction(7, 2))
-    assert member_mean_time(c, 1.3) == 3.5
+    assert _one_member(c, 1.3)[1] == 3.5
 
 
-def test_member_mean_time_family_limits():
+def test_family_mean_time_limits():
     fam = BoundFamily("g", 1, Fraction(1), Fraction(2), 11)
     # unweighted (y = 0): the arithmetic mean of 1, 3, ..., 21
-    assert member_mean_time(fam, 0.0) == pytest.approx(11.0, abs=1e-12)
+    assert _one_member(fam, 0.0)[1] == pytest.approx(11.0, abs=1e-12)
     # strong weighting pushes the mean toward the fastest term
-    assert member_mean_time(fam, 50.0) == pytest.approx(1.0, abs=1e-9)
+    assert _one_member(fam, 50.0)[1] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_member_log2_weight_family_at_zero():
+def test_family_log2_weight_at_zero():
     fam = BoundFamily("g", 6, Fraction(1), Fraction(2), 10)
-    assert member_log2_weight(fam, 0.0) == pytest.approx(math.log2(60), abs=1e-13)
+    assert _one_member(fam, 0.0)[0] == pytest.approx(math.log2(60), abs=1e-13)
 
 
 def test_huge_family_uses_closed_form():
@@ -244,7 +249,7 @@ def test_huge_family_uses_closed_form():
 
 def _log2_g(iset, y):
     """log2 g(y) summed here from the per-member weights."""
-    return math.log2(sum(2.0 ** member_log2_weight(m, y) for m in iset.members))
+    return math.log2(sum(2.0 ** _one_member(m, y)[0] for m in iset.members))
 
 
 @pytest.mark.parametrize(
@@ -452,7 +457,7 @@ def test_column_kernel_equals_the_per_member_reference(members):
         assert solver._log2_char(columns, y) == _reference_log2_char(members, y)
         points = [_reference_point(m, y) for m in members]
         assert list(zip(*solver.member_points(columns, y))) == points
-        assert [(member_log2_weight(m, y), member_mean_time(m, y)) for m in members] == points
+        assert [_one_member(m, y) for m in members] == points
 
 
 @pytest.mark.parametrize("members", COLUMN_SETS.values(), ids=COLUMN_SETS.keys())
