@@ -10,12 +10,9 @@ budget.  Bundled example models live under data_path().
 
 Importing the package loads none of its submodules: each public name is
 resolved from its submodule on first access (PEP 562), so a program pays
-only for the layers it uses.  `compucap.efficiency` is the function; the
-module of the same name is importlib.import_module("compucap.efficiency").
+only for the layers it uses.
 """
 
-import sys
-import types
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -35,7 +32,7 @@ _EXPORTS = {
         "TraceEfficiencyReport",
         "TraceError",
         "TraceStatistics",
-        "efficiency",
+        "efficiency_from_distribution",
         "efficiency_from_trace",
         "entropy_order_n",
         "optimal_distribution",
@@ -101,26 +98,3 @@ def data_path(name: str):
     if not path.is_file():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path
-
-
-class _Package(types.ModuleType):
-    """The package module, whose `efficiency` stays the function.
-
-    Loading the submodule compucap.efficiency makes the import system set
-    the package attribute of that name to the submodule, whichever import
-    loads it; the setter ignores that binding.
-    """
-
-    @property
-    def efficiency(self):
-        if "efficiency" not in vars(self):
-            vars(self)["efficiency"] = import_module(f"{__name__}.efficiency").efficiency
-        return vars(self)["efficiency"]
-
-    @efficiency.setter
-    def efficiency(self, value):
-        if not isinstance(value, types.ModuleType):
-            vars(self)["efficiency"] = value
-
-
-sys.modules[__name__].__class__ = _Package

@@ -298,14 +298,15 @@ def cmd_optimize_memory(args) -> dict:
 # --- argument parsing and entry point ---
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, solves: bool = True) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-12,
-        help="solver bracket tolerance (default 1e-12)",
-    )
+    if solves:
+        parser.add_argument(
+            "--tolerance",
+            type=float,
+            default=1e-12,
+            help="solver bracket tolerance (default 1e-12)",
+        )
     parser.add_argument(
         "--param",
         action="append",
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact sequence counts by total time")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--max-time", type=int, required=True, help="largest total time")
-    _add_common(p)
+    _add_common(p, solves=False)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("optimize-memory", help="choose cell counts under a budget")

@@ -140,21 +140,6 @@ def count_sequences(iset: BoundInstructionSet, max_time: int) -> CountTable:
     return CountTable(max_time=max_time, counts=tuple(counts))
 
 
-def _log2_exact_int(n: int) -> float:
-    """log2 of a positive big integer via high-order bit extraction.
-
-    Shifting to the top 64 bits loses a relative 2**-63 of the value, so
-    the log is accurate to well under 1e-9 regardless of magnitude.
-    """
-    if n <= 0:
-        raise ValueError(f"need a positive integer, got {n}")
-    bits = n.bit_length()
-    if bits <= 64:
-        return math.log2(n)
-    shift = bits - 64
-    return math.log2(n >> shift) + shift
-
-
 def capacity_estimate(table: CountTable, time: int) -> float:
     """Finite-time growth-rate estimate log2(N(T)) / T in bits per time unit.
 
@@ -166,4 +151,4 @@ def capacity_estimate(table: CountTable, time: int) -> float:
     n = table.counts[time]
     if n == 0:
         raise UnreachableTimeError(time)
-    return _log2_exact_int(n) / time
+    return math.log2(n) / time

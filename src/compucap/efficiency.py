@@ -252,7 +252,7 @@ def entropy_order_n(stats: TraceStatistics, n: int) -> float:
 # --- efficiency ---
 
 
-def efficiency(
+def efficiency_from_distribution(
     iset: BoundInstructionSet,
     dist: Union[InstructionDistribution, Mapping[str, float]],
     entropy_bits: float,
@@ -263,8 +263,8 @@ def efficiency(
     probability mass; a family named without a time annotation needs the
     distribution's per-instruction rule to pin down its mean time.
     """
-    if entropy_bits < 0:
-        raise ValueError(f"entropy must be >= 0, got {entropy_bits}")
+    if not 0 <= entropy_bits < math.inf:
+        raise ValueError(f"entropy must be finite and >= 0, got {entropy_bits}")
     if not isinstance(dist, InstructionDistribution):
         dist = InstructionDistribution(masses=dist)
     members = _member_index(iset)

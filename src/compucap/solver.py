@@ -33,14 +33,14 @@ compile_columns and bound_columns): a log2 count and a base time for
 every member, and (index, step, terms) for each member of more than one
 term.  One pass over the columns, member_points, gives every member's
 log2 weight and mean time at y; the solve, the distribution, a family's
-mean time in efficiency() and the memory optimizer all evaluate through
-it.  The pass fixes each float operation and its order: a member's log2
-weight is (log2 count - time * y) + log2 of its closed sum, its mean
-time is time + step * mean index, and the aggregate sums weights and
-weight * mean in member order.  So a member's figures are the same
-floats whichever caller asks and whatever members stand beside it, and
-tests compare the pass with a per-member reference by ==, not by a
-tolerance.
+mean time in efficiency_from_distribution() and the memory optimizer all
+evaluate through it.  The pass fixes each float operation and its order:
+a member's log2 weight is (log2 count - time * y) + log2 of its closed
+sum, its mean time is time + step * mean index, and the aggregate sums
+weights and weight * mean in member order.  So a member's figures are
+the same floats whichever caller asks and whatever members stand beside
+it, and tests compare the pass with a per-member reference by ==, not by
+a tolerance.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from compucap import (
     capacity_estimate,
     count_sequences,
     data_path,
-    efficiency,
+    efficiency_from_distribution,
     entropy_order_n,
     eval_characteristic,
     instantiate,
@@ -144,14 +144,14 @@ def test_criterion_5_optimal_distribution_identity(capsys):
         result = solve_capacity(iset)
         dist = optimal_distribution(iset, result)
         h0 = _per_instruction_entropy(iset, dist.masses)
-        eff = efficiency(iset, dist, h0)
+        eff = efficiency_from_distribution(iset, dist, h0)
         worst_identity = max(worst_identity, abs(eff - result.capacity_bits))
         for _ in range(100):
             raw = {m.name: rng.random() for m in iset.members}
             scale = sum(raw.values())
             masses = {k: v / scale for k, v in raw.items()}
             h_rand = _per_instruction_entropy(iset, masses)
-            eff_rand = efficiency(iset, masses, h_rand)
+            eff_rand = efficiency_from_distribution(iset, masses, h_rand)
             worst_excess = max(worst_excess, eff_rand - result.capacity_bits)
     ok = worst_identity <= 1e-9 and worst_excess <= 1e-9
     _report(

@@ -221,6 +221,31 @@ def test_unknown_flag_rejected():
     assert info.value.code == 2
 
 
+def test_count_takes_no_tolerance(capsys):
+    # count never solves, so it has no solver tolerance to set
+    with pytest.raises(SystemExit) as info:
+        main(["count", TOY, "--max-time", "8", "--tolerance", "1e-9"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tolerance 1e-9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("capacity", TOY),
+        ("distribution", TOY),
+        ("efficiency", TOY, TRACE),
+        ("optimize-memory", MEMORY),
+    ],
+    ids=["capacity", "distribution", "efficiency", "optimize-memory"],
+)
+def test_solving_commands_take_a_tolerance(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--tolerance", "1e-9", "--json")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["command"] == argv[0]
+
+
 def test_rational_time_count_suggests_scale(capsys, tmp_path):
     model = tmp_path / "half.json"
     model.write_text(

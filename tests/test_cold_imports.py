@@ -16,12 +16,19 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "compucap" / "data"
 
 REPORT = """
-import json, sys, types
+import json, sys
 import compucap
-print(json.dumps({
-    "loaded": sorted(m for m in sys.modules if m.startswith("compucap.")),
-    "efficiency_is_function": isinstance(compucap.efficiency, types.FunctionType),
-}))
+print(json.dumps({"loaded": sorted(m for m in sys.modules if m.startswith("compucap."))}))
+"""
+
+# compucap.efficiency is a plain submodule, bound as in any package
+EFFICIENCY_IS_THE_MODULE = """
+import sys, types
+import compucap
+module = sys.modules["compucap.efficiency"]
+assert isinstance(module, types.ModuleType)
+assert compucap.efficiency is module
+assert compucap.efficiency_from_distribution is module.efficiency_from_distribution
 """
 
 
@@ -38,13 +45,17 @@ def run_fresh(code: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def run_cli(*argv: str) -> dict:
-    return run_fresh(
+def cli_code(*argv: str) -> str:
+    return (
         "import contextlib, io\n"
         "from compucap.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({list(argv)!r}) == 0\n"
     )
+
+
+def run_cli(*argv: str) -> dict:
+    return run_fresh(cli_code(*argv))
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -83,27 +94,27 @@ def test_each_subcommand_loads_only_its_layers(argv, loaded):
     "code",
     [
         "import compucap.efficiency\n",
-        "import compucap.efficiency as m\nassert isinstance(m, types.FunctionType)\n",
+        "import types\nimport compucap.efficiency as m\nassert isinstance(m, types.ModuleType)\n",
         "from compucap import optimal_distribution\n",
+        "from compucap import efficiency\nimport compucap.efficiency as m\nassert efficiency is m\n",
     ],
-    ids=["import-submodule", "import-as", "from-import"],
+    ids=["import-submodule", "import-as", "from-import", "from-import-module"],
 )
-def test_efficiency_stays_the_function_whatever_loads_the_module(code):
-    report = run_fresh("import types\n" + code)
+def test_efficiency_is_the_module_whatever_loads_it(code):
+    report = run_fresh(code + EFFICIENCY_IS_THE_MODULE)
     assert "compucap.efficiency" in report["loaded"]
-    assert report["efficiency_is_function"]
 
 
-def test_efficiency_stays_the_function_after_a_cli_command():
-    report = run_cli("capacity", str(DATA / "toy.json"))
-    assert report["efficiency_is_function"]
+def test_efficiency_is_the_module_after_a_cli_command():
+    report = run_fresh(cli_code("capacity", str(DATA / "toy.json")) + EFFICIENCY_IS_THE_MODULE)
+    assert report["loaded"] == SOLVE
 
 
-def test_the_module_is_reached_through_importlib():
+def test_importlib_reaches_the_same_module():
     report = run_fresh(
         "import importlib, compucap\n"
         "module = importlib.import_module('compucap.efficiency')\n"
-        "assert module.efficiency is compucap.efficiency\n"
         "assert module.optimal_distribution is compucap.optimal_distribution\n"
+        + EFFICIENCY_IS_THE_MODULE
     )
-    assert report["efficiency_is_function"]
+    assert "compucap.efficiency" in report["loaded"]

@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 import re
@@ -8,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import compucap.efficiency as efficiency_module
 from compucap import (
     BoundClass,
     BoundFamily,
@@ -17,7 +17,7 @@ from compucap import (
     TraceError,
     TraceStatistics,
     data_path,
-    efficiency,
+    efficiency_from_distribution,
     efficiency_from_trace,
     entropy_order_n,
     instantiate,
@@ -26,9 +26,6 @@ from compucap import (
     parse_trace,
     solve_capacity,
 )
-
-# the package's `efficiency` attribute is the function, not this module
-efficiency_module = importlib.import_module("compucap.efficiency")
 
 LOG2_SILVER = 1.2715533031636120
 SQRT2_M1 = 0.41421356237309503  # sqrt(2) - 1 = 1/X0 for the two-speed set
@@ -178,14 +175,14 @@ def test_entropy_order_errors():
 
 
 def test_efficiency_unit_times():
-    assert efficiency(classes((2, 1)), {"c0": 1.0}, 1.0) == 1.0
+    assert efficiency_from_distribution(classes((2, 1)), {"c0": 1.0}, 1.0) == 1.0
 
 
 def test_efficiency_two_speed_uniform():
     # all three instructions equally likely: h0 = log2(3), mean time 4/3
     iset = two_speed()
     h0 = math.log2(3)
-    value = efficiency(iset, {"fast": 2 / 3, "slow": 1 / 3}, h0)
+    value = efficiency_from_distribution(iset, {"fast": 2 / 3, "slow": 1 / 3}, h0)
     assert value == pytest.approx(h0 / (4 / 3), abs=1e-15)
     assert value == pytest.approx(1.1887218755408671, abs=1e-12)
 
@@ -195,7 +192,7 @@ def test_efficiency_of_optimal_distribution_equals_capacity():
     cap = solve_capacity(iset)
     dist = optimal_distribution(iset, cap)
     h0 = plug_in_entropy_per_member(iset, dist)
-    assert efficiency(iset, dist, h0) == pytest.approx(
+    assert efficiency_from_distribution(iset, dist, h0) == pytest.approx(
         cap.capacity_bits, abs=1e-12
     )
 
@@ -219,7 +216,9 @@ def test_efficiency_identity_with_family_member():
     for index in range(4):  # family g terms
         p = 2.0 ** (-(1 + index) * y)
         h0 -= 2 * p * math.log2(p)
-    assert efficiency(iset, dist, h0) == pytest.approx(cap.capacity_bits, abs=1e-9)
+    assert efficiency_from_distribution(iset, dist, h0) == pytest.approx(
+        cap.capacity_bits, abs=1e-9
+    )
 
 
 def test_no_distribution_beats_capacity():
@@ -231,20 +230,30 @@ def test_no_distribution_beats_capacity():
         total = sum(raw)
         masses = {f"c{i}": r / total for i, r in enumerate(raw)}
         h0 = plug_in_entropy_per_member(iset, InstructionDistribution(masses))
-        assert efficiency(iset, masses, h0) <= cap + 1e-9
+        assert efficiency_from_distribution(iset, masses, h0) <= cap + 1e-9
 
 
 def test_efficiency_errors():
     iset = two_speed()
     with pytest.raises(DistributionError, match="unknown member"):
-        efficiency(iset, {"nope": 1.0}, 0.5)
+        efficiency_from_distribution(iset, {"nope": 1.0}, 0.5)
     with pytest.raises(ValueError):
-        efficiency(iset, {"fast": 1.0}, -0.5)
+        efficiency_from_distribution(iset, {"fast": 1.0}, -0.5)
     fam = BoundInstructionSet("f", (BoundFamily("g", 1, Fraction(1), Fraction(1), 3),))
     with pytest.raises(DistributionError, match="no single time"):
-        efficiency(fam, {"g": 1.0}, 0.3)
+        efficiency_from_distribution(fam, {"g": 1.0}, 0.3)
     # the same mass is fine once the symbol carries its time
-    assert efficiency(fam, {"g@2": 1.0}, 0.3) == pytest.approx(0.15)
+    assert efficiency_from_distribution(fam, {"g@2": 1.0}, 0.3) == pytest.approx(0.15)
+
+
+@pytest.mark.parametrize("entropy", [math.nan, math.inf, -0.5])
+def test_efficiency_refuses_an_entropy_outside_zero_to_infinity(entropy):
+    with pytest.raises(ValueError, match="entropy must be finite and >= 0"):
+        efficiency_from_distribution(two_speed(), {"fast": 0.5, "slow": 0.5}, entropy)
+
+
+def test_efficiency_of_zero_entropy_is_zero():
+    assert efficiency_from_distribution(two_speed(), {"fast": 0.5, "slow": 0.5}, 0.0) == 0.0
 
 
 # --- traces ---
@@ -414,7 +423,7 @@ def test_first_of_equal_member_names_wins():
     )
     report = efficiency_from_trace(iset, ["c", "c@2"], 0)
     assert report.mean_time == 2.0
-    assert efficiency(iset, {"c": 1.0}, 1.0) == 0.5
+    assert efficiency_from_distribution(iset, {"c": 1.0}, 1.0) == 0.5
 
 
 def test_optimal_distribution_of_a_memory_configuration_reaches_capacity():
@@ -429,7 +438,9 @@ def test_optimal_distribution_of_a_memory_configuration_reaches_capacity():
     times = {m.name: float(m.time) for m in iset.members}
     # -log2 of one instruction's probability is tau * y*
     h0 = sum(mass * times[name] * cap.capacity_bits for name, mass in dist.masses.items())
-    assert efficiency(iset, dist, h0) == pytest.approx(cap.capacity_bits, rel=1e-9)
+    assert efficiency_from_distribution(iset, dist, h0) == pytest.approx(
+        cap.capacity_bits, rel=1e-9
+    )
 
 
 @pytest.mark.parametrize(
@@ -442,7 +453,7 @@ def test_optimal_distribution_of_a_memory_configuration_reaches_capacity():
 )
 def test_efficiency_rejects_malformed_annotation(token, message):
     with pytest.raises(TraceError, match=re.escape(message)):
-        efficiency(class_and_family(), {token: 1.0}, 1.0)
+        efficiency_from_distribution(class_and_family(), {token: 1.0}, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -454,12 +465,12 @@ def test_efficiency_rejects_malformed_annotation(token, message):
 )
 def test_efficiency_errors_quote_the_callers_key(token, message):
     with pytest.raises(TraceError, match=re.escape(message)):
-        efficiency(class_and_family(), {token: 1.0}, 1.0)
+        efficiency_from_distribution(class_and_family(), {token: 1.0}, 1.0)
 
 
 def test_efficiency_unknown_name_stays_a_distribution_error():
     with pytest.raises(DistributionError, match="unknown member '9z'"):
-        efficiency(class_and_family(), {"9z": 1.0}, 1.0)
+        efficiency_from_distribution(class_and_family(), {"9z": 1.0}, 1.0)
 
 
 @pytest.mark.parametrize("annotation", ["1e5000", "1e10000000", "1e4300", "1e-4300"])
@@ -474,5 +485,5 @@ def test_huge_time_annotation_is_a_trace_error_naming_the_token(annotation):
     with pytest.raises(TraceError, match=message):
         efficiency_from_trace(class_and_family(), [token, "c", "g@1/2"], 0)
     with pytest.raises(TraceError, match=message):
-        efficiency(class_and_family(), {token: 1.0}, 1.0)
+        efficiency_from_distribution(class_and_family(), {token: 1.0}, 1.0)
     assert time.perf_counter() - start < 1.0

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import json
 import math
 import random
@@ -8,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import compucap.solver as solver
 from compucap import (
     BoundClass,
     BoundFamily,
@@ -404,8 +404,6 @@ def test_fast_class_beside_a_slow_one(eps):
 
 
 # --- the column kernel against a per-member reference ---
-
-solver = importlib.import_module("compucap.solver")
 
 
 def _reference_point(member, y):
