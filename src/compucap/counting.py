@@ -78,18 +78,18 @@ def _multiplicities(iset: BoundInstructionSet, max_time: int) -> dict[int, int]:
                 denominators.setdefault(m.step.denominator, m.name)
     scale = math.lcm(*denominators)
     if scale != 1:
-        try:
-            message = (
-                f"counting needs integer times; multiplying every time by {scale} "
-                f"would make them integers (and divide the resulting capacity "
-                f"estimate's time unit by {scale})"
-            )
-        except ValueError:  # the scale is past the int-to-str digit limit
+        brief = brief_int(scale)
+        message = (
+            f"counting needs integer times; multiplying every time by {brief} "
+            "would make them integers"
+        )
+        if brief.isdigit():  # printed in full: at most 30 digits
+            message += f" (and divide the resulting capacity estimate's time unit by {brief})"
+        else:  # abbreviated: name the member whose denominator makes the scale long
             largest = max(denominators)
-            message = (
-                f"counting needs integer times; multiplying every time by "
-                f"{brief_int(scale)} would make them integers; the time of "
-                f"{denominators[largest]!r} has the denominator {brief_int(largest)}"
+            message += (
+                f"; the time of {denominators[largest]!r} has the denominator "
+                f"{brief_int(largest)}"
             )
         raise CountingError(message, suggested_scale=scale)
     mult: dict[int, int] = {}

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .model import BoundClass, BoundInstructionSet, BoundMember, brief_rational, decimal_fraction, is_ident
 from .solver import CapacityResult, bound_columns, compile_columns, member_points, solve_capacity, time_as_float
@@ -25,6 +25,9 @@ from .solver import CapacityResult, bound_columns, compile_columns, member_point
 _MASS_SLACK = 1e-10
 # a token of more characters is quoted in a message by its ends (_quote)
 _QUOTE_CHARS = 60
+# counting k-grams costs time and memory of about length * (order + 1)**2
+# (25 ms and 5 MB per 10**6 on a 2-vCPU host); past this bound it is refused
+_MAX_KGRAM_WORK = 25_000_000
 
 
 class DistributionError(ValueError):
@@ -93,12 +96,14 @@ def _quote(token: str) -> str:
     return repr(token)
 
 
-def _canonical_token(token: str) -> str:
+def _canonical_token(token: str) -> tuple[str, Optional[Fraction]]:
+    """The canonical symbol of a trace token, `name` or `name@time` with the
+    time in lowest terms, and its parsed time (None for a bare name)."""
     name, sep, anno = token.partition("@")
     if not is_ident(name):
         raise TraceError(f"invalid trace token {_quote(token)}")
     if not sep:
-        return name
+        return name, None
     try:
         time = decimal_fraction(anno)
         # the exponent bound still lets through times of a few more digits
@@ -108,29 +113,7 @@ def _canonical_token(token: str) -> str:
         raise TraceError(f"invalid time annotation in {_quote(token)}") from None
     if time <= 0:
         raise TraceError(f"time annotation must be positive in {_quote(token)}")
-    return symbol
-
-
-def _canonical_symbols(
-    tokens: Sequence[str], members: Optional[Mapping[str, BoundMember]] = None
-) -> Iterator[str]:
-    """`_canonical_token` over `tokens`, run once per distinct spelling.
-
-    With a `members` index, a token that annotates a class with the class's
-    own time becomes the bare class name, so `c` and `c@2` are one symbol
-    when class c executes in time 2.  Distinct spellings are checked in
-    first-use order, so an error names the first bad token in trace order.
-    """
-    canonical = {}
-    for token in dict.fromkeys(tokens):
-        symbol = _canonical_token(token)
-        name, sep, anno = symbol.partition("@")
-        if sep and members is not None:
-            member = members.get(name)
-            if isinstance(member, BoundClass) and decimal_fraction(anno) == member.time:
-                symbol = name
-        canonical[token] = symbol
-    return map(canonical.__getitem__, tokens)
+    return symbol, time
 
 
 def parse_trace(text: str) -> tuple[str, ...]:
@@ -138,9 +121,11 @@ def parse_trace(text: str) -> tuple[str, ...]:
 
     Tokens are whitespace-separated, each `name` or `name@time` with a
     positive rational time ("29", "1.5", and "3/2" all work).  Equal times
-    written differently canonicalize to the same token.
+    written differently canonicalize to the same token; an error names the first bad one.
     """
-    return tuple(_canonical_symbols(text.split()))
+    tokens = text.split()
+    canonical = {token: _canonical_token(token)[0] for token in dict.fromkeys(tokens)}
+    return tuple(map(canonical.__getitem__, tokens))
 
 
 def _member_index(iset: BoundInstructionSet) -> dict[str, BoundMember]:
@@ -148,24 +133,19 @@ def _member_index(iset: BoundInstructionSet) -> dict[str, BoundMember]:
     return {m.name: m for m in reversed(iset.members)}
 
 
-def _token_time(member: BoundMember, token: str) -> Fraction:
-    """Execution time denoted by a validated trace token naming `member`."""
-    name, sep, anno = token.partition("@")
+def _token_time(member: BoundMember, token: str, time: Optional[Fraction]) -> Fraction:
+    """The time of `token`, which names `member` and is annotated `time` (None if bare)."""
     if isinstance(member, BoundClass):
-        if not sep:
-            return member.time
-        time = decimal_fraction(anno)
-        if time != member.time:
+        if time is not None and time != member.time:
             raise TraceError(
-                f"{_quote(token)}: class {name!r} executes in time "
+                f"{_quote(token)}: class {member.name!r} executes in time "
                 f"{brief_rational(member.time)}, not {brief_rational(time)}"
             )
-        return time
-    if not sep:
+        return member.time
+    if time is None:
         raise TraceError(
-            f"symbol {name!r} is a family; annotate its time as {name}@time"
+            f"symbol {member.name!r} is a family; annotate its time as {member.name}@time"
         )
-    time = decimal_fraction(anno)
     index = (time - member.time_base) / member.step
     if index.denominator != 1 or not 0 <= index < member.num_terms:
         raise TraceError(
@@ -206,6 +186,11 @@ class TraceStatistics:
         if n < max_order + 1:
             raise TraceError(
                 f"trace of length {n} is too short for order {max_order}"
+            )
+        if n * (max_order + 1) ** 2 > _MAX_KGRAM_WORK:
+            raise TraceError(
+                f"trace of length {n} at order {max_order} is past the k-gram bound: "
+                f"length * (order + 1)^2 must be at most {_MAX_KGRAM_WORK:,}"
             )
         extended = [*symbols, *symbols[:max_order]]
         # one pass at the top order (islice windows, not slices: no copies of
@@ -276,10 +261,10 @@ def efficiency_from_distribution(
         member = members.get(name)
         if member is None:
             raise DistributionError(f"unknown member {name!r} in distribution")
-        if sep:
-            _canonical_token(token)  # a malformed annotation raises TraceError
+        # a malformed annotation raises TraceError
+        time = _canonical_token(token)[1] if sep else None
         if sep or isinstance(member, BoundClass):
-            time = time_as_float(_token_time(member, token), token)
+            time = time_as_float(_token_time(member, token, time), token)
         elif dist.log2_x0 is not None:
             time = member_points(compile_columns((member,)), dist.log2_x0)[1][0]
         else:
@@ -325,28 +310,33 @@ def efficiency_from_trace(
     A trace symbol names a member, not an individual instruction, so each
     occurrence also carries the choice among the member's `count` equally
     likely instructions; that adds frequency-weighted log2(count) bits to
-    the entropy estimate at every order.  Raises TraceError for an empty
-    trace, an unknown or unannotated symbol, or a trace shorter than
-    max_order + 1.
+    the entropy estimate at every order.  A TraceError names the first bad
+    token in trace order, whatever is wrong with it; after that come an
+    empty trace, then the order, length and k-gram work checks.
     """
     members = _member_index(iset)
-    # materialized first: the memoized pass reads the symbols twice
-    symbols = list(_canonical_symbols(list(symbols), members))
-    if not symbols:
-        raise TraceError("trace is empty")
-    stats = TraceStatistics.from_symbols(symbols, max_order)
+    tokens = list(symbols)  # read twice: to resolve spellings, to count k-grams
+    canonical = {}
     times = {}
     multiplicity = {}
-    for token in stats.alphabet:
-        name = token.partition("@")[0]
+    for token in dict.fromkeys(tokens):
+        symbol, time = _canonical_token(token)
+        name = symbol.partition("@")[0]
         member = members.get(name)
         if member is None:
             raise TraceError(f"unknown instruction symbol {name!r}")
-        times[token] = time_as_float(_token_time(member, token), token)
-        # how many equally likely instructions the token stands for
-        multiplicity[token] = (
+        time = _token_time(member, symbol, time)
+        if isinstance(member, BoundClass):
+            symbol = name  # `c` and `c@2` are one symbol when c executes in time 2
+        canonical[token] = symbol
+        times[symbol] = time_as_float(time, symbol)
+        # how many equally likely instructions the symbol stands for
+        multiplicity[symbol] = (
             member.count if isinstance(member, BoundClass) else member.count_per_term
         )
+    if not tokens:
+        raise TraceError("trace is empty")
+    stats = TraceStatistics.from_symbols(list(map(canonical.__getitem__, tokens)), max_order)
     freq0 = stats.frequencies(0)
     mean_time = sum(freq * times[gram[0]] for gram, freq in freq0.items())
     within_member = sum(

@@ -356,7 +356,8 @@ def optimize_grid(
 
 def _parse_access(obj: object, where: str) -> AccessClass:
     check_object(obj, where, ProblemError, ("count", "time"))
-    return AccessClass(parse_count(obj["count"]), parse_time(obj["time"], f"{where} time"))
+    time = parse_time(obj["time"], f"{where} time", ProblemError)
+    return AccessClass(parse_count(obj["count"]), time)
 
 
 def _parse_kind(obj: object, index: int) -> MemoryKind:

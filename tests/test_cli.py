@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -122,6 +123,38 @@ def test_efficiency_names_the_first_bad_trace_token(capsys, tmp_path):
     trace.write_text("c g@x 9bad")
     code, out, err = run_cli(capsys, "efficiency", str(model), str(trace), "--json")
     assert (code, out, err) == (2, "", "error: invalid time annotation in 'g@x'\n")
+
+
+@pytest.mark.parametrize(
+    "text, order, message",
+    [
+        ("zz c@3", 0, "unknown instruction symbol 'zz'"),
+        ("zz", 5, "unknown instruction symbol 'zz'"),
+        ("g zz", 0, "symbol 'g' is a family; annotate its time as g@time"),
+        ("zz g", 0, "unknown instruction symbol 'zz'"),
+        ("c@1.0 g@2 zz", 0, "'g@2': time 2 is not one of the family's terms"),
+        ("c", -1, "order must be >= 0, got -1"),
+    ],
+)
+def test_efficiency_names_the_first_fault_of_any_kind(capsys, tmp_path, text, order, message):
+    model, trace = tmp_path / "f.json", tmp_path / "trace.txt"
+    model.write_text(CLASS_AND_FAMILY)
+    trace.write_text(text)
+    code, out, err = run_cli(capsys, "efficiency", str(model), str(trace), f"--order={order}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_efficiency_refuses_kgram_work_past_the_bound(capsys, tmp_path):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(" ".join(random.Random(0xB0B).choices(["fast", "slow"], k=20_000)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "efficiency", TOY, str(trace), "--order", "100", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: trace of length 20000 at order 100 is past the k-gram bound: "
+        "length * (order + 1)^2 must be at most 25,000,000\n"
+    )
 
 
 def test_count_report(capsys):
@@ -270,6 +303,22 @@ def test_count_with_a_scale_past_the_digit_limit_names_the_member(capsys, tmp_pa
         "error: counting needs integer times; multiplying every time by "
         "3000000000...0000000000 (4301 digits) would make them integers; the time "
         "of 'b' has the denominator 1000000000...0000000000 (4301 digits)\n"
+    )
+
+
+def test_count_with_a_301_digit_scale_abbreviates_it(capsys, tmp_path):
+    model = tmp_path / "long-scale.json"
+    model.write_text(
+        '{"name": "h", "classes": [{"name": "a", "count": 1, "time": "1e-300"},'
+        ' {"name": "b", "count": 1, "time": 1}]}'
+    )
+    code, out, err = run_cli(capsys, "count", str(model), "--max-time", "3")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: counting needs integer times; multiplying every time by "
+        "1000000000...0000000000 (301 digits) would make them integers; the time "
+        "of 'a' has the denominator 1000000000...0000000000 (301 digits)\n"
     )
 
 

@@ -223,6 +223,20 @@ def test_scale_past_the_digit_limit_names_the_member():
     assert info.value.suggested_scale == 3 * 10**4300
 
 
+def test_long_scale_is_abbreviated_below_the_digit_limit():
+    # a 301-digit scale prints, but as brief_int's form, once, beside the
+    # member whose denominator makes it
+    iset = classes((1, Fraction("1e-300")), (1, 1))
+    with pytest.raises(CountingError) as info:
+        count_sequences(iset, 3)
+    assert str(info.value) == (
+        "counting needs integer times; multiplying every time by "
+        "1000000000...0000000000 (301 digits) would make them integers; the time "
+        "of 'c0' has the denominator 1000000000...0000000000 (301 digits)"
+    )
+    assert info.value.suggested_scale == 10**300
+
+
 def test_printable_scale_message_is_unchanged():
     iset = classes((1, Fraction(3, 2)), (1, Fraction(1, 3)))
     with pytest.raises(CountingError) as info:

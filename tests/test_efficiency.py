@@ -380,6 +380,22 @@ def test_each_distinct_token_is_parsed_once(monkeypatch):
     assert calls == Counter(["c", "g@3/2"])
 
 
+def test_each_annotation_is_read_once(monkeypatch):
+    calls = Counter()
+    decimal_fraction = efficiency_module.decimal_fraction
+
+    def spy(text):
+        calls[text] += 1
+        return decimal_fraction(text)
+
+    monkeypatch.setattr(efficiency_module, "decimal_fraction", spy)
+    efficiency_from_trace(class_and_family(), "g@1.5 c c@1 g@3/2 c g@1.5 c@1.0 g@6/4".split(), 1)
+    assert calls == Counter(["1.5", "1", "3/2", "1.0", "6/4"])
+    calls.clear()
+    efficiency_from_distribution(class_and_family(), {"c@1": 0.5, "g@1.5": 0.5}, 1.0)
+    assert calls == Counter(["1", "1.5"])
+
+
 @pytest.mark.parametrize(
     "text, first_bad",
     [("c g@x 9bad g@x", "g@x"), ("c 9bad g@x 9bad", "9bad"), ("c g@0 g@1/0", "g@0")],
@@ -390,6 +406,47 @@ def test_first_bad_token_in_trace_order_is_named(text, first_bad):
         parse_trace(text)
     with pytest.raises(TraceError, match=pattern):
         efficiency_from_trace(class_and_family(), text.split(), 0)
+
+
+# one fault of each kind, mixed: the first bad token in trace order is named,
+# whatever is wrong with it; then an empty trace, then the order and length
+FIRST_FAULT_CASES = [
+    ("zz c@3", 0, "unknown instruction symbol 'zz'"),
+    ("c@3 zz", 0, "'c@3': class 'c' executes in time 1, not 3"),
+    ("zz", 5, "unknown instruction symbol 'zz'"),
+    ("c g@1/2", 5, "trace of length 2 is too short for order 5"),
+    ("g zz", 0, "symbol 'g' is a family; annotate its time as g@time"),
+    ("zz g", 0, "unknown instruction symbol 'zz'"),
+    ("c zz 9bad", 0, "unknown instruction symbol 'zz'"),
+    ("c@1.0 g@2 zz", 0, "'g@2': time 2 is not one of the family's terms"),
+    ("zz", -1, "unknown instruction symbol 'zz'"),
+    ("c", -1, "order must be >= 0, got -1"),
+    ("", 9, "trace is empty"),
+]
+
+
+@pytest.mark.parametrize("text, order, message", FIRST_FAULT_CASES)
+def test_first_fault_of_any_kind_is_named(text, order, message):
+    with pytest.raises(TraceError) as info:
+        efficiency_from_trace(class_and_family(), text.split(), order)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("length, order", [(20_000, 100), (20_409, 34)])
+def test_kgram_work_past_the_bound_is_refused_at_once(length, order):
+    # length * (order + 1)**2 just past 25,000,000 at order 34; order 100
+    # would take seconds and about 1 GB to count
+    symbols = random.Random(0xB0B).choices(["c", "g@1/2"], k=length)
+    message = re.escape(
+        f"trace of length {length} at order {order} is past the k-gram bound: "
+        "length * (order + 1)^2 must be at most 25,000,000"
+    )
+    start = time.perf_counter()
+    with pytest.raises(TraceError, match=message):
+        TraceStatistics.from_symbols(symbols, order)
+    with pytest.raises(TraceError, match=message):
+        efficiency_from_trace(class_and_family(), symbols, order)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_trace_report_is_the_same_for_any_spelling_and_iterable():

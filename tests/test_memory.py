@@ -327,6 +327,17 @@ KIND_A = '{"name": "A", "cell_cost": 1, "access_classes": [{"count": 1, "time": 
             r"kinds\[0\] access_classes\[0\]: missing 'time'",
         ),
         (
+            '{"base": %s, "registers": 1, "budget": 1, "kinds": [{"name": "A",'
+            ' "cell_cost": 1, "access_classes": [{"count": 1, "time": {"coeffs": {}}}]}]}'
+            % BASE_TWO,
+            r"kinds\[0\] access_classes\[0\] time: missing 'base'",
+        ),
+        (
+            '{"base": %s, "registers": 1, "budget": 1, "kinds": [{"name": "A",'
+            ' "cell_cost": 1, "access_classes": [{"count": 1, "time": [1]}]}]}' % BASE_TWO,
+            r"kinds\[0\] access_classes\[0\] time: expected an object",
+        ),
+        (
             '{"base": "bad.json", "registers": 1, "budget": 1, "kinds": [%s]}' % KIND_A,
             r"base model 'bad.json' syntax error at line 2, column \d+",
         ),
@@ -344,6 +355,8 @@ KIND_A = '{"name": "A", "cell_cost": 1, "access_classes": [{"count": 1, "time": 
         "unknown-kind-key",
         "access-not-object",
         "access-no-time",
+        "access-time-no-base",
+        "access-time-list",
         "base-syntax",
         "digit-limit",
     ],
