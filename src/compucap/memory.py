@@ -11,13 +11,17 @@ design question is which cell counts maximize capacity.
 At any fixed root X the characteristic sum is linear and increasing in
 each cell count, so a continuous-relaxation optimum always sits at a
 vertex of the budget simplex: the entire budget on one kind.
-optimize_vertex compares exactly those pure allocations; optimize_grid is
-the brute-force check over a full integer grid.  The base is compiled
-once per problem (its columns stay on bound_base), instantiate and the
-optimizers read one table of access classes, and each optimizer converts
-their times once per call: every allocation is solved from floats
-already held, with the same members in the same order as instantiate
-builds, so each result is the one solve_capacity gives for that instance.
+optimize_vertex compares exactly those pure allocations; optimize_grid
+gives the exact answer over an integer grid.  As the sum increases with
+every cell count, so do its root and the capacity: on a grid row, where
+only the last kind's count varies, no point beats the row's last one, so
+optimize_grid solves that point alone (see its docstring).  The base is
+compiled once per problem (its columns stay on bound_base), instantiate
+and the optimizers read one table of access classes, and each optimizer
+converts their times once per call: every allocation is solved from
+floats already held, with the same members in the same order as
+instantiate builds, so each result is the one solve_capacity gives for
+that instance.
 """
 
 from __future__ import annotations
@@ -312,12 +316,28 @@ def _grid_rows(problem: MemoryDesignProblem, step: int):
 def optimize_grid(
     problem: MemoryDesignProblem, step: int = 1, tolerance: float = 1e-12
 ) -> Allocation:
-    """Brute-force oracle: evaluate every feasible allocation on a grid.
+    """The best allocation on a step grid: every feasible allocation is
+    counted, and one per grid row is solved.
 
     Capacity ties (within the tie width) resolve to the lexicographically
     greatest cell vector in kind-declaration order, which keeps the result
     deterministic and agrees with optimize_vertex's preference for
     earlier-declared kinds.
+
+    Solving every point would give the same answer.  _grid_rows yields
+    the vectors in increasing lexicographic order, so under the tie rule
+    a point displaces the incumbent exactly when its capacity is at least
+    the incumbent's less the tie width.  Along a row (a fixed prefix, the
+    last kind's count n rising) each access class of the last kind adds
+    R * m * n * 2**(-tau * y) to g(y) at every y, so the root, and with
+    it the capacity, never falls: once a point of a row is taken, each
+    later one is, and the row's last point is taken exactly when any of
+    its points would be.  Float rounding can put an earlier point of a
+    row above the last one, but by under 1e-14 bits in every case
+    measured, far inside the 1e-11 tie width.  The all-zero vector is
+    solved first, as the full walk solves it first, so the errors come
+    in the same order: it compiles the base, and each kind is first
+    installed by the same row as in the full walk.
     """
     if not isinstance(step, int) or step < 1:
         raise ProblemError(f"step must be a positive integer, got {step!r}")
@@ -327,24 +347,20 @@ def optimize_grid(
         if points > _MAX_GRID_POINTS:
             raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
     solve = _allocation_solver(problem, tolerance)
-    best: Optional[tuple[float, tuple[int, ...], CapacityResult]] = None
+    zero = (0,) * len(problem.kinds)
+    best, best_vec = solve(zero), zero
     for prefix, top in _grid_rows(problem, step):
-        for n in range(0, top + 1, step):
-            vec = prefix + (n,)
-            cap = solve(vec)
-            if (
-                best is None
-                or cap.capacity_bits > best[0] + _TIE_WIDTH
-                or (abs(cap.capacity_bits - best[0]) <= _TIE_WIDTH and vec > best[1])
-            ):
-                best = (cap.capacity_bits, vec, cap)
-    assert best is not None  # the all-zero point is always feasible
-    _, vec, cap = best
-    cells = {kind.name: n for kind, n in zip(problem.kinds, vec)}
+        vec = prefix + (top - top % step,)
+        if vec == zero:  # the first row holds the all-zero vector alone
+            continue
+        cap = solve(vec)
+        if cap.capacity_bits >= best.capacity_bits - _TIE_WIDTH:
+            best, best_vec = cap, vec
+    cells = {kind.name: n for kind, n in zip(problem.kinds, best_vec)}
     return Allocation(
         cells=cells,
         total_cost=_allocation_cost(problem, cells),
-        capacity=cap,
+        capacity=best,
         label="grid",
         justification=f"exhaustively evaluated {points} feasible allocations "
         f"on a step-{step} grid",
@@ -357,7 +373,7 @@ def optimize_grid(
 def _parse_access(obj: object, where: str) -> AccessClass:
     check_object(obj, where, ProblemError, ("count", "time"))
     time = parse_time(obj["time"], f"{where} time", ProblemError)
-    return AccessClass(parse_count(obj["count"]), time)
+    return AccessClass(parse_count(obj["count"], f"{where} count", ProblemError), time)
 
 
 def _parse_kind(obj: object, index: int) -> MemoryKind:
@@ -399,7 +415,7 @@ def parse_problem(text: str, base_dir: Optional[Path] = None) -> MemoryDesignPro
     kinds = check_container(doc["kinds"], list, "kinds", ProblemError)
     return MemoryDesignProblem(
         base=base,
-        registers=parse_count(doc["registers"]),
+        registers=parse_count(doc["registers"], "registers", ProblemError),
         kinds=tuple(_parse_kind(k, i) for i, k in enumerate(kinds)),
         budget=doc["budget"],
         binding=ParameterBinding(params),

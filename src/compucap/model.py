@@ -127,24 +127,25 @@ def as_rational(value: Union[int, float, str, Fraction]) -> Fraction:
         raise ModelError(f"invalid rational {value!r}: {exc}") from None
 
 
-def parse_count(value: Union[int, str]) -> int:
-    """Parse an exact count: a plain integer or a product "a*2^b"."""
-    if isinstance(value, bool):
-        raise ModelError(f"invalid count {value!r}")
-    if isinstance(value, int):
+def parse_count(value: object, where: str = "count", error: type[ValueError] = ModelError) -> int:
+    """Parse an exact count: a plain integer or a product "a*2^b"; `error`
+    naming the JSON path `where` if it is neither.  A rational shows as
+    brief_rational writes it."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         m = _POW2_COUNT_RE.match(value)
         if not m:
-            raise ModelError(f'invalid count {value!r}: expected integer or "a*2^b"')
+            raise error(f'{where}: invalid count {value!r}: expected integer or "a*2^b"')
         try:
             a, b = int(m.group(1)), int(m.group(2))
         except ValueError as exc:  # past the int-to-str digit limit
-            raise ModelError(f"invalid count: {exc}") from None
+            raise error(f"{where}: invalid count: {exc}") from None
         if b > _MAX_COUNT_EXPONENT:
-            raise ModelError(f"invalid count {value!r}: exponent above {_MAX_COUNT_EXPONENT}")
+            raise error(f"{where}: invalid count {value!r}: exponent above {_MAX_COUNT_EXPONENT}")
         return a * 2**b
-    raise ModelError(f"invalid count {value!r}")
+    shown = brief_rational(value) if isinstance(value, Fraction) else repr(value)
+    raise error(f"{where}: invalid count {shown}")
 
 
 @dataclass(frozen=True)
@@ -425,23 +426,25 @@ def parse_time(obj: object, where: str, error: type[ValueError] = ModelError) ->
 
 
 class _MemberShapeError(ModelError):
-    """A shape error inside one entry of "classes", its message starting
-    at the JSON path below the entry; _parse_member prefixes the entry's
-    own path, so that path is formatted only for a model that fails."""
+    """A shape or count error inside one entry of "classes", its message
+    starting at the JSON path below the entry; _parse_member prefixes the
+    entry's own path, so that path is formatted only for a model that
+    fails."""
 
 
 def _parse_member(obj: object, index: int) -> Member:
     try:
         check_object(obj, "", _MemberShapeError, ("name", "count", "time"), ("family",))
         name = obj["name"]
-        count = parse_count(obj["count"])
+        count = parse_count(obj["count"], " count", _MemberShapeError)
         time = parse_time(obj["time"], " time", _MemberShapeError)
         if "family" not in obj:
             return InstructionClass(name=name, count=count, time=time)
         fam = check_object(obj["family"], " family", _MemberShapeError, ("step", "terms"))
+        terms = parse_count(fam["terms"], " family terms", _MemberShapeError)
     except _MemberShapeError as exc:
         raise ModelError(f"classes[{index}]{exc}") from None
-    return InstructionFamily(name, count, time, fam["step"], parse_count(fam["terms"]))
+    return InstructionFamily(name, count, time, fam["step"], terms)
 
 
 def parse_model(text: str) -> InstructionSet:

@@ -266,7 +266,7 @@ INVALID = [
     ('{"name": "x", "classes": {"a": {"count": 1, "time": 1}}}', "classes: expected a list"),
     (
         '{"name": "x", "classes": [{"name": "a", "count": "1*2^1000001", "time": 1}]}',
-        "invalid count '1*2^1000001': exponent above 1000000",
+        "classes[0] count: invalid count '1*2^1000001': exponent above 1000000",
     ),
     (
         '{"name": "x", "parameters": ["mu", "mu"], "classes": [{"name": "a", "count": 1, "time": 1}]}',
@@ -284,7 +284,7 @@ INVALID = [
     (M % '{"name": "c", "count": 1, "time": "1/0"}', "invalid rational '1/0': Fraction(1, 0)"),
     (M % '{"name": "c", "count": 1, "time": [1]}', "classes[2] time: expected an object"),
     (M % '{"name": "c", "count": 1, "time": true}', "expected a rational number, got True"),
-    (M % '{"name": "c", "count": true, "time": 1}', "invalid count True"),
+    (M % '{"name": "c", "count": true, "time": 1}', "classes[2] count: invalid count True"),
     (M % '{"name": "c", "count": 1, "time": 1, "family": {"step": -1, "terms": 2}}', "family 'c': step must be > 0"),
     (M % '{"name": "c", "count": 1, "time": 1, "family": 3}', "classes[2] family: expected an object"),
     (M % '{"name": "c", "count": 1, "time": {"base": 1, "coeffs": 5}}', "classes[2] time coeffs: expected an object"),
@@ -299,6 +299,24 @@ INVALID = [
     ),
     (M % '{"name": "c", "count": 1}', "classes[2]: missing 'time' (requires 'name', 'count', 'time')"),
     (M % "7", "classes[2]: expected an object"),
+    (M % '{"name": "c", "count": 1.5, "time": 1}', "classes[2] count: invalid count 3/2"),
+    (M % '{"name": "c", "count": null, "time": 1}', "classes[2] count: invalid count None"),
+    (
+        M % '{"name": "c", "count": 1e-4300, "time": 1}',
+        "classes[2] count: invalid count 1/1000000000...0000000000 (4301 digits)",
+    ),
+    (
+        M % '{"name": "c", "count": 1, "time": 1, "family": {"step": 1, "terms": 2.5}}',
+        "classes[2] family terms: invalid count 5/2",
+    ),
+    (
+        M % '{"name": "c", "count": 1, "time": 1, "family": {"step": 1, "terms": "2^3"}}',
+        "classes[2] family terms: invalid count '2^3': expected integer or \"a*2^b\"",
+    ),
+    (
+        M % '{"name": "c", "count": 1, "time": 1, "family": {"step": 1, "terms": "1*2^1000001"}}',
+        "classes[2] family terms: invalid count '1*2^1000001': exponent above 1000000",
+    ),
 ]
 
 

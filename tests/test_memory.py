@@ -25,7 +25,7 @@ from compucap import (
     solve_capacity,
     total_count,
 )
-from compucap.memory import _allocation_solver, _grid_rows
+from compucap.memory import Allocation, _allocation_solver, _grid_rows
 
 # Pure-allocation capacities of the bundled two-kind example, solved
 # independently at 60-digit precision: the cheap slow kind loses to the
@@ -557,3 +557,188 @@ def test_grid_walker_matches_enumeration_across_denominators(step):
     )
     assert [k.cell_cost.denominator for k in problem.kinds] == [2**30, 3, 7]
     assert walked_grid(problem, step) == fraction_grid(problem, step)
+
+
+# --- optimize_grid against a walk that solves every grid point ---
+
+
+def full_walk_grid(problem: MemoryDesignProblem, step: int):
+    """(cells, total cost, capacity, justification) from solving every
+    walked point in walk order: a point displaces the incumbent when its
+    capacity is higher by more than the tie width, or within the tie width
+    and its vector is lexicographically greater."""
+    solve = _allocation_solver(problem, 1e-12)
+    points = walked_grid(problem, step)
+    best = None
+    for vec in points:
+        cap = solve(vec)
+        if (
+            best is None
+            or cap.capacity_bits > best[0].capacity_bits + 1e-11
+            or (abs(cap.capacity_bits - best[0].capacity_bits) <= 1e-11 and vec > best[1])
+        ):
+            best = (cap, vec)
+    cap, vec = best
+    cells = {kind.name: n for kind, n in zip(problem.kinds, vec)}
+    cost = sum((kind.cell_cost * n for kind, n in zip(problem.kinds, vec)), Fraction(0))
+    return cells, cost, cap, f"exhaustively evaluated {len(points)} feasible allocations on a step-{step} grid"
+
+
+def assert_grid_matches_full_walk(problem: MemoryDesignProblem, step: int) -> Allocation:
+    grid = optimize_grid(problem, step)
+    cells, cost, cap, justification = full_walk_grid(problem, step)
+    assert grid.cells == cells
+    assert grid.total_cost == cost
+    assert grid.capacity == cap
+    assert grid.justification == justification
+    return grid
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0x6A1, 0x6A2, 0x6A3])
+def test_grid_matches_a_full_walk_on_random_problems(seed, step):
+    rng = random.Random(seed)
+    for _ in range(20):
+        assert_grid_matches_full_walk(random_problem(rng), step)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("kinds", [2, 3])
+def test_grid_exact_ties_take_the_greatest_vector(kinds, step):
+    # identical kinds: every full allocation has the same capacity to the
+    # last bit or nearly, and the first kind takes the whole budget
+    names = "ABC"[:kinds]
+    problem = small_problem(6, *((name, 1, [(2, 1)]) for name in names))
+    grid = assert_grid_matches_full_walk(problem, step)
+    assert grid.cells == {name: 6 if name == "A" else 0 for name in names}
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        (("S1", 1, [(1, 41)]), ("S2", 1, [(1, 40)])),
+        (("S1", 1, [(1, 40)]), ("S2", 1, [(1, 41)])),
+        (("S1", 1, [(1, 39)]), ("S2", 1, [(1, 38)])),
+        (("S", 1, [(1, 40)]), ("A", 2, [(1, 1)])),
+        (("A", 2, [(1, 1)]), ("S", 1, [(1, 40)])),
+        (("S1", 1, [(1, 41)]), ("A", 2, [(1, 2)]), ("S2", 1, [(1, 40)])),
+    ],
+    ids=["slower-first", "faster-first", "chain-past-tie-width", "slow-then-fast", "fast-then-slow", "three"],
+)
+def test_grid_near_ties_match_a_full_walk(kinds, step):
+    # a cell of access time near 40 moves the capacity of a 1-bit base by
+    # about 1e-12 bits, inside the 1e-11 tie width
+    assert_grid_matches_full_walk(small_problem(5, *kinds), step)
+
+
+def test_near_tie_of_lower_capacity_wins_when_greater():
+    problem = small_problem(3, ("S1", 1, [(1, 41)]), ("S2", 1, [(1, 40)]))
+    solve = _allocation_solver(problem, 1e-12)
+    grid = optimize_grid(problem)
+    assert grid.cells == {"S1": 3, "S2": 0}
+    assert 0 < solve((0, 3)).capacity_bits - grid.capacity.capacity_bits <= 1e-11
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_capacity_never_falls_along_a_grid_row(step):
+    # optimize_grid solves only each row's last point; rounding may put an
+    # earlier point above it, but far inside the tie width
+    for seed in (0x6A1, 0x6A2, 0x6A3):
+        rng = random.Random(seed)
+        for _ in range(10):
+            problem = random_problem(rng)
+            solve = _allocation_solver(problem, 1e-12)
+            for prefix, top in _grid_rows(problem, step):
+                caps = [solve(prefix + (n,)).capacity_bits for n in range(0, top + 1, step)]
+                assert max(caps) - caps[-1] <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "last_cost, step",
+    [(1, 1), (1, 2), (1, 3), (8, 1)],
+    ids=["step-1", "step-2", "step-3", "last-kind-never-fits"],
+)
+def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_cost, step):
+    import compucap.memory
+
+    # the problem of test_grid_reports_every_feasible_point; where the last
+    # kind never fits, every row holds one point and the first is all-zero
+    problem = small_problem(
+        7, ("A", 2, [(1, 1)]), ("B", Fraction(3, 2), [(1, 2)]), ("C", last_cost, [(1, 3)])
+    )
+    make_solver = compucap.memory._allocation_solver
+    solved = []
+
+    def spy(problem, tolerance):
+        solve = make_solver(problem, tolerance)
+
+        def counted(vec):
+            solved.append(vec)
+            return solve(vec)
+
+        return counted
+
+    monkeypatch.setattr(compucap.memory, "_allocation_solver", spy)
+    optimize_grid(problem, step)
+    rows = list(_grid_rows(problem, step))
+    last_points = [prefix + (top - top % step,) for prefix, top in rows]
+    if last_points[0] == (0, 0, 0):
+        assert solved == last_points
+    else:
+        assert solved == [(0, 0, 0)] + last_points
+    assert len(solved) <= len(rows) + 1
+
+
+def test_base_time_past_float_range_is_named_before_a_zero_access_time():
+    base = parse_model(
+        '{"name": "b", "classes": [{"name": "x", "count": 1, "time": 1},'
+        ' {"name": "far", "count": 1, "time": "1e400"}]}'
+    )
+    kind = MemoryKind("A", Fraction(1), (AccessClass(1, TimeExpression(base=0)),))
+    problem = MemoryDesignProblem(
+        base=base, registers=1, kinds=(kind,), budget=Fraction(1), binding=ParameterBinding({})
+    )
+    with pytest.raises(ValueError, match="time of 'far' lies outside the float range"):
+        optimize_grid(problem)
+
+
+def test_zero_access_time_names_the_kind_the_first_row_installs():
+    kinds = tuple(
+        MemoryKind(name, Fraction(1), (AccessClass(1, TimeExpression(base=0)),)) for name in "AB"
+    )
+    problem = MemoryDesignProblem(
+        base=parse_model(BASE_TWO), registers=1, kinds=kinds, budget=Fraction(2),
+        binding=ParameterBinding({}),
+    )
+    with pytest.raises(BindingError, match="'B/0': evaluated time 0 is not positive"):
+        optimize_grid(problem)
+
+
+KIND_B = '{"name": "B", "cell_cost": 1, "access_classes": [{"count": 1, "time": 1}, {"count": %s, "time": 1}]}'
+
+
+@pytest.mark.parametrize(
+    "registers, count, message",
+    [
+        ("1.5", "1", "registers: invalid count 3/2"),
+        ("true", "1", "registers: invalid count True"),
+        ('"2^8"', "1", "registers: invalid count '2^8': expected integer or \"a*2^b\""),
+        ("1", "2.5", "kinds[1] access_classes[1] count: invalid count 5/2"),
+        ("1", "null", "kinds[1] access_classes[1] count: invalid count None"),
+        (
+            "1",
+            '"1*2^1000001"',
+            "kinds[1] access_classes[1] count: invalid count '1*2^1000001': exponent above 1000000",
+        ),
+    ],
+    ids=["registers-rational", "registers-bool", "registers-spelling", "access-rational", "access-null", "access-exponent"],
+)
+def test_problem_count_errors_name_their_path(registers, count, message):
+    text = '{"base": %s, "registers": %s, "budget": 1, "kinds": [%s, %s]}' % (
+        BASE_TWO, registers, KIND_A, KIND_B % count,
+    )
+    with pytest.raises(ProblemError) as info:
+        parse_problem(text)
+    assert type(info.value) is ProblemError
+    assert str(info.value) == message
