@@ -6,7 +6,9 @@ count, optimize-memory.  Reports render either as readable text or, with
 digits, no timestamps — identical inputs produce byte-identical output.
 A report is printed only once it is complete, so failures never leave a
 partial JSON object on stdout.  Each subcommand imports only the layers
-it runs, so a command starts without loading the others.
+it runs, so a command starts without loading the others.  A subcommand
+returns its inputs, results and warnings; `main` alone builds the report
+around them and names the command.
 """
 
 from __future__ import annotations
@@ -114,32 +116,36 @@ def render_report(report: dict, as_json: bool) -> str:
     return "\n".join(lines)
 
 
-def _file_input(path: Path, text: str) -> dict:
-    return {
-        "path": str(path),
-        "sha256": sha256(text.encode("utf-8")).hexdigest(),
-    }
+def _read(path: Path) -> tuple[str, dict]:
+    """A file's UTF-8 text and its input record: path and SHA-256."""
+    text = path.read_text(encoding="utf-8")
+    return text, {"path": str(path), "sha256": sha256(text.encode("utf-8")).hexdigest()}
 
 
-# --- subcommand implementations ---
+# --- subcommand implementations: each returns (inputs, results, warnings) ---
 
 
 def _load_bound(args) -> tuple[BoundInstructionSet, dict]:
-    path = Path(args.model)
-    text = path.read_text(encoding="utf-8")
+    text, record = _read(Path(args.model))
     iset = parse_model(text)
     binding = ParameterBinding.from_strings(args.param)
-    return bind(iset, binding), _file_input(path, text)
+    return bind(iset, binding), {"model": record}
 
 
-def _capacity_results(bound: BoundInstructionSet, tolerance: float) -> dict:
+def _load_and_solve(args):
+    """The bound model, its inputs, its capacity and its optimal distribution."""
     from .efficiency import optimal_distribution
     from .solver import solve_capacity
 
-    cap = solve_capacity(bound, tolerance)
-    masses = optimal_distribution(bound, cap).masses
-    terms = sorted(masses.items(), key=lambda item: (-item[1], item[0]))
-    return {
+    bound, inputs = _load_bound(args)
+    cap = solve_capacity(bound, args.tolerance)
+    return bound, inputs, cap, optimal_distribution(bound, cap)
+
+
+def cmd_capacity(args) -> tuple[dict, dict, list]:
+    bound, inputs, cap, dist = _load_and_solve(args)
+    terms = sorted(dist.masses.items(), key=lambda item: (-item[1], item[0]))
+    return inputs, {
         "set": bound.name,
         "total_instructions": total_count(bound),
         "capacity_bits": cap.capacity_bits,
@@ -149,26 +155,11 @@ def _capacity_results(bound: BoundInstructionSet, tolerance: float) -> dict:
         "top_terms": [
             {"member": name, "share": share} for name, share in terms[:_TOP_TERMS]
         ],
-    }
+    }, []
 
 
-def cmd_capacity(args) -> dict:
-    bound, model_input = _load_bound(args)
-    return {
-        "command": "capacity",
-        "inputs": {"model": model_input},
-        "results": _capacity_results(bound, args.tolerance),
-        "warnings": [],
-    }
-
-
-def cmd_distribution(args) -> dict:
-    from .efficiency import optimal_distribution
-    from .solver import solve_capacity
-
-    bound, model_input = _load_bound(args)
-    cap = solve_capacity(bound, args.tolerance)
-    dist = optimal_distribution(bound, cap)
+def cmd_distribution(args) -> tuple[dict, dict, list]:
+    bound, inputs, cap, dist = _load_and_solve(args)
     members = []
     for m in bound.members:
         entry: dict = {"member": m.name, "mass": dist.mass(m.name)}
@@ -185,55 +176,41 @@ def cmd_distribution(args) -> dict:
             entry["step"] = float(m.step)
             entry["per_instruction_base"] = dist.instruction_probability(m.time_base)
         members.append(entry)
-    return {
-        "command": "distribution",
-        "inputs": {"model": model_input},
-        "results": {
-            "set": bound.name,
-            "capacity_bits": cap.capacity_bits,
-            "mass_total": sum(dist.masses.values()),
-            "members": members,
-        },
-        "warnings": [],
-    }
+    return inputs, {
+        "set": bound.name,
+        "capacity_bits": cap.capacity_bits,
+        "mass_total": sum(dist.masses.values()),
+        "members": members,
+    }, []
 
 
-def cmd_efficiency(args) -> dict:
+def cmd_efficiency(args) -> tuple[dict, dict, list]:
     from .efficiency import efficiency_from_trace
 
-    bound, model_input = _load_bound(args)
-    trace_path = Path(args.trace)
-    trace_text = trace_path.read_text(encoding="utf-8")
+    bound, inputs = _load_bound(args)
+    trace_text, inputs["trace"] = _read(Path(args.trace))
     report = efficiency_from_trace(bound, trace_text.split(), args.order, args.tolerance)
-    return {
-        "command": "efficiency",
-        "inputs": {
-            "model": model_input,
-            "trace": _file_input(trace_path, trace_text),
-        },
-        "results": {
-            "set": bound.name,
-            "trace_length": report.length,
-            "mean_time": report.mean_time,
-            "capacity_bits": report.capacity_bits,
-            "orders": [
-                {
-                    "order": e.order,
-                    "entropy_bits": e.entropy_bits,
-                    "efficiency_bits": e.efficiency_bits,
-                    "utilization": e.utilization,
-                }
-                for e in report.orders
-            ],
-        },
-        "warnings": [],
-    }
+    return inputs, {
+        "set": bound.name,
+        "trace_length": report.length,
+        "mean_time": report.mean_time,
+        "capacity_bits": report.capacity_bits,
+        "orders": [
+            {
+                "order": e.order,
+                "entropy_bits": e.entropy_bits,
+                "efficiency_bits": e.efficiency_bits,
+                "utilization": e.utilization,
+            }
+            for e in report.orders
+        ],
+    }, []
 
 
-def cmd_count(args) -> dict:
+def cmd_count(args) -> tuple[dict, dict, list]:
     from .counting import UnreachableTimeError, capacity_estimate, count_sequences
 
-    bound, model_input = _load_bound(args)
+    bound, inputs = _load_bound(args)
     table = count_sequences(bound, args.max_time)
     warnings = []
     estimate: Optional[float] = None
@@ -244,24 +221,19 @@ def cmd_count(args) -> dict:
             warnings.append(f"{exc}; no growth-rate estimate at that time")
     else:
         warnings.append("growth-rate estimate needs max-time >= 1")
-    return {
-        "command": "count",
-        "inputs": {"model": model_input},
-        "results": {
-            "set": bound.name,
-            "max_time": table.max_time,
-            "counts": list(table.counts),
-            "estimate_bits": estimate,
-        },
-        "warnings": warnings,
-    }
+    return inputs, {
+        "set": bound.name,
+        "max_time": table.max_time,
+        "counts": list(table.counts),
+        "estimate_bits": estimate,
+    }, warnings
 
 
-def cmd_optimize_memory(args) -> dict:
+def cmd_optimize_memory(args) -> tuple[dict, dict, list]:
     from .memory import optimize_grid, optimize_vertex, parse_problem
 
     path = Path(args.problem)
-    text = path.read_text(encoding="utf-8")
+    text, record = _read(path)
     problem = parse_problem(text, base_dir=path.parent)
     if args.param:
         override = ParameterBinding.from_strings(args.param)
@@ -276,23 +248,18 @@ def cmd_optimize_memory(args) -> dict:
         warnings.append(
             "capacity tie within 1e-11 against: " + ", ".join(allocation.tie_with)
         )
-    return {
-        "command": "optimize-memory",
-        "inputs": {"problem": _file_input(path, text)},
-        "results": {
-            "mode": args.mode,
-            "label": allocation.label,
-            "cells": dict(allocation.cells),
-            "total_cost": allocation.total_cost,
-            "budget": problem.budget,
-            "registers": problem.registers,
-            "capacity_bits": allocation.capacity.capacity_bits,
-            "residual": allocation.capacity.residual,
-            "tie_with": list(allocation.tie_with),
-            "justification": allocation.justification,
-        },
-        "warnings": warnings,
-    }
+    return {"problem": record}, {
+        "mode": args.mode,
+        "label": allocation.label,
+        "cells": dict(allocation.cells),
+        "total_cost": allocation.total_cost,
+        "budget": problem.budget,
+        "registers": problem.registers,
+        "capacity_bits": allocation.capacity.capacity_bits,
+        "residual": allocation.capacity.residual,
+        "tie_with": list(allocation.tie_with),
+        "justification": allocation.justification,
+    }, warnings
 
 
 # --- argument parsing and entry point ---
@@ -360,13 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
+        inputs, results, warnings = args.func(args)
     except BindingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {"command": args.command, "inputs": inputs, "results": results, "warnings": warnings}
     try:
         print(render_report(report, args.json))
         sys.stdout.flush()

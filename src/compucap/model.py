@@ -130,7 +130,8 @@ def as_rational(value: Union[int, float, str, Fraction]) -> Fraction:
 def parse_count(value: object, where: str = "count", error: type[ValueError] = ModelError) -> int:
     """Parse an exact count: a plain integer or a product "a*2^b"; `error`
     naming the JSON path `where` if it is neither.  A rational shows as
-    brief_rational writes it."""
+    brief_rational writes it; an integral one was a JSON decimal, and the
+    message says so."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
@@ -145,6 +146,8 @@ def parse_count(value: object, where: str = "count", error: type[ValueError] = M
             raise error(f"{where}: invalid count {value!r}: exponent above {_MAX_COUNT_EXPONENT}")
         return a * 2**b
     shown = brief_rational(value) if isinstance(value, Fraction) else repr(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        shown += ': written as a decimal; expected integer or "a*2^b"'
     raise error(f"{where}: invalid count {shown}")
 
 
@@ -384,6 +387,8 @@ def load_json(text: str, what: str, error: type[ValueError]) -> object:
     except ValueError as exc:  # an integer past the int-to-str digit limit or
         # a decimal exponent past _MAX_DECIMAL_EXPONENT
         raise error(f"{what}: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the decoder's depth
+        raise error(f"{what}: nested too deeply") from None
 
 
 def check_object(

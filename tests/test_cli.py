@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -352,6 +353,36 @@ def test_json_output_byte_identical_across_runs(capsys, argv):
     json.loads(first[1])  # and it must be real JSON
 
 
+@pytest.mark.parametrize(
+    "argv, files, warnings",
+    [
+        (["capacity", TOY], {"model": TOY}, []),
+        (["distribution", TOY], {"model": TOY}, []),
+        (["efficiency", TOY, TRACE], {"model": TOY, "trace": TRACE}, []),
+        (["count", TOY, "--max-time", "0"], {"model": TOY}, ["growth-rate estimate needs max-time >= 1"]),
+        (["optimize-memory", MEMORY], {"problem": MEMORY}, []),
+    ],
+    ids=["capacity", "distribution", "efficiency", "count", "optimize-memory"],
+)
+def test_every_command_reports_in_one_envelope(capsys, argv, files, warnings):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert sorted(report) == ["command", "inputs", "results", "warnings"]
+    assert report["command"] == argv[0]
+    assert report["warnings"] == warnings
+    assert report["inputs"] == {
+        role: {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+        for role, path in files.items()
+    }
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"command: {argv[0]}"
+    assert lines[1 : 1 + len(warnings)] == [f"warning: {w}" for w in warnings]
+    assert not lines[1 + len(warnings)].startswith("warning: ")
+
+
 def child_env():
     """Environment whose PYTHONPATH puts this checkout's src first, so a child
     process imports the code under test whatever its working directory."""
@@ -528,3 +559,27 @@ def test_huge_trace_time_annotation_exits_2_at_once(capsys, tmp_path, annotation
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert f"invalid time annotation in 'fast@{annotation}'" in err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, files, message",
+    [
+        ("capacity", {"input.json": DEEP}, "model: nested too deeply"),
+        ("optimize-memory", {"input.json": DEEP}, "problem: nested too deeply"),
+        (
+            "optimize-memory",
+            {"input.json": '{"base": "base.json", "registers": 1, "budget": 1, "kinds": []}', "base.json": DEEP},
+            "base model 'base.json': nested too deeply",
+        ),
+    ],
+    ids=["model", "problem", "base-model"],
+)
+def test_deeply_nested_json_exits_2(capsys, tmp_path, command, files, message):
+    # the JSON decoder recurses once per level, past its depth into RecursionError
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, command, str(tmp_path / "input.json"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -302,6 +302,18 @@ INVALID = [
     (M % '{"name": "c", "count": 1.5, "time": 1}', "classes[2] count: invalid count 3/2"),
     (M % '{"name": "c", "count": null, "time": 1}', "classes[2] count: invalid count None"),
     (
+        M % '{"name": "c", "count": 2.0, "time": 1}',
+        'classes[2] count: invalid count 2: written as a decimal; expected integer or "a*2^b"',
+    ),
+    (
+        M % '{"name": "c", "count": 2e3, "time": 1}',
+        'classes[2] count: invalid count 2000: written as a decimal; expected integer or "a*2^b"',
+    ),
+    (
+        M % '{"name": "c", "count": 1, "time": 1, "family": {"step": 1, "terms": 3.0}}',
+        'classes[2] family terms: invalid count 3: written as a decimal; expected integer or "a*2^b"',
+    ),
+    (
         M % '{"name": "c", "count": 1e-4300, "time": 1}',
         "classes[2] count: invalid count 1/1000000000...0000000000 (4301 digits)",
     ),

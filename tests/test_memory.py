@@ -726,13 +726,22 @@ KIND_B = '{"name": "B", "cell_cost": 1, "access_classes": [{"count": 1, "time": 
         ('"2^8"', "1", "registers: invalid count '2^8': expected integer or \"a*2^b\""),
         ("1", "2.5", "kinds[1] access_classes[1] count: invalid count 5/2"),
         ("1", "null", "kinds[1] access_classes[1] count: invalid count None"),
+        ("2.0", "1", 'registers: invalid count 2: written as a decimal; expected integer or "a*2^b"'),
+        (
+            "1",
+            "2e3",
+            'kinds[1] access_classes[1] count: invalid count 2000: written as a decimal; expected integer or "a*2^b"',
+        ),
         (
             "1",
             '"1*2^1000001"',
             "kinds[1] access_classes[1] count: invalid count '1*2^1000001': exponent above 1000000",
         ),
     ],
-    ids=["registers-rational", "registers-bool", "registers-spelling", "access-rational", "access-null", "access-exponent"],
+    ids=[
+        "registers-rational", "registers-bool", "registers-spelling", "access-rational", "access-null",
+        "registers-decimal", "access-decimal", "access-exponent",
+    ],
 )
 def test_problem_count_errors_name_their_path(registers, count, message):
     text = '{"base": %s, "registers": %s, "budget": 1, "kinds": [%s, %s]}' % (
