@@ -232,6 +232,8 @@ def cmd_count(args) -> tuple[dict, dict, list]:
 def cmd_optimize_memory(args) -> tuple[dict, dict, list]:
     from .memory import optimize_grid, optimize_vertex, parse_problem
 
+    if args.step is not None and args.mode != "grid":
+        raise ValueError("--step applies only to --mode grid")
     path = Path(args.problem)
     text, record = _read(path)
     problem = parse_problem(text, base_dir=path.parent)
@@ -242,7 +244,7 @@ def cmd_optimize_memory(args) -> tuple[dict, dict, list]:
     if args.mode == "vertex":
         allocation = optimize_vertex(problem, args.tolerance)
     else:
-        allocation = optimize_grid(problem, args.step, args.tolerance)
+        allocation = optimize_grid(problem, 1 if args.step is None else args.step, args.tolerance)
     warnings = []
     if allocation.tie_with:
         warnings.append(
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=("vertex", "grid"), default="vertex", help="search strategy"
     )
-    p.add_argument("--step", type=int, default=1, help="grid step (grid mode)")
+    p.add_argument("--step", type=int, help="grid step (--mode grid only; default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_optimize_memory)
     return parser

@@ -15,13 +15,13 @@ optimize_vertex compares exactly those pure allocations; optimize_grid
 gives the exact answer over an integer grid.  As the sum increases with
 every cell count, so do its root and the capacity: on a grid row, where
 only the last kind's count varies, no point beats the row's last one, so
-optimize_grid solves that point alone (see its docstring).  The base is
-compiled once per problem (its columns stay on bound_base), instantiate
-and the optimizers read one table of access classes, and each optimizer
-converts their times once per call: every allocation is solved from
-floats already held, with the same members in the same order as
-instantiate builds, so each result is the one solve_capacity gives for
-that instance.
+optimize_grid solves that point alone (see its docstring).  instantiate
+and the optimizers read the access classes an allocation installs from
+one table, _installed.  An optimizer hands an allocation that installs
+none to solve_capacity; otherwise it appends them, in instantiate's
+order, to the base's columns (compiled once per problem, kept on
+bound_base), so each result is the one solve_capacity gives for
+instantiate's set.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from .model import (
     load_json,
     parse_count,
     parse_time,
-    total_count,
 )
-from .solver import CapacityResult, bound_columns, check_tolerance, solve_compiled, time_as_float
+from .solver import CapacityResult, bound_columns, check_tolerance, solve_capacity, solve_compiled, time_as_float
 
 _TIE_WIDTH = 1e-11
 _MAX_GRID_POINTS = 1_000_000
@@ -161,6 +160,18 @@ class Allocation:
         object.__setattr__(self, "cells", dict(self.cells))
 
 
+def _installed(problem: MemoryDesignProblem, vec: tuple[int, ...]) -> list[tuple[str, int, Fraction]]:
+    """(kind/index, registers * count_per_cell * n, time) for each access
+    class that the cells vector vec (n per kind, in declaration order)
+    installs, in declaration order, each time checked positive."""
+    return [
+        (name, scale * n, check_positive_time(time, name))
+        for n, accesses in zip(vec, problem.accesses)
+        if n
+        for name, scale, time in accesses
+    ]
+
+
 def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> BoundInstructionSet:
     """The full bound instruction set once `cells` of each kind are installed.
 
@@ -174,57 +185,36 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
             raise ProblemError(f"unknown memory kind {name!r}")
         if not isinstance(n, int) or n < 0:
             raise ProblemError(f"cell count for {name!r} must be a non-negative integer")
-    members = list(problem.bound_base.members)
-    for kind, accesses in zip(problem.kinds, problem.accesses):
-        n = cells.get(kind.name, 0)
-        if n:
-            members += (
-                BoundClass(name, scale * n, check_positive_time(time, name))
-                for name, scale, time in accesses
-            )
-    return BoundInstructionSet(problem.base.name, tuple(members))
+    vec = tuple(cells.get(kind.name, 0) for kind in problem.kinds)
+    installed = (BoundClass(*access) for access in _installed(problem, vec))
+    return BoundInstructionSet(problem.base.name, (*problem.bound_base.members, *installed))
 
 
 def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
     """solve(vec), equal to solve_capacity(instantiate(problem, cells),
     tolerance) for the cells vector vec in kind-declaration order.
 
-    The base's columns (bound_columns) compile when a solve first needs
-    them; a kind's access times are checked positive when it is first
-    installed and made floats once the base has compiled, so the errors and
-    their order are those of instantiate and solve_capacity.  A solve then
-    appends each installed kind's classes to the base columns: log2(R *
-    count_per_cell * n) and the access times.  The base's families keep
-    their indices, as the access classes follow the base.
+    A vector that installs nothing goes to solve_capacity on the base.
+    Otherwise the classes _installed lists follow the base's columns
+    (bound_columns), so the base's families keep their indices.  Access
+    times become floats once per solver, after the base compiles, so the
+    errors come in instantiate and solve_capacity's order: a time that is
+    not positive, then a base member, then an access time.
     """
     check_tolerance(tolerance)
-    accesses = problem.accesses
-    one_instruction = total_count(problem.bound_base) == 1
-    base = None  # the base's columns, once compiled
-    checked = [False] * len(accesses)
-    times: list = [None] * len(accesses)  # per kind: [float time, ...]
+    times: dict[str, float] = {}  # access-class name -> float time
 
     def solve(vec: tuple[int, ...]) -> CapacityResult:
-        nonlocal base
-        installed = [k for k, n in enumerate(vec) if n]
-        for k in installed:
-            if not checked[k]:
-                for name, _, time in accesses[k]:
-                    check_positive_time(time, name)
-                checked[k] = True
-        if one_instruction and not installed:
-            # g(0) = 1 already: a single instruction carries no choice; an
-            # installed kind adds at least one instruction to the base's one.
-            return CapacityResult(0.0, 0.0, 0.0, 0)
-        if base is None:
-            base = bound_columns(problem.bound_base)
-        for k in installed:
-            if times[k] is None:
-                times[k] = [time_as_float(time, name) for name, _, time in accesses[k]]
-        log2_counts, base_times, families = base
+        installed = _installed(problem, vec)
+        if not installed:
+            return solve_capacity(problem.bound_base, tolerance)
+        log2_counts, base_times, families = bound_columns(problem.bound_base)
+        for name, _, time in installed:
+            if name not in times:
+                times[name] = time_as_float(time, name)
         columns = (
-            log2_counts + [math.log2(scale * vec[k]) for k in installed for _, scale, _ in accesses[k]],
-            base_times + [t for k in installed for t in times[k]],
+            log2_counts + [math.log2(count) for _, count, _ in installed],
+            base_times + [times[name] for name, _, _ in installed],
             families,
         )
         return solve_compiled(columns, problem.base.name, tolerance)
@@ -232,10 +222,12 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
     return solve
 
 
-def _allocation_cost(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Fraction:
-    return sum(
-        (kind.cell_cost * cells.get(kind.name, 0) for kind in problem.kinds),
-        Fraction(0),
+def _allocation(problem: MemoryDesignProblem, vec: tuple[int, ...], **fields) -> Allocation:
+    """The Allocation of cells vector vec: its cells by kind name and its exact cost."""
+    return Allocation(
+        cells={kind.name: n for kind, n in zip(problem.kinds, vec)},
+        total_cost=sum((kind.cell_cost * n for kind, n in zip(problem.kinds, vec)), Fraction(0)),
+        **fields,
     )
 
 
@@ -249,52 +241,43 @@ def optimize_vertex(
     displace it, so ties resolve to the earliest declared.  Candidates
     within the tie width of the winner are reported in tie_with.
     """
-    zero = {kind.name: 0 for kind in problem.kinds}
-    candidates: list[tuple[str, dict[str, int]]] = [("none", zero)]
-    for kind in problem.kinds:
+    zero = (0,) * len(problem.kinds)
+    candidates = [("none", zero)]
+    for k, kind in enumerate(problem.kinds):
         n = int(problem.budget // kind.cell_cost)
         if n > 0:
-            candidates.append((kind.name, {**zero, kind.name: n}))
+            candidates.append((kind.name, zero[:k] + (n,) + zero[k + 1 :]))
 
     solve = _allocation_solver(problem, tolerance)
-    solved: list[tuple[str, dict[str, int], CapacityResult]] = [
-        (label, cells, solve(tuple(cells.values()))) for label, cells in candidates
-    ]
+    solved = [(label, vec, solve(vec)) for label, vec in candidates]
 
-    best_label, best_cells, best_cap = solved[0]
-    for label, cells, cap in solved[1:]:
+    best_label, best_vec, best_cap = solved[0]
+    for label, vec, cap in solved[1:]:
         if cap.capacity_bits > best_cap.capacity_bits + _TIE_WIDTH:
-            best_label, best_cells, best_cap = label, cells, cap
+            best_label, best_vec, best_cap = label, vec, cap
     ties = tuple(
         label
         for label, _, cap in solved
         if label != best_label
         and abs(cap.capacity_bits - best_cap.capacity_bits) <= _TIE_WIDTH
     )
-    return Allocation(
-        cells=best_cells,
-        total_cost=_allocation_cost(problem, best_cells),
-        capacity=best_cap,
-        label=best_label,
-        tie_with=ties,
+    return _allocation(
+        problem, best_vec, capacity=best_cap, label=best_label, tie_with=ties,
         justification=_VERTEX_JUSTIFICATION,
     )
-
-
-def _scaled_budget(problem: MemoryDesignProblem) -> tuple[int, list[int]]:
-    """The budget and each kind's cell cost, times the lcm of their
-    denominators: integers that divide exactly as the rationals do."""
-    scale = math.lcm(problem.budget.denominator, *(k.cell_cost.denominator for k in problem.kinds))
-    return int(problem.budget * scale), [int(k.cell_cost * scale) for k in problem.kinds]
 
 
 def _grid_rows(problem: MemoryDesignProblem, step: int):
     """Yield every feasible cells vector on the step grid as rows (prefix,
     top): a row stands for the vectors prefix + (n,), for n in
     range(0, top + 1, step).  Vectors come in kind-declaration order,
-    depth-first.  The level above the last yields the rows itself, so a
-    row costs no generator of its own."""
-    budget, costs = _scaled_budget(problem)
+    depth-first.  The budget and cell costs are scaled by the lcm of their
+    denominators, to integers that divide exactly as the rationals do.
+    The level above the last yields the rows itself, so a row costs no
+    generator of its own."""
+    scale = math.lcm(problem.budget.denominator, *(k.cell_cost.denominator for k in problem.kinds))
+    budget = int(problem.budget * scale)
+    costs = [int(k.cell_cost * scale) for k in problem.kinds]
     *heads, last = costs
     if not heads:
         yield (), budget // last
@@ -317,7 +300,8 @@ def optimize_grid(
     problem: MemoryDesignProblem, step: int = 1, tolerance: float = 1e-12
 ) -> Allocation:
     """The best allocation on a step grid: every feasible allocation is
-    counted, and one per grid row is solved.
+    counted, and the all-zero vector and one point per grid row are
+    solved; the justification gives both numbers.
 
     Capacity ties (within the tie width) resolve to the lexicographically
     greatest cell vector in kind-declaration order, which keeps the result
@@ -336,8 +320,8 @@ def optimize_grid(
     row above the last one, but by under 1e-14 bits in every case
     measured, far inside the 1e-11 tie width.  The all-zero vector is
     solved first, as the full walk solves it first, so the errors come
-    in the same order: it compiles the base, and each kind is first
-    installed by the same row as in the full walk.
+    in the same order: solve_capacity solves it on the base alone, and
+    each kind is first installed by the same row as in the full walk.
     """
     if not isinstance(step, int) or step < 1:
         raise ProblemError(f"step must be a positive integer, got {step!r}")
@@ -349,21 +333,20 @@ def optimize_grid(
     solve = _allocation_solver(problem, tolerance)
     zero = (0,) * len(problem.kinds)
     best, best_vec = solve(zero), zero
+    solves = 1
     for prefix, top in _grid_rows(problem, step):
         vec = prefix + (top - top % step,)
         if vec == zero:  # the first row holds the all-zero vector alone
             continue
         cap = solve(vec)
+        solves += 1
         if cap.capacity_bits >= best.capacity_bits - _TIE_WIDTH:
             best, best_vec = cap, vec
-    cells = {kind.name: n for kind, n in zip(problem.kinds, best_vec)}
-    return Allocation(
-        cells=cells,
-        total_cost=_allocation_cost(problem, cells),
-        capacity=best,
-        label="grid",
-        justification=f"exhaustively evaluated {points} feasible allocations "
-        f"on a step-{step} grid",
+    return _allocation(
+        problem, best_vec, capacity=best, label="grid",
+        justification=f"evaluated {points} feasible allocations on a step-{step} grid "
+        f"by solving {solves}: capacity never falls as a cell is added, "
+        "so each row's last point stands for its row",
     )
 
 

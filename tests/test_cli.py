@@ -209,6 +209,21 @@ def test_optimize_memory_grid_mode(capsys, tmp_path):
     assert abs(results["capacity_bits"] - 2.584962500721156) < 1e-11
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--step", "2"], "--step applies only to --mode grid"),
+        (["--mode", "vertex", "--step", "1"], "--step applies only to --mode grid"),
+        (["--mode", "grid", "--step", "0"], "step must be a positive integer, got 0"),
+    ],
+    ids=["default-vertex", "vertex", "grid-step-0"],
+)
+def test_step_is_refused_outside_grid_mode(capsys, argv, message):
+    # vertex mode walks no grid, so a step there would be parsed and ignored
+    code, out, err = run_cli(capsys, "optimize-memory", MEMORY, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_param_override_merges_into_problem(capsys):
     code_base, out_base, _ = run_cli(capsys, "optimize-memory", MEMORY, "--json")
     code_ovr, out_ovr, _ = run_cli(

@@ -581,7 +581,13 @@ def full_walk_grid(problem: MemoryDesignProblem, step: int):
     cap, vec = best
     cells = {kind.name: n for kind, n in zip(problem.kinds, vec)}
     cost = sum((kind.cell_cost * n for kind, n in zip(problem.kinds, vec)), Fraction(0))
-    return cells, cost, cap, f"exhaustively evaluated {len(points)} feasible allocations on a step-{step} grid"
+    # optimize_grid solves the all-zero vector and the last point of each row
+    last_points = {point[:-1]: point for point in points}
+    solves = len(set(last_points.values()) | {(0,) * len(problem.kinds)})
+    return cells, cost, cap, (
+        f"evaluated {len(points)} feasible allocations on a step-{step} grid by solving {solves}: "
+        "capacity never falls as a cell is added, so each row's last point stands for its row"
+    )
 
 
 def assert_grid_matches_full_walk(problem: MemoryDesignProblem, step: int) -> Allocation:
@@ -680,7 +686,7 @@ def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_
         return counted
 
     monkeypatch.setattr(compucap.memory, "_allocation_solver", spy)
-    optimize_grid(problem, step)
+    grid = optimize_grid(problem, step)
     rows = list(_grid_rows(problem, step))
     last_points = [prefix + (top - top % step,) for prefix, top in rows]
     if last_points[0] == (0, 0, 0):
@@ -688,6 +694,7 @@ def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_
     else:
         assert solved == [(0, 0, 0)] + last_points
     assert len(solved) <= len(rows) + 1
+    assert f" by solving {len(solved)}: " in grid.justification
 
 
 def test_base_time_past_float_range_is_named_before_a_zero_access_time():
