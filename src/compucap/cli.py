@@ -14,7 +14,6 @@ around them and names the command.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -236,11 +235,8 @@ def cmd_optimize_memory(args) -> tuple[dict, dict, list]:
         raise ValueError("--step applies only to --mode grid")
     path = Path(args.problem)
     text, record = _read(path)
-    problem = parse_problem(text, base_dir=path.parent)
-    if args.param:
-        override = ParameterBinding.from_strings(args.param)
-        merged = {**problem.binding.values, **override.values}
-        problem = dataclasses.replace(problem, binding=ParameterBinding(merged))
+    params = ParameterBinding.from_strings(args.param).values
+    problem = parse_problem(text, base_dir=path.parent, params=params)
     if args.mode == "vertex":
         allocation = optimize_vertex(problem, args.tolerance)
     else:

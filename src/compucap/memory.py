@@ -371,11 +371,15 @@ def _parse_kind(obj: object, index: int) -> MemoryKind:
     )
 
 
-def parse_problem(text: str, base_dir: Optional[Path] = None) -> MemoryDesignProblem:
+def parse_problem(
+    text: str, base_dir: Optional[Path] = None, params: Optional[Mapping[str, object]] = None
+) -> MemoryDesignProblem:
     """Parse a problem file; `base` may be inline model JSON or a file path.
 
     A path is resolved relative to base_dir (the problem file's own
-    directory, when loaded from disk).
+    directory, when loaded from disk).  params lies over the file's
+    `parameters`: a value replaces the file's value of the same name, a
+    new name is added, and the problem is built once on the merged values.
     """
     doc = load_json(text, "problem", ProblemError)
     check_object(
@@ -394,12 +398,12 @@ def parse_problem(text: str, base_dir: Optional[Path] = None) -> MemoryDesignPro
         base_obj = load_json(base_text, f"base model {base_obj!r}", ProblemError)
     base = instruction_set_from_object(base_obj)
 
-    params = check_container(doc.get("parameters", {}), dict, "parameters", ProblemError)
+    file_params = check_container(doc.get("parameters", {}), dict, "parameters", ProblemError)
     kinds = check_container(doc["kinds"], list, "kinds", ProblemError)
     return MemoryDesignProblem(
         base=base,
         registers=parse_count(doc["registers"], "registers", ProblemError),
         kinds=tuple(_parse_kind(k, i) for i, k in enumerate(kinds)),
         budget=doc["budget"],
-        binding=ParameterBinding(params),
+        binding=ParameterBinding({**file_params, **(params or {})}),
     )

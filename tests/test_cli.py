@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from compucap import data_path
-from compucap.cli import main
+from compucap.cli import build_parser, main
 
 TOY = str(data_path("toy.json"))
 MIX = str(data_path("mix.json"))
@@ -80,6 +80,18 @@ def test_distribution_masses_sum_to_one(capsys):
     assert members["slow"]["per_instruction"] == pytest.approx(
         0.1715728752538099, abs=1e-12
     )
+
+
+def test_distribution_reports_family_members():
+    # the subcommand's own results: rendering rounds floats to 15 digits
+    args = build_parser().parse_args(["distribution", MIX])
+    _, results, warnings = args.func(args)
+    move = next(m for m in results["members"] if m["member"] == "move")
+    assert warnings == []
+    assert move["kind"] == "family"
+    assert (move["count_per_term"], move["num_terms"]) == (33554432, 33554433)
+    assert (move["time_base"], move["step"]) == (1, 2)
+    assert move["per_instruction_base"] == 2.0 ** (-1.0 * results["capacity_bits"])
 
 
 def test_efficiency_report(capsys):
@@ -209,6 +221,29 @@ def test_optimize_memory_grid_mode(capsys, tmp_path):
     assert abs(results["capacity_bits"] - 2.584962500721156) < 1e-11
 
 
+def test_optimize_memory_warns_of_a_capacity_tie(capsys, tmp_path):
+    twin = {"name": "k1", "cell_cost": 1, "access_classes": [{"count": 2, "time": 1}]}
+    problem = tmp_path / "twins.json"
+    problem.write_text(json.dumps({
+        "base": {"name": "b", "classes": [{"name": "x", "count": 2, "time": 1}]},
+        "registers": 1,
+        "budget": 2,
+        "kinds": [twin, {**twin, "name": "k2"}],
+    }))
+    warning = "capacity tie within 1e-11 against: k2"
+    code, out, err = run_cli(capsys, "optimize-memory", str(problem))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["command: optimize-memory", f"warning: {warning}"]
+    assert "label = k1" in lines
+    assert "tie_with.0 = k2" in lines
+    code, out, err = run_cli(capsys, "optimize-memory", str(problem), "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["warnings"] == [warning]
+    assert (report["results"]["label"], report["results"]["tie_with"]) == ("k1", ["k2"])
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -233,6 +268,51 @@ def test_param_override_merges_into_problem(capsys):
     base = json.loads(out_base)["results"]["capacity_bits"]
     ovr = json.loads(out_ovr)["results"]["capacity_bits"]
     assert ovr < base  # slowing kind1's accesses can only hurt
+
+
+def _memory_example_with(tmp_path, parameters: dict) -> str:
+    """memory-example.json with its `parameters` replaced."""
+    doc = json.loads(Path(MEMORY).read_text(encoding="utf-8"))
+    doc["parameters"] = parameters
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    return str(problem)
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [{"mu2": 1.4}, {"mu1": -1, "mu2": 1.4}],
+    ids=["file-omits-mu1", "file-mu1-negative"],
+)
+def test_param_supplies_or_replaces_a_file_parameter(capsys, tmp_path, parameters):
+    # --param is laid over the file's values before the problem is built,
+    # so it can bind a value the file leaves out or gets wrong
+    problem = _memory_example_with(tmp_path, parameters)
+    code, out, err = run_cli(capsys, "optimize-memory", problem, "--param", "mu1=2", "--json")
+    assert (code, err) == (0, "")
+    _, expected, _ = run_cli(capsys, "optimize-memory", MEMORY, "--param", "mu1=2", "--json")
+    assert json.loads(out)["results"] == json.loads(expected)["results"]
+
+
+def test_param_undeclared_by_the_problem_exits_3(capsys):
+    code, out, err = run_cli(capsys, "optimize-memory", MEMORY, "--param", "zz=1")
+    assert (code, out, err) == (3, "", "error: undeclared parameter 'zz'\n")
+
+
+def test_optimize_memory_builds_the_problem_once(capsys, monkeypatch):
+    from compucap.memory import MemoryDesignProblem
+
+    built = []
+    post_init = MemoryDesignProblem.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MemoryDesignProblem, "__post_init__", counting_post_init)
+    code, _, _ = run_cli(capsys, "optimize-memory", MEMORY, "--param", "mu1=1.4")
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_missing_parameter_exits_3(capsys):

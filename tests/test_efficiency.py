@@ -171,6 +171,20 @@ def test_entropy_order_errors():
         TraceStatistics.from_symbols(["a"], 1)
 
 
+@pytest.mark.parametrize(
+    "max_order, order0, message",
+    [
+        (1, 2, "missing counts for order 1"),
+        (0, 1, "order-0 counts do not cover the trace"),
+    ],
+    ids=["order-missing", "counts-short"],
+)
+def test_statistics_built_directly_are_checked(max_order, order0, message):
+    # a trace of length 2 whose order-0 table counts ("a",) order0 times
+    with pytest.raises(TraceError, match=f"^{message}$"):
+        TraceStatistics(("a",), 2, max_order, {0: Counter({("a",): order0})})
+
+
 # --- efficiency ---
 
 
