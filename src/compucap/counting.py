@@ -110,7 +110,7 @@ def _multiplicities(iset: BoundInstructionSet, max_time: int) -> dict[int, int]:
                 pairs += 1
         if pairs > _MAX_PAIRS:
             raise CountingError(
-                f"more than {_MAX_PAIRS} distinct (time, multiplicity) pairs"
+                f"more than {_MAX_PAIRS} (member, time) terms at or below max_time"
             )
     return mult
 

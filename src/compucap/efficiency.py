@@ -211,9 +211,6 @@ class TraceStatistics:
             kgram_counts=kgram_counts,
         )
 
-    def frequencies(self, order: int = 0) -> dict[tuple[str, ...], float]:
-        return {g: c / self.length for g, c in self.kgram_counts[order].items()}
-
 
 def entropy_order_n(stats: TraceStatistics, n: int) -> float:
     """Plug-in order-n entropy in bits per instruction.
@@ -301,24 +298,23 @@ def efficiency_from_trace(
     symbols: Sequence[str],
     max_order: int = 1,
     tolerance: float = 1e-12,
-    capacity: Optional[CapacityResult] = None,
 ) -> TraceEfficiencyReport:
     """Estimate entropy, efficiency, and utilization at orders 0..max_order.
 
     Mean instruction time always comes from the order-0 symbol
-    frequencies; utilization is efficiency over the set's solved capacity.
-    A trace symbol names a member, not an individual instruction, so each
-    occurrence also carries the choice among the member's `count` equally
-    likely instructions; that adds frequency-weighted log2(count) bits to
-    the entropy estimate at every order.  A TraceError names the first bad
-    token in trace order, whatever is wrong with it; after that come an
-    empty trace, then the order, length and k-gram work checks.
+    frequencies; utilization is efficiency over the set's capacity, solved
+    here.  A trace symbol names a member, not an individual instruction, so
+    each occurrence also carries the choice among the member's `count`
+    equally likely instructions; that adds frequency-weighted log2(count)
+    bits to the entropy estimate at every order.  A TraceError names the
+    first bad token in trace order, whatever is wrong with it; after that
+    come an empty trace, then the order, length and k-gram work checks.
     """
     members = _member_index(iset)
     tokens = list(symbols)  # read twice: to resolve spellings, to count k-grams
     canonical = {}
-    times = {}
-    multiplicity = {}
+    # symbol -> (time, log2 of how many equally likely instructions it stands for)
+    table = {}
     for token in dict.fromkeys(tokens):
         symbol, time = _canonical_token(token)
         name = symbol.partition("@")[0]
@@ -328,23 +324,21 @@ def efficiency_from_trace(
         time = _token_time(member, symbol, time)
         if isinstance(member, BoundClass):
             symbol = name  # `c` and `c@2` are one symbol when c executes in time 2
+            count = member.count
+        else:
+            count = member.count_per_term
         canonical[token] = symbol
-        times[symbol] = time_as_float(time, symbol)
-        # how many equally likely instructions the symbol stands for
-        multiplicity[symbol] = (
-            member.count if isinstance(member, BoundClass) else member.count_per_term
-        )
+        table[symbol] = (time_as_float(time, symbol), math.log2(count))
     if not tokens:
         raise TraceError("trace is empty")
     stats = TraceStatistics.from_symbols(list(map(canonical.__getitem__, tokens)), max_order)
-    freq0 = stats.frequencies(0)
-    mean_time = sum(freq * times[gram[0]] for gram, freq in freq0.items())
-    within_member = sum(
-        freq * math.log2(multiplicity[gram[0]]) for gram, freq in freq0.items()
-    )
-    if capacity is None:
-        capacity = solve_capacity(iset, tolerance)
-    cap_bits = capacity.capacity_bits
+    mean_time = within_member = 0
+    for (symbol,), count in stats.kgram_counts[0].items():
+        freq = count / stats.length
+        time, bits = table[symbol]
+        mean_time += freq * time
+        within_member += freq * bits
+    cap_bits = solve_capacity(iset, tolerance).capacity_bits
     orders = []
     for order in range(max_order + 1):
         h = entropy_order_n(stats, order) + within_member

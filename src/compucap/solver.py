@@ -80,9 +80,7 @@ def _float(n: int) -> float:
 
 
 def _phi(v: float) -> float:
-    """v / (e**v - 1) for v >= 0, continuous at 0, monotone decreasing."""
-    if v == 0.0:
-        return 1.0
+    """v / (e**v - 1) for v > 0, monotone decreasing."""
     if v > 690.0:
         # e**v - 1 overflows; the quotient decays like v * e**-v (nan at inf).
         return 0.0 if v == math.inf else v * math.exp(-v)

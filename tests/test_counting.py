@@ -160,6 +160,15 @@ def test_limits_validated():
         count_sequences(TOY, -1)
     with pytest.raises(CountingError, match="exceeds"):
         count_sequences(TOY, 100_001)
+    # eleven families on the same 100,000 unit-step times: 1.1 M (member, time) terms
+    wide = BoundInstructionSet(
+        "wide",
+        tuple(BoundFamily(f"f{i}", 1, Fraction(1), Fraction(1), 100_000) for i in range(11)),
+    )
+    with pytest.raises(
+        CountingError, match=r"^more than 1000000 \(member, time\) terms at or below max_time$"
+    ):
+        count_sequences(wide, 100_000)
 
 
 def test_estimate_argument_range():

@@ -169,6 +169,10 @@ def test_entropy_order_errors():
         entropy_order_n(stats, -1)
     with pytest.raises(TraceError):
         TraceStatistics.from_symbols(["a"], 1)
+    # statistics built directly can hold an order the trace is too short for
+    short = TraceStatistics(("a",), 1, 1, {0: Counter({("a",): 1}), 1: Counter({("a", "a"): 1})})
+    with pytest.raises(TraceError, match="^trace of length 1 is too short for order 1$"):
+        entropy_order_n(short, 1)
 
 
 @pytest.mark.parametrize(
@@ -319,10 +323,11 @@ def test_trace_report_alternating():
 
 
 def test_trace_report_constant_trace_of_singleton_is_idle():
-    iset = classes((1, 1), (1, 2))
-    report = efficiency_from_trace(iset, ["c0"] * 40, 2)
-    assert all(o.efficiency_bits == 0.0 for o in report.orders)
-    assert all(o.utilization == 0.0 for o in report.orders)
+    # the second set, one instruction alone, has capacity 0
+    for iset in (classes((1, 1), (1, 2)), classes((1, 1))):
+        report = efficiency_from_trace(iset, ["c0"] * 40, 2)
+        assert all(o.efficiency_bits == 0.0 for o in report.orders)
+        assert all(o.utilization == 0.0 for o in report.orders)
 
 
 def test_trace_report_counts_within_member_choice():
@@ -351,7 +356,7 @@ def test_trace_sampled_from_optimal_distribution_concentrates():
     rng = random.Random(0x7E57)
     weights = [dist.mass("fast"), dist.mass("slow")]
     symbols = rng.choices(["fast", "slow"], weights=weights, k=100_000)
-    report = efficiency_from_trace(iset, symbols, 0, capacity=cap)
+    report = efficiency_from_trace(iset, symbols, 0)
     assert abs(report.orders[0].efficiency_bits - LOG2_SILVER) < 0.02
 
 

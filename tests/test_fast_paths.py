@@ -219,6 +219,10 @@ INVALID = [
     ('{"name": "x", "classes": []}', "set 'x': members must be non-empty"),
     ('{"name": "x", "classes": [{"name": "a", "count": 0, "time": 1}]}', "class 'a': count must be >= 1"),
     (
+        '{"name": "x", "classes": [{"name": "a", "count": 0, "time": 1, "family": {"step": 1, "terms": 3}}]}',
+        "family 'a': count must be >= 1",
+    ),
+    (
         '{"name": "x", "classes": [{"name": "a", "count": 1, "time": 1}, {"name": "a", "count": 1, "time": 2}]}',
         "duplicate member name 'a'",
     ),

@@ -1,6 +1,7 @@
 """Modules of the package share only public names with each other."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -20,3 +21,31 @@ def test_no_private_names_imported_from_sibling_modules(path):
         if alias.name.startswith("_")
     ]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+
+
+def test_traced_layers_exist():
+    """Every entry point the benchmark tracer wraps is still there to wrap."""
+    if not TRACER.exists():
+        pytest.skip("perfbench/tracer.py is absent")
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    )
+    missing = []
+    for module_name, names in layers.items():
+        module = importlib.import_module(f"compucap.{module_name}")
+        for name in names:
+            owner, _, method = name.rpartition(".")
+            if owner:
+                ok = isinstance(vars(getattr(module, owner, object)).get(method), classmethod)
+            else:
+                ok = callable(getattr(module, name, None))
+            if not ok:
+                missing.append(f"{module_name}.{name}")
+    assert not missing, f"traced layers missing: {missing}"

@@ -744,10 +744,12 @@ KIND_B = '{"name": "B", "cell_cost": 1, "access_classes": [{"count": 1, "time": 
             '"1*2^1000001"',
             "kinds[1] access_classes[1] count: invalid count '1*2^1000001': exponent above 1000000",
         ),
+        ("0", "1", "registers must be >= 1"),
+        ("-1", "1", "registers must be >= 1"),
     ],
     ids=[
         "registers-rational", "registers-bool", "registers-spelling", "access-rational", "access-null",
-        "registers-decimal", "access-decimal", "access-exponent",
+        "registers-decimal", "access-decimal", "access-exponent", "registers-zero", "registers-negative",
     ],
 )
 def test_problem_count_errors_name_their_path(registers, count, message):
