@@ -16,11 +16,12 @@ gives the exact answer over an integer grid.  As the sum increases with
 every cell count, so do its root and the capacity: on a grid row, where
 only the last kind's count varies, no point beats the row's last one, so
 optimize_grid solves that point alone (see its docstring).  instantiate
-and the optimizers read the access classes an allocation installs from
-one table, _installed.  An optimizer hands an allocation that installs
-none to solve_capacity; otherwise it appends them, in instantiate's
-order, to the base's columns (compiled once per problem, kept on
-bound_base), so each result is the one solve_capacity gives for
+and the optimizers take the access classes an allocation installs, as
+BoundClasses, from one table, _installed.  An optimizer hands an
+allocation that installs none to solve_capacity; otherwise the solver's
+compile_columns compiles them and the optimizer appends them, in
+instantiate's order, to the base's columns (compiled once per problem,
+kept on bound_base), so each result is the one solve_capacity gives for
 instantiate's set.
 """
 
@@ -50,7 +51,9 @@ from .model import (
     parse_count,
     parse_time,
 )
-from .solver import CapacityResult, bound_columns, check_tolerance, solve_capacity, solve_compiled, time_as_float
+from .solver import (
+    CapacityResult, bound_columns, check_tolerance, compile_columns, solve_capacity, solve_compiled,
+)
 
 _TIE_WIDTH = 1e-11
 _MAX_GRID_POINTS = 1_000_000
@@ -160,12 +163,13 @@ class Allocation:
         object.__setattr__(self, "cells", dict(self.cells))
 
 
-def _installed(problem: MemoryDesignProblem, vec: tuple[int, ...]) -> list[tuple[str, int, Fraction]]:
-    """(kind/index, registers * count_per_cell * n, time) for each access
-    class that the cells vector vec (n per kind, in declaration order)
-    installs, in declaration order, each time checked positive."""
+def _installed(problem: MemoryDesignProblem, vec: tuple[int, ...]) -> list[BoundClass]:
+    """A BoundClass (kind/index, registers * count_per_cell * n, time) for
+    each access class that the cells vector vec (n per kind, in
+    declaration order) installs, in declaration order, each time checked
+    positive."""
     return [
-        (name, scale * n, check_positive_time(time, name))
+        BoundClass(name, scale * n, check_positive_time(time, name))
         for n, accesses in zip(vec, problem.accesses)
         if n
         for name, scale, time in accesses
@@ -186,8 +190,7 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
         if not isinstance(n, int) or n < 0:
             raise ProblemError(f"cell count for {name!r} must be a non-negative integer")
     vec = tuple(cells.get(kind.name, 0) for kind in problem.kinds)
-    installed = (BoundClass(*access) for access in _installed(problem, vec))
-    return BoundInstructionSet(problem.base.name, (*problem.bound_base.members, *installed))
+    return BoundInstructionSet(problem.base.name, (*problem.bound_base.members, *_installed(problem, vec)))
 
 
 def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
@@ -195,28 +198,21 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
     tolerance) for the cells vector vec in kind-declaration order.
 
     A vector that installs nothing goes to solve_capacity on the base.
-    Otherwise the classes _installed lists follow the base's columns
-    (bound_columns), so the base's families keep their indices.  Access
-    times become floats once per solver, after the base compiles, so the
-    errors come in instantiate and solve_capacity's order: a time that is
-    not positive, then a base member, then an access time.
+    Otherwise compile_columns compiles the classes _installed lists, and
+    their columns follow the base's (bound_columns), so the base's
+    families keep their indices.  The base compiles first, so the errors
+    come in instantiate and solve_capacity's order: a time that is not
+    positive, then a base member, then an access time.
     """
     check_tolerance(tolerance)
-    times: dict[str, float] = {}  # access-class name -> float time
 
     def solve(vec: tuple[int, ...]) -> CapacityResult:
         installed = _installed(problem, vec)
         if not installed:
             return solve_capacity(problem.bound_base, tolerance)
-        log2_counts, base_times, families = bound_columns(problem.bound_base)
-        for name, _, time in installed:
-            if name not in times:
-                times[name] = time_as_float(time, name)
-        columns = (
-            log2_counts + [math.log2(count) for _, count, _ in installed],
-            base_times + [times[name] for name, _, _ in installed],
-            families,
-        )
+        log2_counts, times, families = bound_columns(problem.bound_base)
+        more_counts, more_times, _ = compile_columns(installed)
+        columns = (log2_counts + more_counts, times + more_times, families)
         return solve_compiled(columns, problem.base.name, tolerance)
 
     return solve

@@ -250,8 +250,8 @@ def solve_compiled(columns: Columns, name: str, tolerance: float) -> CapacityRes
     end and <= 0 at the right, across y and its neighbour at distance
     tolerance (or one float spacing, where y is too large for that);
     without one, Newton resumes from the neighbour.  Raises ValueError
-    when the root is out of float range or its residual cannot reach
-    1e-10 in floats.
+    when the root is out of float range, its residual cannot reach 1e-10
+    in floats, or no root is certified within _MAX_ITERATIONS evaluations.
     """
     y = 0.0
     f, slope = _log2_char(columns, y)
@@ -286,4 +286,4 @@ def solve_compiled(columns: Columns, name: str, tolerance: float) -> CapacityRes
         if _residual(f) > _RESIDUAL_LIMIT:
             raise ValueError(f"set {name!r}: residual above 1e-10 at float precision")
         return CapacityResult(y, _residual(f), width, iterations)
-    raise RuntimeError("internal error: capacity solve did not converge")
+    raise ValueError(f"set {name!r}: no root found in {_MAX_ITERATIONS} iterations at float precision")

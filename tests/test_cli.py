@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import shutil
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from compucap import data_path
-from compucap.cli import build_parser, main
+from compucap.cli import build_parser, main, render_json
 
 TOY = str(data_path("toy.json"))
 MIX = str(data_path("mix.json"))
@@ -344,6 +345,16 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert out == ""
 
 
+def test_render_json_literals():
+    value = {"b": [True, False], "e": {}, "f": [math.inf, -math.inf, math.nan]}
+    assert render_json(value) == (
+        '{\n  "b": [\n    true,\n    false\n  ],\n  "e": {},\n'
+        '  "f": [\n    "inf",\n    "-inf",\n    "nan"\n  ]\n}'
+    )
+    with pytest.raises(TypeError, match="^cannot render object$"):
+        render_json(object())
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as info:
         main(["capacity", TOY, "--frobnicate"])
@@ -549,6 +560,24 @@ def test_capacity_past_float_range_exits_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and "outside the float range" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["capacity", "distribution", "efficiency"])
+def test_model_without_a_float_root_exits_2(capsys, tmp_path, command):
+    # A family past 2^1023 terms stalls Newton at y = 0 (see
+    # test_solver.test_wide_family_without_a_float_root_raises).
+    model = tmp_path / "wide.json"
+    model.write_text(
+        '{"name": "wide", "classes": [{"name": "a", "count": 1, "time": "1e-301",'
+        ' "family": {"step": "1e-301", "terms": "1*2^2000"}}, {"name": "b", "count": 1, "time": 1}]}'
+    )
+    trace = tmp_path / "trace.txt"
+    trace.write_text("b b b\n")
+    argv = [command, str(model)] + ([str(trace)] if command == "efficiency" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: set 'wide': no root found in 10000 iterations at float precision\n"
 
 
 @pytest.mark.parametrize("time", ["1e-400", "1e400"])

@@ -184,6 +184,8 @@ def test_count_table_validation():
         CountTable(max_time=2, counts=(0, 1, 1))  # N(0) must be 1
     with pytest.raises(ValueError):
         CountTable(max_time=2, counts=(1, 1))
+    with pytest.raises(ValueError, match="counts must be non-negative"):
+        CountTable(max_time=1, counts=(1, -1))
     table = CountTable(max_time=2, counts=(1, 2, 5))
     assert table.count(2) == 5
     with pytest.raises(ValueError):

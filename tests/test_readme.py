@@ -1,8 +1,9 @@
 """The README's examples must run as written.
 
-Every fenced `json` block must parse as a model or a memory problem, and
-every `$ compucap ...` example must succeed and print each output line
-the README shows for it (a `...` line stands for omitted output).
+Every fenced `json` block must parse as a model or a memory problem,
+every `python` block must run, and every `$ compucap ...` example must
+succeed and print each output line the README shows for it (a `...`
+line stands for omitted output).
 """
 
 import json
@@ -21,6 +22,7 @@ DATA = REPO / "src" / "compucap" / "data"
 
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
 JSON_BLOCKS = [body for lang, body in BLOCKS if lang == "json"]
+PYTHON_BLOCKS = [body for lang, body in BLOCKS if lang == "python"]
 
 
 def _examples() -> list[tuple[str, list[str]]]:
@@ -44,6 +46,7 @@ EXAMPLES = _examples()
 
 def test_readme_has_examples():
     assert len(JSON_BLOCKS) >= 2
+    assert len(PYTHON_BLOCKS) >= 1
     assert len(EXAMPLES) >= 5
 
 
@@ -55,6 +58,13 @@ def test_json_block_parses(body):
         parse_problem(body, base_dir=DATA)
     else:
         parse_model(body)
+
+
+@pytest.mark.parametrize(
+    "body", PYTHON_BLOCKS, ids=[f"python{i}" for i in range(len(PYTHON_BLOCKS))]
+)
+def test_python_block_runs(body):
+    exec(compile(body, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("command, shown", EXAMPLES, ids=[c for c, _ in EXAMPLES])

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -99,6 +100,11 @@ def test_capacity_single_instruction_is_zero():
     result = solve_capacity(classes((1, 5)))
     assert result.capacity_bits == 0.0
     assert result.residual == 0.0
+
+
+def test_capacity_empty_set_raises():
+    with pytest.raises(ValueError, match="instruction set has no instructions"):
+        solve_capacity(BoundInstructionSet("empty", ()))
 
 
 def test_capacity_two_speed_closed_form():
@@ -297,9 +303,41 @@ def test_huge_family_terms_solve(terms):
     assert result.residual <= 1e-10
 
 
-def test_root_past_float_range_raises():
-    with pytest.raises(ValueError, match="outside the float range"):
-        solve_capacity(classes((2, Fraction("1e-320"))))
+def test_wide_family_without_a_float_root_raises():
+    # Past 2^1023 terms the family's mean index is inf at y = 0, so the
+    # slope is -inf, Newton cannot move, and certification creeps by one
+    # tolerance per iteration: the cap is reached far below the root.
+    model = {
+        "name": "wide",
+        "classes": [
+            {"name": "a", "count": 1, "time": "1e-301",
+             "family": {"step": "1e-301", "terms": "1*2^2000"}},
+            {"name": "b", "count": 1, "time": 1},
+        ],
+    }
+    iset = bind(parse_model(json.dumps(model)), ParameterBinding())
+    message = "set 'wide': no root found in 10000 iterations at float precision"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_capacity(iset)
+
+
+@pytest.mark.parametrize(
+    "iset, message",
+    [
+        (classes((2, Fraction("1e-320"))), "outside the float range"),
+        (
+            BoundInstructionSet(
+                "far",
+                (BoundClass("a", 2**1000000, Fraction("2.3e-308")), BoundClass("b", 1, Fraction(1))),
+            ),
+            re.escape("set 'far': the capacity lies outside the float range"),
+        ),
+    ],
+    ids=["time-below-float-range", "root-above-float-range"],
+)
+def test_root_past_float_range_raises(iset, message):
+    with pytest.raises(ValueError, match=message):
+        solve_capacity(iset)
 
 
 def test_root_far_above_two_to_the_sixty():
