@@ -184,11 +184,11 @@ def cmd_distribution(args) -> tuple[dict, dict, list]:
 
 
 def cmd_efficiency(args) -> tuple[dict, dict, list]:
-    from .efficiency import efficiency_from_trace
+    from .efficiency import efficiency_from_trace, split_trace
 
     bound, inputs = _load_bound(args)
     trace_text, inputs["trace"] = _read(Path(args.trace))
-    report = efficiency_from_trace(bound, trace_text.split(), args.order, args.tolerance)
+    report = efficiency_from_trace(bound, split_trace(trace_text), args.order, args.tolerance)
     return inputs, {
         "set": bound.name,
         "trace_length": report.length,
@@ -235,8 +235,14 @@ def cmd_optimize_memory(args) -> tuple[dict, dict, list]:
         raise ValueError("--step applies only to --mode grid")
     path = Path(args.problem)
     text, record = _read(path)
+    inputs = {"problem": record}
+
+    def read_base(base_path: Path) -> str:
+        base_text, inputs["base"] = _read(base_path)
+        return base_text
+
     params = ParameterBinding.from_strings(args.param).values
-    problem = parse_problem(text, base_dir=path.parent, params=params)
+    problem = parse_problem(text, base_dir=path.parent, params=params, read_base=read_base)
     if args.mode == "vertex":
         allocation = optimize_vertex(problem, args.tolerance)
     else:
@@ -246,7 +252,7 @@ def cmd_optimize_memory(args) -> tuple[dict, dict, list]:
         warnings.append(
             "capacity tie within 1e-11 against: " + ", ".join(allocation.tie_with)
         )
-    return {"problem": record}, {
+    return inputs, {
         "mode": args.mode,
         "label": allocation.label,
         "cells": dict(allocation.cells),

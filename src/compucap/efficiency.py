@@ -13,11 +13,12 @@ efficiency of the observed process is entropy per mean instruction time.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
-from typing import Mapping, Optional, Sequence, Union
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import BoundClass, BoundInstructionSet, BoundMember, brief_rational, decimal_fraction, is_ident
 from .solver import CapacityResult, bound_columns, compile_columns, member_points, solve_capacity, time_as_float
@@ -28,6 +29,12 @@ _QUOTE_CHARS = 60
 # counting k-grams costs time and memory of about length * (order + 1)**2
 # (25 ms and 5 MB per 10**6 on a 2-vCPU host); past this bound it is refused
 _MAX_KGRAM_WORK = 25_000_000
+# split_trace splits a trace in chunks of about this many characters, each
+# cut at a character \s matches: exactly the ones str.split() splits on
+_TRACE_CHUNK = 1 << 16
+# efficiency_from_trace resolves its tokens to symbols this many at a time
+_TRACE_BATCH = 1 << 12
+_SPACE = re.compile(r"\s")
 
 
 class DistributionError(ValueError):
@@ -116,16 +123,50 @@ def _canonical_token(token: str) -> tuple[str, Optional[Fraction]]:
     return symbol, time
 
 
+def split_trace(text: str) -> Iterator[str]:
+    """The tokens of text.split(), made one chunk of about _TRACE_CHUNK
+    characters at a time, each chunk cut at whitespace so that no token is
+    cut: only one chunk's token strings are held at once."""
+    return chain.from_iterable(map(str.split, _chunks(text)))
+
+
+def _chunks(text: str):
+    """text in consecutive pieces of at least _TRACE_CHUNK characters (the
+    last may be shorter), each but the last ending before a whitespace
+    character."""
+    start = 0
+    while start < len(text):
+        cut = _SPACE.search(text, start + _TRACE_CHUNK)
+        end = cut.start() if cut else len(text)
+        yield text[start:end]
+        start = end
+
+
+def _resolved(batches: Iterable[list[str]], resolve: Callable[[str], str]) -> Iterator[Iterator[str]]:
+    """resolve(token) for each token of each batch, one batch at a time
+    (chain them to read the symbols).  resolve is called once per distinct
+    spelling, in first-use order, so its first error is the first bad
+    token's."""
+    canonical = {}
+    for batch in batches:
+        for token in dict.fromkeys(batch):
+            if token not in canonical:
+                canonical[token] = resolve(token)
+        yield map(canonical.__getitem__, batch)
+
+
 def parse_trace(text: str) -> tuple[str, ...]:
     """Split a trace file into canonical symbol tokens.
 
     Tokens are whitespace-separated, each `name` or `name@time` with a
     positive rational time ("29", "1.5", and "3/2" all work).  Equal times
     written differently canonicalize to the same token; an error names the first bad one.
+    The tokens are those of text.split(), split one chunk at a time as in
+    split_trace, so only one chunk's token strings are held at once; each
+    distinct spelling is parsed once.
     """
-    tokens = text.split()
-    canonical = {token: _canonical_token(token)[0] for token in dict.fromkeys(tokens)}
-    return tuple(map(canonical.__getitem__, tokens))
+    chunks = map(str.split, _chunks(text))
+    return tuple(chain.from_iterable(_resolved(chunks, lambda token: _canonical_token(token)[0])))
 
 
 def _member_index(iset: BoundInstructionSet) -> dict[str, BoundMember]:
@@ -180,6 +221,12 @@ class TraceStatistics:
 
     @classmethod
     def from_symbols(cls, symbols: Sequence[str], max_order: int) -> "TraceStatistics":
+        """k-gram counts at orders 0..max_order, read from `symbols` in place.
+
+        The window at position i runs over the trace and on into its first
+        max_order symbols again; the trace itself is never copied.  Checks
+        the order, then the length, then the k-gram work bound.
+        """
         if max_order < 0:
             raise TraceError(f"order must be >= 0, got {max_order}")
         n = len(symbols)
@@ -192,12 +239,16 @@ class TraceStatistics:
                 f"trace of length {n} at order {max_order} is past the k-gram bound: "
                 f"length * (order + 1)^2 must be at most {_MAX_KGRAM_WORK:,}"
             )
-        extended = [*symbols, *symbols[:max_order]]
-        # one pass at the top order (islice windows, not slices: no copies of
-        # a long trace); with wrapped windows each k-gram is the prefix of the
-        # (k+1)-gram at the same position, so summing over the last symbol is
-        # exact and keeps each order's first-occurrence key order
-        counts = [Counter(zip(*(islice(extended, i, i + n) for i in range(max_order + 1))))]
+        # count at the top order only, over windows read in place: the n -
+        # max_order that fit in the trace, then the max_order that wrap,
+        # read from a copy of its last and first max_order symbols.  With
+        # wrapped windows each k-gram is the prefix of the (k+1)-gram at the
+        # same position, so summing over the last symbol is exact and keeps
+        # each order's first-occurrence key order
+        top = Counter(zip(*(islice(symbols, i, None) for i in range(max_order + 1))))
+        tail = [*symbols[n - max_order :], *symbols[:max_order]]
+        top.update(zip(*(islice(tail, i, None) for i in range(max_order + 1))))
+        counts = [top]
         for _ in range(max_order):
             lower = Counter()
             for gram, count in counts[-1].items():
@@ -295,7 +346,7 @@ class TraceEfficiencyReport:
 
 def efficiency_from_trace(
     iset: BoundInstructionSet,
-    symbols: Sequence[str],
+    symbols: Iterable[str],
     max_order: int = 1,
     tolerance: float = 1e-12,
 ) -> TraceEfficiencyReport:
@@ -309,13 +360,15 @@ def efficiency_from_trace(
     bits to the entropy estimate at every order.  A TraceError names the
     first bad token in trace order, whatever is wrong with it; after that
     come an empty trace, then the order, length and k-gram work checks.
+    `symbols` (raw tokens or parse_trace's) is read once, a batch at a
+    time, and only its resolved symbols are kept, so a lazy stream such
+    as split_trace(text) never holds every token string at once.
     """
     members = _member_index(iset)
-    tokens = list(symbols)  # read twice: to resolve spellings, to count k-grams
-    canonical = {}
     # symbol -> (time, log2 of how many equally likely instructions it stands for)
     table = {}
-    for token in dict.fromkeys(tokens):
+
+    def resolve(token: str) -> str:
         symbol, time = _canonical_token(token)
         name = symbol.partition("@")[0]
         member = members.get(name)
@@ -327,11 +380,15 @@ def efficiency_from_trace(
             count = member.count
         else:
             count = member.count_per_term
-        canonical[token] = symbol
         table[symbol] = (time_as_float(time, symbol), math.log2(count))
-    if not tokens:
+        return symbol
+
+    tokens = iter(symbols)
+    batches = iter(lambda: list(islice(tokens, _TRACE_BATCH)), [])
+    resolved = list(chain.from_iterable(_resolved(batches, resolve)))
+    if not resolved:
         raise TraceError("trace is empty")
-    stats = TraceStatistics.from_symbols(list(map(canonical.__getitem__, tokens)), max_order)
+    stats = TraceStatistics.from_symbols(resolved, max_order)
     mean_time = within_member = 0
     for (symbol,), count in stats.kgram_counts[0].items():
         freq = count / stats.length

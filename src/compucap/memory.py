@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .model import (
     BoundClass,
@@ -368,14 +368,19 @@ def _parse_kind(obj: object, index: int) -> MemoryKind:
 
 
 def parse_problem(
-    text: str, base_dir: Optional[Path] = None, params: Optional[Mapping[str, object]] = None
+    text: str,
+    base_dir: Optional[Path] = None,
+    params: Optional[Mapping[str, object]] = None,
+    read_base: Optional[Callable[[Path], str]] = None,
 ) -> MemoryDesignProblem:
     """Parse a problem file; `base` may be inline model JSON or a file path.
 
     A path is resolved relative to base_dir (the problem file's own
-    directory, when loaded from disk).  params lies over the file's
-    `parameters`: a value replaces the file's value of the same name, a
-    new name is added, and the problem is built once on the merged values.
+    directory, when loaded from disk) and read by read_base(path), by
+    default as UTF-8 text; a caller that records the files it reads passes
+    its own reader.  params lies over the file's `parameters`: a value
+    replaces the file's value of the same name, a new name is added, and
+    the problem is built once on the merged values.
     """
     doc = load_json(text, "problem", ProblemError)
     check_object(
@@ -388,7 +393,7 @@ def parse_problem(
         if not path.is_absolute():
             path = (base_dir or Path.cwd()) / path
         try:
-            base_text = path.read_text(encoding="utf-8")
+            base_text = read_base(path) if read_base else path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ProblemError(f"cannot read base model {base_obj!r}: {exc}") from None
         base_obj = load_json(base_text, f"base model {base_obj!r}", ProblemError)

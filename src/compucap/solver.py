@@ -211,7 +211,10 @@ def eval_characteristic(iset: BoundInstructionSet, y: float) -> float:
 
 
 def _residual(log2_g: float) -> float:
-    """|g - 1| recovered from log2 g."""
+    """|g - 1| recovered from log2 g; inf where g lies past the float range
+    (a residual that large fails _RESIDUAL_LIMIT all the same)."""
+    if log2_g >= 1023.0:
+        return math.inf
     return abs(math.expm1(log2_g * _LN2))
 
 

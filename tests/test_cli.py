@@ -131,6 +131,29 @@ def test_efficiency_reads_any_spelling_of_a_trace(capsys, tmp_path):
     assert mixed == canonical
 
 
+def test_efficiency_of_a_trace_of_many_chunks_scores_its_whole_split(capsys, tmp_path):
+    from compucap import ParameterBinding, bind, efficiency_from_trace, parse_model
+
+    model, trace = tmp_path / "f.json", tmp_path / "trace.txt"
+    model.write_text(CLASS_AND_FAMILY)
+    rng = random.Random(0x1CE)
+    spaces = [" ", "\n", "\t", "\x1c", "\x85", "\xa0", "\u3000"]
+    text = "".join(
+        rng.choice(spaces) + rng.choice(["c", "c@1", "g@1/2", "g@1.5", "g@6/4"]) for _ in range(60_000)
+    )
+    trace.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "efficiency", str(model), str(trace), "--order", "3", "--json")
+    assert (code, err) == (0, "")
+    bound = bind(parse_model(CLASS_AND_FAMILY), ParameterBinding.from_strings([]))
+    report = efficiency_from_trace(bound, text.split(), 3)
+    results = json.loads(out)["results"]
+    assert results["trace_length"] == report.length == 60_000
+    # the report prints 15 significant digits
+    assert results["mean_time"] == pytest.approx(report.mean_time, rel=1e-14)
+    entropies = [o.entropy_bits for o in report.orders]
+    assert [o["entropy_bits"] for o in results["orders"]] == pytest.approx(entropies, rel=1e-14)
+
+
 def test_efficiency_names_the_first_bad_trace_token(capsys, tmp_path):
     model, trace = tmp_path / "f.json", tmp_path / "trace.txt"
     model.write_text(CLASS_AND_FAMILY)
@@ -293,6 +316,28 @@ def test_param_supplies_or_replaces_a_file_parameter(capsys, tmp_path, parameter
     assert (code, err) == (0, "")
     _, expected, _ = run_cli(capsys, "optimize-memory", MEMORY, "--param", "mu1=2", "--json")
     assert json.loads(out)["results"] == json.loads(expected)["results"]
+
+
+def test_base_read_from_a_path_is_an_input(capsys, tmp_path):
+    # the same problem file over two different base files: the reports
+    # must tell the runs apart by their inputs
+    problem = tmp_path / "problem.json"
+    problem.write_text(
+        '{"base": "base.json", "registers": 1, "budget": 2,'
+        ' "kinds": [{"name": "A", "cell_cost": 1, "access_classes": [{"count": 2, "time": 1}]}]}'
+    )
+    base = tmp_path / "base.json"
+    inputs = []
+    for count in (2, 3):
+        base.write_text('{"name": "b", "classes": [{"name": "x", "count": %d, "time": 1}]}' % count)
+        code, out, err = run_cli(capsys, "optimize-memory", str(problem), "--json")
+        assert (code, err) == (0, "")
+        inputs.append(json.loads(out)["inputs"])
+        assert inputs[-1] == {
+            role: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for role, path in (("problem", problem), ("base", base))
+        }
+    assert inputs[0] != inputs[1]
 
 
 def test_param_undeclared_by_the_problem_exits_3(capsys):
@@ -560,6 +605,22 @@ def test_capacity_past_float_range_exits_2(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and "outside the float range" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["capacity", "distribution"])
+def test_newton_step_past_the_float_range_of_g_exits_0(capsys, tmp_path, command):
+    # the first Newton step lands where g is about 2^1092, past the float
+    # range (see test_solver.test_step_landing_past_the_float_range_of_g_continues)
+    model = tmp_path / "ovf.json"
+    model.write_text(
+        '{"name": "ovf", "classes": [{"name": "a", "count": "1*2^1830", "time": "1e100"},'
+        ' {"name": "b", "count": "1*2^1092", "time": "1e-300"}]}'
+    )
+    code, out, err = run_cli(capsys, command, str(model), "--json")
+    assert code == 0
+    assert err == ""
+    assert "Traceback" not in out
+    assert json.loads(out)["results"]["capacity_bits"] == pytest.approx(1.092e303, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["capacity", "distribution", "efficiency"])

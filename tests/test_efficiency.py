@@ -1,7 +1,9 @@
 import math
 import random
 import re
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -563,3 +565,179 @@ def test_huge_time_annotation_is_a_trace_error_naming_the_token(annotation):
     with pytest.raises(TraceError, match=message):
         efficiency_from_distribution(class_and_family(), {token: 1.0}, 1.0)
     assert time.perf_counter() - start < 1.0
+
+
+# --- chunked parsing and counting in place ---
+
+CHUNK = efficiency_module._TRACE_CHUNK
+BATCH = efficiency_module._TRACE_BATCH
+split_trace = efficiency_module.split_trace
+# every code point str.split() splits on, in code point order
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+SPELLINGS = ["c", "c@1", "g@1.5", "g@3/2", "g@6/4", "g@0.5", "g@5/2", "zz9", "a_b"]
+
+
+def split_reference(text: str) -> tuple:
+    """parse_trace written as one whole-text split."""
+    return tuple(efficiency_module._canonical_token(token)[0] for token in text.split())
+
+
+def random_trace_text(rng: random.Random, length: int, separators, spellings=SPELLINGS) -> str:
+    """Tokens from `spellings` joined by runs of 1-3 separators, with a run
+    at either end, until the text is at least `length` characters."""
+    parts = []
+    size = 0
+    while size < length:
+        part = "".join(rng.choices(separators, k=rng.randint(1, 3))) + rng.choice(spellings)
+        parts.append(part)
+        size += len(part)
+    return "".join(parts) + rng.choice(separators)
+
+
+def test_parse_trace_over_many_chunks_is_the_whole_text_split():
+    rng = random.Random(0xC0DE)
+    for separators in (SPACES, [" "], ["\n", "\t"], ["\x1c", "\x85", "\xa0", "\u3000"]):
+        text = random_trace_text(rng, 3 * CHUNK + 1000, separators)
+        assert len(text) > 3 * CHUNK
+        assert list(split_trace(text)) == text.split()
+        assert parse_trace(text) == split_reference(text)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=[f"U+{ord(s):04X}" for s in SPACES])
+def test_parse_trace_cuts_at_each_whitespace_character(space):
+    # the first chunk ends just before character CHUNK, which is `space`
+    head = space.join(["c"] * (CHUNK // 2 - 1)) + space + "cc"
+    assert len(head) == CHUNK
+    text = head + space + "g@1.5" + space * 2 + "c@1" + space
+    assert text[CHUNK] == space
+    assert list(split_trace(text)) == text.split()
+    assert parse_trace(text) == split_reference(text)
+    assert parse_trace(text)[-3:] == ("cc", "g@3/2", "c@1")
+
+
+def test_parse_trace_never_cuts_a_token():
+    # a token straddling character CHUNK, and one longer than a whole chunk
+    head = "c " * (CHUNK // 2 - 1)
+    straddle = head + "g@3/2 c"
+    assert straddle[CHUNK - 2 : CHUNK + 3] == "g@3/2"
+    assert parse_trace(straddle) == ("c",) * (CHUNK // 2 - 1) + ("g@3/2", "c")
+    long_name = "x" * (2 * CHUNK + 7)
+    text = f"c {long_name} g@6/4\n{long_name}"
+    assert parse_trace(text) == ("c", long_name, "g@3/2", long_name)
+
+
+@pytest.mark.parametrize("text", ["", " ", "\n\n", " \t\x1c\u3000", " " * (3 * CHUNK + 5)])
+def test_parse_trace_of_empty_or_blank_text_is_empty(text):
+    assert parse_trace(text) == ()
+
+
+def test_bad_token_in_a_later_chunk_is_named():
+    clean = "c g@1/2 " * (CHUNK // 4)  # two chunks' worth
+    assert len(clean) >= 2 * CHUNK
+    with pytest.raises(TraceError, match=re.escape("invalid trace token '9bad'")):
+        parse_trace(clean + "9bad c")
+    # with bad tokens in two chunks, the first in trace order is named
+    text = clean + "c@0 " + clean + "9bad"
+    with pytest.raises(TraceError, match=re.escape("must be positive in 'c@0'")):
+        parse_trace(text)
+
+
+def test_space_pattern_matches_exactly_what_split_splits_on():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    matched = "".join(m.group() for m in efficiency_module._SPACE.finditer(every))
+    assert matched == "".join(SPACES)
+    # and str.split() splits on these and on nothing else
+    assert "".join(every.split()) == "".join(c for c in every if not c.isspace())
+
+
+def sequential_wrapped_counts(symbols, order: int) -> dict:
+    """(order+1)-gram counts by index, the window at i reading symbol
+    (i + j) mod length at offset j; keys in order of first occurrence."""
+    counts = {}
+    n = len(symbols)
+    for i in range(n):
+        gram = tuple(symbols[(i + j) % n] for j in range(order + 1))
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("kind", [tuple, list])
+def test_wrapped_counts_match_a_sequential_reference(kind):
+    rng = random.Random(0x3A9)
+    for max_order in range(5):
+        for length in (max_order + 1, max_order + 2, 17, 64):
+            symbols = kind(rng.choices("abc", k=length))
+            stats = TraceStatistics.from_symbols(symbols, max_order)
+            assert stats.length == length
+            for order in range(max_order + 1):
+                expected = sequential_wrapped_counts(symbols, order)
+                assert list(stats.kgram_counts[order].items()) == list(expected.items())
+
+
+def test_parse_trace_memory_peak_is_bounded():
+    # 200,000 short tokens: the result holds 1.6 MB of pointers; splitting
+    # the whole text at once made all 200,000 token strings (13.8 MB peak)
+    rng = random.Random(0x7A11)
+    text = " ".join(rng.choices([f"i{k}" for k in range(25)], k=200_000))
+    symbols, peak = traced_peak(lambda: parse_trace(text))
+    assert len(symbols) == 200_000
+    assert peak < 4 * 8 * 200_000
+
+
+def test_a_lazy_token_stream_scores_as_the_whole_split():
+    rng = random.Random(0x5E7)
+    text = random_trace_text(rng, 3 * CHUNK + 1000, SPACES, SPELLINGS[:7])
+    expected = efficiency_from_trace(class_and_family(), text.split(), 3)
+    assert expected.length > 4 * BATCH
+    assert efficiency_from_trace(class_and_family(), split_trace(text), 3) == expected
+    assert efficiency_from_trace(class_and_family(), parse_trace(text), 3) == expected
+    assert efficiency_from_trace(class_and_family(), iter(text.split()), 3) == expected
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("zz c", "unknown instruction symbol 'zz'"),
+        ("c@3 zz 9bad", "'c@3': class 'c' executes in time 1, not 3"),
+        ("9bad", "invalid trace token '9bad'"),
+    ],
+)
+def test_first_bad_token_of_a_later_batch_is_named(tail, message):
+    # two clean batches, then the faults; a later batch's fault is not reached
+    clean = " ".join(["c", "g@1/2"] * BATCH)
+    text = f"{clean} {tail} {clean} g@1/0"
+    for symbols in (text.split(), split_trace(text)):
+        with pytest.raises(TraceError) as info:
+            efficiency_from_trace(class_and_family(), symbols, 0)
+        assert str(info.value) == message
+
+
+def traced_peak(function):
+    """function()'s result and the peak bytes it allocated under tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = function()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
+
+
+def test_scoring_memory_peak_is_bounded():
+    # 200,000 short tokens, whose resolved symbols hold 1.6 MB of pointers.
+    # Scoring text.split() held every token string and two more copies of
+    # the trace (15 MB peak); a parsed tuple was copied twice (5 MB)
+    rng = random.Random(0x7A11)
+    text = " ".join(rng.choices(["c", "c@1", "g@1/2", "g@1.5", "g@5/2"], k=200_000))
+    pointers = 8 * 200_000
+    report, peak = traced_peak(lambda: efficiency_from_trace(class_and_family(), split_trace(text), 1))
+    assert report.length == 200_000
+    assert peak < 4 * pointers
+    symbols = parse_trace(text)
+    _, peak = traced_peak(lambda: efficiency_from_trace(class_and_family(), symbols, 1))
+    assert peak < 2 * pointers

@@ -346,6 +346,21 @@ def test_root_far_above_two_to_the_sixty():
     assert result.residual <= 1e-10
 
 
+def test_step_landing_past_the_float_range_of_g_continues():
+    # At y = 0 log2 g is about 1830 and the slope about -1e100, so the
+    # first step, under tolerance/2, lands where a's weight has vanished
+    # and log2 g is about 1092: g itself lies past the float range there,
+    # and its residual must read as too large, not overflow.
+    iset = BoundInstructionSet(
+        "ovf",
+        (BoundClass("a", 2**1830, Fraction("1e100")), BoundClass("b", 2**1092, Fraction("1e-300"))),
+    )
+    result = solve_capacity(iset)
+    assert result.capacity_bits == pytest.approx(1.092e303, rel=1e-12)
+    assert result.residual <= 1e-10
+    assert result.iterations == 4
+
+
 @pytest.mark.parametrize(
     "slow, expected",
     [(1, math.log2(3)), (2, LOG2_SILVER)],
