@@ -32,8 +32,6 @@ _MAX_KGRAM_WORK = 25_000_000
 # split_trace splits a trace in chunks of about this many characters, each
 # cut at a character \s matches: exactly the ones str.split() splits on
 _TRACE_CHUNK = 1 << 16
-# efficiency_from_trace resolves its tokens to symbols this many at a time
-_TRACE_BATCH = 1 << 12
 _SPACE = re.compile(r"\s")
 
 
@@ -142,17 +140,19 @@ def _chunks(text: str):
         start = end
 
 
-def _resolved(batches: Iterable[list[str]], resolve: Callable[[str], str]) -> Iterator[Iterator[str]]:
-    """resolve(token) for each token of each batch, one batch at a time
-    (chain them to read the symbols).  resolve is called once per distinct
-    spelling, in first-use order, so its first error is the first bad
-    token's."""
-    canonical = {}
-    for batch in batches:
-        for token in dict.fromkeys(batch):
-            if token not in canonical:
-                canonical[token] = resolve(token)
-        yield map(canonical.__getitem__, batch)
+class _Spellings(dict):
+    """token -> resolve(token), filled on first use: a token found here
+    costs one dict lookup, and resolve runs once per distinct spelling, in
+    first-use order, so its first error is the first bad token's."""
+
+    __slots__ = ("resolve",)
+
+    def __init__(self, resolve: Callable[[str], str]):
+        self.resolve = resolve
+
+    def __missing__(self, token: str) -> str:
+        symbol = self[token] = self.resolve(token)
+        return symbol
 
 
 def parse_trace(text: str) -> tuple[str, ...]:
@@ -161,12 +161,12 @@ def parse_trace(text: str) -> tuple[str, ...]:
     Tokens are whitespace-separated, each `name` or `name@time` with a
     positive rational time ("29", "1.5", and "3/2" all work).  Equal times
     written differently canonicalize to the same token; an error names the first bad one.
-    The tokens are those of text.split(), split one chunk at a time as in
-    split_trace, so only one chunk's token strings are held at once; each
-    distinct spelling is parsed once.
+    The tokens are those of text.split(), read in one pass over
+    split_trace(text), so only one chunk's token strings are held at once;
+    each distinct spelling is parsed once.
     """
-    chunks = map(str.split, _chunks(text))
-    return tuple(chain.from_iterable(_resolved(chunks, lambda token: _canonical_token(token)[0])))
+    spellings = _Spellings(lambda token: _canonical_token(token)[0])
+    return tuple(map(spellings.__getitem__, split_trace(text)))
 
 
 def _member_index(iset: BoundInstructionSet) -> dict[str, BoundMember]:
@@ -360,9 +360,10 @@ def efficiency_from_trace(
     bits to the entropy estimate at every order.  A TraceError names the
     first bad token in trace order, whatever is wrong with it; after that
     come an empty trace, then the order, length and k-gram work checks.
-    `symbols` (raw tokens or parse_trace's) is read once, a batch at a
-    time, and only its resolved symbols are kept, so a lazy stream such
-    as split_trace(text) never holds every token string at once.
+    `symbols` (raw tokens or parse_trace's) is read once, each token
+    resolved as it is read, and only the resolved symbols are kept, so a
+    lazy stream such as split_trace(text) never holds every token string
+    at once.
     """
     members = _member_index(iset)
     # symbol -> (time, log2 of how many equally likely instructions it stands for)
@@ -383,9 +384,7 @@ def efficiency_from_trace(
         table[symbol] = (time_as_float(time, symbol), math.log2(count))
         return symbol
 
-    tokens = iter(symbols)
-    batches = iter(lambda: list(islice(tokens, _TRACE_BATCH)), [])
-    resolved = list(chain.from_iterable(_resolved(batches, resolve)))
+    resolved = list(map(_Spellings(resolve).__getitem__, symbols))
     if not resolved:
         raise TraceError("trace is empty")
     stats = TraceStatistics.from_symbols(resolved, max_order)

@@ -16,10 +16,9 @@ gives the exact answer over an integer grid.  As the sum increases with
 every cell count, so do its root and the capacity: on a grid row, where
 only the last kind's count varies, no point beats the row's last one, so
 optimize_grid solves that point alone (see its docstring).  instantiate
-and the optimizers take the access classes an allocation installs, as
-BoundClasses, from one table, _installed.  An optimizer hands an
-allocation that installs none to solve_capacity; otherwise the solver's
-compile_columns compiles them and the optimizer appends them, in
+and the optimizers read the access classes an allocation installs from
+one table, problem.accesses.  An optimizer hands an allocation that
+installs none to solve_capacity; otherwise it appends them, in
 instantiate's order, to the base's columns (compiled once per problem,
 kept on bound_base), so each result is the one solve_capacity gives for
 instantiate's set.
@@ -52,7 +51,7 @@ from .model import (
     parse_time,
 )
 from .solver import (
-    CapacityResult, bound_columns, check_tolerance, compile_columns, solve_capacity, solve_compiled,
+    CapacityResult, bound_columns, check_tolerance, solve_capacity, solve_compiled, time_as_float,
 )
 
 _TIE_WIDTH = 1e-11
@@ -163,25 +162,13 @@ class Allocation:
         object.__setattr__(self, "cells", dict(self.cells))
 
 
-def _installed(problem: MemoryDesignProblem, vec: tuple[int, ...]) -> list[BoundClass]:
-    """A BoundClass (kind/index, registers * count_per_cell * n, time) for
-    each access class that the cells vector vec (n per kind, in
-    declaration order) installs, in declaration order, each time checked
-    positive."""
-    return [
-        BoundClass(name, scale * n, check_positive_time(time, name))
-        for n, accesses in zip(vec, problem.accesses)
-        if n
-        for name, scale, time in accesses
-    ]
-
-
 def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> BoundInstructionSet:
     """The full bound instruction set once `cells` of each kind are installed.
 
     Every access class of a kind with n cells becomes a plain class of
     count registers * count_per_cell * n; kinds at zero cells contribute
-    nothing, so the all-zero allocation is exactly the base set.
+    nothing, so the all-zero allocation is exactly the base set.  Each
+    installed access time is checked positive, in declaration order.
     """
     known = {kind.name for kind in problem.kinds}
     for name, n in cells.items():
@@ -189,8 +176,13 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
             raise ProblemError(f"unknown memory kind {name!r}")
         if not isinstance(n, int) or n < 0:
             raise ProblemError(f"cell count for {name!r} must be a non-negative integer")
-    vec = tuple(cells.get(kind.name, 0) for kind in problem.kinds)
-    return BoundInstructionSet(problem.base.name, (*problem.bound_base.members, *_installed(problem, vec)))
+    installed = (
+        BoundClass(name, scale * n, check_positive_time(time, name))
+        for kind, accesses in zip(problem.kinds, problem.accesses)
+        if (n := cells.get(kind.name, 0))
+        for name, scale, time in accesses
+    )
+    return BoundInstructionSet(problem.base.name, (*problem.bound_base.members, *installed))
 
 
 def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
@@ -198,22 +190,33 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
     tolerance) for the cells vector vec in kind-declaration order.
 
     A vector that installs nothing goes to solve_capacity on the base.
-    Otherwise compile_columns compiles the classes _installed lists, and
-    their columns follow the base's (bound_columns), so the base's
-    families keep their indices.  The base compiles first, so the errors
-    come in instantiate and solve_capacity's order: a time that is not
-    positive, then a base member, then an access time.
+    Otherwise each installed access class adds log2 of its count and its
+    float time to the base's columns (bound_columns), as compile_columns
+    would compile its BoundClass, so the base's families keep their
+    indices.  A kind's times become floats the first time it is installed
+    and are kept per solver.  The errors come in instantiate and
+    solve_capacity's order: a time that is not positive, then a base
+    member, then an access time.
     """
     check_tolerance(tolerance)
+    kind_times: dict[int, list[float]] = {}  # kind index -> float access times
 
     def solve(vec: tuple[int, ...]) -> CapacityResult:
-        installed = _installed(problem, vec)
-        if not installed:
+        kinds = [k for k, n in enumerate(vec) if n]
+        if not kinds:
             return solve_capacity(problem.bound_base, tolerance)
+        new = [k for k in kinds if k not in kind_times]
+        for k in new:
+            for name, _, time in problem.accesses[k]:
+                check_positive_time(time, name)
         log2_counts, times, families = bound_columns(problem.bound_base)
-        more_counts, more_times, _ = compile_columns(installed)
-        columns = (log2_counts + more_counts, times + more_times, families)
-        return solve_compiled(columns, problem.base.name, tolerance)
+        for k in new:
+            kind_times[k] = [time_as_float(time, name) for name, _, time in problem.accesses[k]]
+        log2_counts = log2_counts + [
+            math.log2(scale * vec[k]) for k in kinds for _, scale, _ in problem.accesses[k]
+        ]
+        times = times + [time for k in kinds for time in kind_times[k]]
+        return solve_compiled((log2_counts, times, families), problem.base.name, tolerance)
 
     return solve
 

@@ -192,6 +192,10 @@ def _log2_char(columns: Columns, y: float) -> tuple[float, float]:
     hi = max(values)
     weights = [2.0 ** (value - hi) for value in values]
     mean = sum(map(mul, weights, means))
+    if mean != mean:
+        # a weight that underflowed to 0 times an inf mean index (a huge
+        # family far below the top member) is nan; that member adds nothing
+        mean = sum(w * m for w, m in zip(weights, means) if w)
     # log2(1 + rest), not log2 of a rounded 1 + rest: where one member
     # dominates, the others' mass lies below the rounding of 1.  The top
     # weight is exactly 1; zeroing another weight of 1 leaves the same sum.

@@ -623,6 +623,24 @@ def test_newton_step_past_the_float_range_of_g_exits_0(capsys, tmp_path, command
     assert json.loads(out)["results"]["capacity_bits"] == pytest.approx(1.092e303, rel=1e-12)
 
 
+@pytest.mark.parametrize("command", ["capacity", "distribution"])
+def test_huge_class_beside_a_huge_family_exits_0(capsys, tmp_path, command):
+    # at y = 0 the family's weight underflows to 0 beside the class's and
+    # its mean index is inf: 0 * inf made the slope nan and the run exit 2
+    model = tmp_path / "deep.json"
+    model.write_text(
+        '{"name": "deep", "classes": [{"name": "a", "count": "1*2^5000", "time": 1},'
+        ' {"name": "g", "count": 1, "time": 1, "family": {"step": 1, "terms": "1*2^2000"}}]}'
+    )
+    code, out, err = run_cli(capsys, command, str(model), "--json")
+    assert code == 0
+    assert err == ""
+    results = json.loads(out)["results"]
+    assert results["capacity_bits"] == 5000
+    if command == "capacity":
+        assert results["iterations"] == 3
+
+
 @pytest.mark.parametrize("command", ["capacity", "distribution", "efficiency"])
 def test_model_without_a_float_root_exits_2(capsys, tmp_path, command):
     # A family past 2^1023 terms stalls Newton at y = 0 (see

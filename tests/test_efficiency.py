@@ -1,11 +1,14 @@
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -570,7 +573,6 @@ def test_huge_time_annotation_is_a_trace_error_naming_the_token(annotation):
 # --- chunked parsing and counting in place ---
 
 CHUNK = efficiency_module._TRACE_CHUNK
-BATCH = efficiency_module._TRACE_BATCH
 split_trace = efficiency_module.split_trace
 # every code point str.split() splits on, in code point order
 SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
@@ -688,7 +690,7 @@ def test_a_lazy_token_stream_scores_as_the_whole_split():
     rng = random.Random(0x5E7)
     text = random_trace_text(rng, 3 * CHUNK + 1000, SPACES, SPELLINGS[:7])
     expected = efficiency_from_trace(class_and_family(), text.split(), 3)
-    assert expected.length > 4 * BATCH
+    assert expected.length > 4 * 4096
     assert efficiency_from_trace(class_and_family(), split_trace(text), 3) == expected
     assert efficiency_from_trace(class_and_family(), parse_trace(text), 3) == expected
     assert efficiency_from_trace(class_and_family(), iter(text.split()), 3) == expected
@@ -703,13 +705,68 @@ def test_a_lazy_token_stream_scores_as_the_whole_split():
     ],
 )
 def test_first_bad_token_of_a_later_batch_is_named(tail, message):
-    # two clean batches, then the faults; a later batch's fault is not reached
-    clean = " ".join(["c", "g@1/2"] * BATCH)
+    # 8,192 clean tokens, then the faults; a later fault is not reached
+    clean = " ".join(["c", "g@1/2"] * 4096)
     text = f"{clean} {tail} {clean} g@1/0"
     for symbols in (text.split(), split_trace(text)):
         with pytest.raises(TraceError) as info:
             efficiency_from_trace(class_and_family(), symbols, 0)
         assert str(info.value) == message
+
+
+def test_a_lazy_stream_resolves_each_spelling_once_in_first_use_order(monkeypatch):
+    calls = []
+    canonical_token = efficiency_module._canonical_token
+
+    def spy(token):
+        calls.append(token)
+        return canonical_token(token)
+
+    monkeypatch.setattr(efficiency_module, "_canonical_token", spy)
+    # `c@1` first turns up past token 50,000 and the first bad spelling,
+    # `zz`, past token 100,000; a second bad one follows it
+    rng = random.Random(0x1A2)
+    head = rng.choices(["c", "g@1/2", "g@1.5"], k=50_000)
+    head += rng.choices(["c", "c@1", "g@3/2", "g@6/4", "g@5/2"], k=50_123)
+    tokens = [*head, "zz", *rng.choices(["c", "c@1.0", "g@0.5"], k=49_875), "9bad"]
+    assert len(tokens) == 150_000 and tokens.index("zz") > 100_000
+    read = []
+
+    def stream():
+        for token in tokens:
+            read.append(token)
+            yield token
+
+    with pytest.raises(TraceError, match=re.escape("unknown instruction symbol 'zz'")):
+        efficiency_from_trace(class_and_family(), stream(), 3)
+    assert read == head + ["zz"]
+    assert calls == list(dict.fromkeys(read))
+    assert sorted(calls) == ["c", "c@1", "g@1.5", "g@1/2", "g@3/2", "g@5/2", "g@6/4", "zz"]
+
+
+FRESH_PARSE = """
+import sys
+from compucap import parse_trace
+print(repr(parse_trace(sys.stdin.read())))
+"""
+
+
+def test_a_failed_parse_leaves_no_state_behind():
+    good = "g@1.5 c g@3/2 c@1 g@6/4 c\nzz g@1/2"
+    with pytest.raises(TraceError, match=re.escape("must be positive in 'c@0'")):
+        parse_trace("g@1.5 c zz c@0 g@3/2")
+    with pytest.raises(TraceError, match=re.escape("invalid trace token '9bad'")):
+        parse_trace(good + " 9bad")
+    fresh = subprocess.run(
+        [sys.executable, "-c", FRESH_PARSE],
+        input=good,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(efficiency_module.__file__).parent.parent)),
+        check=True,
+    )
+    assert repr(parse_trace(good)) + "\n" == fresh.stdout
+    assert parse_trace(good) == ("g@3/2", "c", "g@3/2", "c@1", "g@3/2", "c", "zz", "g@1/2")
 
 
 def traced_peak(function):
