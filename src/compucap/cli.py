@@ -19,7 +19,6 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 try:
     # Importing hashlib loads OpenSSL, about 4 ms of a cold command; like the
@@ -212,7 +211,7 @@ def cmd_count(args) -> tuple[dict, dict, list]:
     bound, inputs = _load_bound(args)
     table = count_sequences(bound, args.max_time)
     warnings = []
-    estimate: Optional[float] = None
+    estimate: float | None = None
     if args.max_time >= 1:
         try:
             estimate = capacity_estimate(table, args.max_time)
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         inputs, results, warnings = args.func(args)

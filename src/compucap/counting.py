@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .model import BoundClass, BoundInstructionSet, brief_int
 
@@ -32,7 +31,7 @@ class CountingError(ValueError):
     unit of any capacity reported against the rescaled model).
     """
 
-    def __init__(self, message: str, suggested_scale: Optional[int] = None):
+    def __init__(self, message: str, suggested_scale: int | None = None):
         super().__init__(message)
         self.suggested_scale = suggested_scale
 

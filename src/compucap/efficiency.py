@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .model import BoundClass, BoundInstructionSet, BoundMember, brief_rational, decimal_fraction, is_ident
 from .solver import CapacityResult, bound_columns, compile_columns, member_points, solve_capacity, time_as_float
@@ -53,7 +53,7 @@ class InstructionDistribution:
     """
 
     masses: Mapping[str, float]
-    log2_x0: Optional[float] = None
+    log2_x0: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "masses", dict(self.masses))
@@ -68,7 +68,7 @@ class InstructionDistribution:
     def mass(self, name: str) -> float:
         return self.masses.get(name, 0.0)
 
-    def instruction_probability(self, time: Union[float, Fraction]) -> float:
+    def instruction_probability(self, time: float | Fraction) -> float:
         """Per-individual-instruction probability at the given time."""
         if self.log2_x0 is None:
             raise DistributionError("distribution carries no per-instruction rule")
@@ -101,7 +101,7 @@ def _quote(token: str) -> str:
     return repr(token)
 
 
-def _canonical_token(token: str) -> tuple[str, Optional[Fraction]]:
+def _canonical_token(token: str) -> tuple[str, Fraction | None]:
     """The canonical symbol of a trace token, `name` or `name@time` with the
     time in lowest terms, and its parsed time (None for a bare name)."""
     name, sep, anno = token.partition("@")
@@ -174,7 +174,7 @@ def _member_index(iset: BoundInstructionSet) -> dict[str, BoundMember]:
     return {m.name: m for m in reversed(iset.members)}
 
 
-def _token_time(member: BoundMember, token: str, time: Optional[Fraction]) -> Fraction:
+def _token_time(member: BoundMember, token: str, time: Fraction | None) -> Fraction:
     """The time of `token`, which names `member` and is annotated `time` (None if bare)."""
     if isinstance(member, BoundClass):
         if time is not None and time != member.time:
@@ -287,7 +287,7 @@ def entropy_order_n(stats: TraceStatistics, n: int) -> float:
 
 def efficiency_from_distribution(
     iset: BoundInstructionSet,
-    dist: Union[InstructionDistribution, Mapping[str, float]],
+    dist: InstructionDistribution | Mapping[str, float],
     entropy_bits: float,
 ) -> float:
     """Entropy rate divided by mean instruction time, in bits per time unit.

@@ -27,10 +27,10 @@ instantiate's set.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Optional
 
 from .model import (
     BoundClass,
@@ -372,9 +372,9 @@ def _parse_kind(obj: object, index: int) -> MemoryKind:
 
 def parse_problem(
     text: str,
-    base_dir: Optional[Path] = None,
-    params: Optional[Mapping[str, object]] = None,
-    read_base: Optional[Callable[[Path], str]] = None,
+    base_dir: Path | None = None,
+    params: Mapping[str, object] | None = None,
+    read_base: Callable[[Path], str] | None = None,
 ) -> MemoryDesignProblem:
     """Parse a problem file; `base` may be inline model JSON or a file path.
 

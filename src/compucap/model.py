@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
 
 class ModelError(ValueError):
@@ -111,7 +111,7 @@ def decimal_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def as_rational(value: Union[int, float, str, Fraction]) -> Fraction:
+def as_rational(value: int | float | str | Fraction) -> Fraction:
     """Coerce a scalar (int, Fraction, float, "p/q" or decimal string) to an
     exact Fraction; a float keeps its exact binary value.  A Fraction is
     returned as it is."""
@@ -236,7 +236,7 @@ class InstructionFamily:
             raise ModelError(f"family {self.name!r}: terms must be >= 1")
 
 
-Member = Union[InstructionClass, InstructionFamily]
+Member = InstructionClass | InstructionFamily
 
 
 @dataclass(frozen=True)
@@ -316,7 +316,7 @@ class BoundFamily:
     num_terms: int
 
 
-BoundMember = Union[BoundClass, BoundFamily]
+BoundMember = BoundClass | BoundFamily
 
 
 @dataclass(frozen=True)
@@ -361,7 +361,7 @@ def bind(iset: InstructionSet, binding: ParameterBinding) -> BoundInstructionSet
     return BoundInstructionSet(iset.name, tuple(members))
 
 
-def total_count(iset: Union[InstructionSet, BoundInstructionSet]) -> int:
+def total_count(iset: InstructionSet | BoundInstructionSet) -> int:
     """Exact total number of individual instructions in the set."""
     total = 0
     for m in iset.members:
@@ -412,7 +412,7 @@ def check_object(
 
 def check_container(
     obj: object, kind: type, where: str, error: type[ValueError]
-) -> Union[dict, list]:
+) -> dict | list:
     """`obj` itself if it is a JSON object (`kind` dict) or list (`kind`
     list); `error` naming the JSON path `where` if not."""
     if not isinstance(obj, kind):
@@ -469,7 +469,7 @@ def instruction_set_from_object(doc: object) -> InstructionSet:
     )
 
 
-def _rational_json(value: Fraction) -> Union[int, str]:
+def _rational_json(value: Fraction) -> int | str:
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"

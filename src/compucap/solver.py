@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable
 
 from .model import BoundClass, BoundInstructionSet, BoundMember, total_count
 
@@ -190,6 +190,10 @@ def _log2_char(columns: Columns, y: float) -> tuple[float, float]:
     """
     values, means = member_points(columns, y)
     hi = max(values)
+    if hi == -math.inf:
+        # every t * y overflowed, so g underflows to 0; as y grows, the
+        # member of least mean time sets the slope
+        return hi, -min(means)
     weights = [2.0 ** (value - hi) for value in values]
     mean = sum(map(mul, weights, means))
     if mean != mean:
@@ -267,7 +271,7 @@ def solve_compiled(columns: Columns, name: str, tolerance: float) -> CapacityRes
         if f == 0.0:
             return CapacityResult(y, 0.0, 0.0, iterations)
         step = f / slope if slope else math.inf
-        if not math.isfinite(step):
+        if not math.isfinite(y - step):
             raise ValueError(f"set {name!r}: the capacity lies outside the float range")
         if y - step != y:
             y -= step

@@ -1,7 +1,9 @@
-"""Each entry point loads only the package modules it runs.
+"""Each entry point loads only the package modules it runs, and none
+loads typing.
 
 Every case runs in a fresh interpreter, since the test process itself has
-long since loaded the whole package.
+long since loaded the whole package.  The typing cases start it with -S,
+since a site hook may import typing by itself.
 """
 
 import json
@@ -18,7 +20,10 @@ DATA = ROOT / "src" / "compucap" / "data"
 REPORT = """
 import json, sys
 import compucap
-print(json.dumps({"loaded": sorted(m for m in sys.modules if m.startswith("compucap."))}))
+print(json.dumps({
+    "loaded": sorted(m for m in sys.modules if m.startswith("compucap.")),
+    "typing": "typing" in sys.modules,
+}))
 """
 
 # compucap.efficiency is a plain submodule, bound as in any package
@@ -32,10 +37,10 @@ assert compucap.efficiency_from_distribution is module.efficiency_from_distribut
 """
 
 
-def run_fresh(code: str) -> dict:
+def run_fresh(code: str, *flags: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code + REPORT],
+        [sys.executable, *flags, "-c", code + REPORT],
         capture_output=True,
         text=True,
         env=env,
@@ -69,25 +74,35 @@ def test_importing_the_cli_loads_only_the_model():
 SOLVE = ["compucap.cli", "compucap.efficiency", "compucap.model", "compucap.solver"]
 
 
-@pytest.mark.parametrize(
-    "argv, loaded",
-    [
-        (["capacity", str(DATA / "toy.json")], SOLVE),
-        (["distribution", str(DATA / "toy.json")], SOLVE),
-        (["efficiency", str(DATA / "toy.json"), str(DATA / "toy-trace.txt")], SOLVE),
-        (
-            ["count", str(DATA / "toy.json"), "--max-time", "8"],
-            ["compucap.cli", "compucap.counting", "compucap.model"],
-        ),
-        (
-            ["optimize-memory", str(DATA / "memory-example.json")],
-            ["compucap.cli", "compucap.memory", "compucap.model", "compucap.solver"],
-        ),
-    ],
-    ids=["capacity", "distribution", "efficiency", "count", "optimize-memory"],
-)
+# (argv, the package modules it loads) for each subcommand on bundled data
+SUBCOMMANDS = [
+    (["capacity", str(DATA / "toy.json")], SOLVE),
+    (["distribution", str(DATA / "toy.json")], SOLVE),
+    (["efficiency", str(DATA / "toy.json"), str(DATA / "toy-trace.txt")], SOLVE),
+    (
+        ["count", str(DATA / "toy.json"), "--max-time", "8"],
+        ["compucap.cli", "compucap.counting", "compucap.model"],
+    ),
+    (
+        ["optimize-memory", str(DATA / "memory-example.json")],
+        ["compucap.cli", "compucap.memory", "compucap.model", "compucap.solver"],
+    ),
+]
+SUBCOMMAND_IDS = [argv[0] for argv, _ in SUBCOMMANDS]
+
+
+@pytest.mark.parametrize("argv, loaded", SUBCOMMANDS, ids=SUBCOMMAND_IDS)
 def test_each_subcommand_loads_only_its_layers(argv, loaded):
     assert run_cli(*argv)["loaded"] == loaded
+
+
+def test_importing_the_cli_without_site_skips_typing():
+    assert run_fresh("import compucap.cli\n", "-S")["typing"] is False
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in SUBCOMMANDS], ids=SUBCOMMAND_IDS)
+def test_each_subcommand_without_site_skips_typing(argv):
+    assert run_fresh(cli_code(*argv), "-S")["typing"] is False
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,12 @@ def test_eval_rejects_negative_argument():
         eval_characteristic(TOY, -0.5)
 
 
+def test_eval_where_every_weight_underflows_is_zero():
+    # at y = 1e308 each t * y overflows, so every member's log2 weight is
+    # -inf; the top weight was once looked up by value and was nan
+    assert eval_characteristic(classes((2, 2), (1, 3)), 1e308) == 0.0
+
+
 def test_eval_strictly_decreasing():
     rng = random.Random(0x5EED)
     for _ in range(20):
@@ -283,6 +289,23 @@ def test_root_certified_by_sign_change(iset, tolerance):
     assert right_of_root or left_of_root
 
 
+def test_certified_root_is_the_closer_end():
+    # the last Newton step rounds past the root, so certification lands on
+    # the neighbour one float spacing away, where |log2 g| is smaller
+    iset = BoundInstructionSet(
+        "t", (BoundClass("a", 2, Fraction("1e-6")), BoundClass("b", 3 * 2**40, Fraction("1e-6")))
+    )
+    result = solve_capacity(iset)
+    y = result.capacity_bits
+    assert abs(y - math.log2(3 * 2**40 + 2) * 1e6) <= math.ulp(y)
+    assert result.bracket_width == math.ulp(y)
+    columns = solver.bound_columns(iset)
+    f = solver._log2_char(columns, y)[0]
+    ends = [y - result.bracket_width, y + result.bracket_width]
+    (other,) = [end for end in ends if (solver._log2_char(columns, end)[0] > 0.0) != (f > 0.0)]
+    assert abs(f) < abs(solver._log2_char(columns, other)[0])
+
+
 def test_newton_iterations_on_reference_models():
     for iset in (TOY, bound_model("mix.json"), bound_model("mmix.json", mu="6/5")):
         assert solve_capacity(iset).iterations <= 12
@@ -332,8 +355,22 @@ def test_wide_family_without_a_float_root_raises():
             ),
             re.escape("set 'far': the capacity lies outside the float range"),
         ),
+        (
+            # the capacity is at least log2(6 * 2^100) / 4e-307, about
+            # 2.56e308: a Newton step lands past the largest float
+            BoundInstructionSet(
+                "r",
+                (
+                    BoundClass("m0", 6 * 2**100, Fraction("4e-307")),
+                    BoundClass("m1", 7 * 2, Fraction("3e-300")),
+                    BoundClass("m2", 7 * 2**1000, Fraction("8e100")),
+                    BoundFamily("m3", 8 * 2**100, Fraction("9e-307"), Fraction(1), 2),
+                ),
+            ),
+            re.escape("set 'r': the capacity lies outside the float range"),
+        ),
     ],
-    ids=["time-below-float-range", "root-above-float-range"],
+    ids=["time-below-float-range", "root-above-float-range", "newton-step-past-float-range"],
 )
 def test_root_past_float_range_raises(iset, message):
     with pytest.raises(ValueError, match=message):
