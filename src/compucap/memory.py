@@ -15,7 +15,9 @@ optimize_vertex compares exactly those pure allocations; optimize_grid
 gives the exact answer over an integer grid.  As the sum increases with
 every cell count, so do its root and the capacity: on a grid row, where
 only the last kind's count varies, no point beats the row's last one, so
-optimize_grid solves that point alone (see its docstring).  instantiate
+optimize_grid decides that point alone: as g falls, one evaluation of
+log2 g just below the incumbent's capacity shows a point that loses, and
+only a point that may win is solved (see its docstring).  instantiate
 and the optimizers read the access classes an allocation installs from
 one table, problem.accesses.  An optimizer hands an allocation that
 installs none to solve_capacity; otherwise it appends them, in
@@ -187,9 +189,13 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
 
 def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
     """solve(vec), equal to solve_capacity(instantiate(problem, cells),
-    tolerance) for the cells vector vec in kind-declaration order.
+    tolerance) for the cells vector vec in kind-declaration order, and
+    solve(vec, at_least), which hands at_least to solve_compiled: None
+    where the root lies below at_least, else the root climbed to from
+    there.
 
-    A vector that installs nothing goes to solve_capacity on the base.
+    A vector that installs nothing goes to solve_capacity on the base,
+    at_least aside.
     Otherwise each installed access class adds log2 of its count and its
     float time to the base's columns (bound_columns), as compile_columns
     would compile its BoundClass, so the base's families keep their
@@ -201,7 +207,7 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
     check_tolerance(tolerance)
     kind_times: dict[int, list[float]] = {}  # kind index -> float access times
 
-    def solve(vec: tuple[int, ...]) -> CapacityResult:
+    def solve(vec: tuple[int, ...], at_least: float = 0.0) -> CapacityResult | None:
         kinds = [k for k, n in enumerate(vec) if n]
         if not kinds:
             return solve_capacity(problem.bound_base, tolerance)
@@ -216,7 +222,7 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
             math.log2(scale * vec[k]) for k in kinds for _, scale, _ in problem.accesses[k]
         ]
         times = times + [time for k in kinds for time in kind_times[k]]
-        return solve_compiled((log2_counts, times, families), problem.base.name, tolerance)
+        return solve_compiled((log2_counts, times, families), problem.base.name, tolerance, at_least)
 
     return solve
 
@@ -295,12 +301,23 @@ def _grid_rows(problem: MemoryDesignProblem, step: int):
     yield from rec((), budget)
 
 
+def _warm_slack(y: float, tolerance: float) -> float:
+    """How far apart two roots of one set near y may lie when solve_compiled
+    certifies them from different starts.  Each lies within its bracket,
+    at most max(tolerance, ulp(y)) wide and rounded by up to half an ulp,
+    of a float sign change of log2 g, and rounding log2 g's terms spreads
+    those sign changes over a few ulps of y: so 2 * tolerance + 3 * ulp(y)
+    plus that spread.  The bound allows 13 ulps for the spread, which
+    covered every case measured."""
+    return 2 * tolerance + 16 * math.ulp(y)
+
+
 def optimize_grid(
     problem: MemoryDesignProblem, step: int = 1, tolerance: float = 1e-12
 ) -> Allocation:
     """The best allocation on a step grid: every feasible allocation is
     counted, and the all-zero vector and one point per grid row are
-    solved; the justification gives both numbers.
+    decided; the justification gives both numbers.
 
     Capacity ties (within the tie width) resolve to the lexicographically
     greatest cell vector in kind-declaration order, which keeps the result
@@ -310,19 +327,40 @@ def optimize_grid(
     Solving every point would give the same answer.  _grid_rows yields
     the vectors in increasing lexicographic order, so under the tie rule
     a point displaces the incumbent exactly when its capacity is at least
-    the incumbent's less the tie width.  Along a row (a fixed prefix, the
-    last kind's count n rising) each access class of the last kind adds
-    R * m * n * 2**(-tau * y) to g(y) at every y, so the root, and with
-    it the capacity, never falls: once a point of a row is taken, each
-    later one is, and the row's last point is taken exactly when any of
-    its points would be.  Float rounding can put an earlier point of a
+    the incumbent's less the tie width: the floor.  Along a row (a fixed
+    prefix, the last kind's count n rising) each access class of the last
+    kind adds R * m * n * 2**(-tau * y) to g(y) at every y, so the root,
+    and with it the capacity, never falls: once a point of a row is taken,
+    each later one is, and the row's last point is taken exactly when any
+    of its points would be.  Float rounding can put an earlier point of a
     row above the last one, but by under 1e-14 bits in every case
     measured, far inside the 1e-11 tie width.  The all-zero vector is
     solved first, as the full walk solves it first, so the errors come
     in the same order: solve_capacity solves it on the base alone, and
     each kind is first installed by the same row as in the full walk.
+
+    A row's last point is decided from below the floor.  The capacity
+    compared is the one solve_capacity gives, a climb from y = 0; call it
+    cold.  A climb from another start is warm, and lies within
+    _warm_slack of the cold one.  The incumbent's value is cold or warm,
+    so the cold floor lies within its slack (0 when cold) of the floor
+    computed from it.  log2 g is evaluated first at that floor less the
+    incumbent's slack and one more _warm_slack (at least 0): as g falls,
+    a negative value puts every sign change of log2 g, and so the point's
+    cold capacity, below the cold floor, and that one evaluation decides
+    a losing point.  Otherwise the point climbs from there, where log2
+    g >= 0, to a warm root.  When the warm root lies within the two
+    slacks of the floor, the incumbent and the point are solved from 0
+    (each at most once) and their cold values decide, by the rule above.
+    The winner, when its value is warm, is solved from 0 at the end, so
+    the result is the one solve_capacity gives for instantiate's set.  A
+    warm climb that fails (a float edge can stall Newton from one start
+    and not from another) gives way to the cold one, which then decides.
+    So the grid is refused only where solving every point would be; a
+    point decided by one evaluation is not solved at all, so a root that
+    cannot be certified there refuses no grid.
     """
-    if not isinstance(step, int) or step < 1:
+    if isinstance(step, bool) or not isinstance(step, int) or step < 1:
         raise ProblemError(f"step must be a positive integer, got {step!r}")
     points = 0
     for _, top in _grid_rows(problem, step):
@@ -331,16 +369,32 @@ def optimize_grid(
             raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
     solve = _allocation_solver(problem, tolerance)
     zero = (0,) * len(problem.kinds)
-    best, best_vec = solve(zero), zero
+    best, best_vec, best_slack = solve(zero), zero, 0.0
     solves = 1
     for prefix, top in _grid_rows(problem, step):
         vec = prefix + (top - top % step,)
         if vec == zero:  # the first row holds the all-zero vector alone
             continue
-        cap = solve(vec)
         solves += 1
-        if cap.capacity_bits >= best.capacity_bits - _TIE_WIDTH:
-            best, best_vec = cap, vec
+        floor = best.capacity_bits - _TIE_WIDTH
+        at_least = max(floor - best_slack - _warm_slack(best.capacity_bits, tolerance), 0.0)
+        try:
+            cap = solve(vec, at_least)
+        except ValueError:
+            cap, at_least = solve(vec), 0.0
+        if cap is None:
+            continue
+        slack = _warm_slack(cap.capacity_bits, tolerance) if at_least else 0.0
+        if abs(cap.capacity_bits - floor) <= best_slack + slack:
+            if best_slack:
+                best, best_slack = solve(best_vec), 0.0
+                floor = best.capacity_bits - _TIE_WIDTH
+            if slack:
+                cap, slack = solve(vec), 0.0
+        if cap.capacity_bits >= floor:
+            best, best_vec, best_slack = cap, vec, slack
+    if best_slack:
+        best = solve(best_vec)
     return _allocation(
         problem, best_vec, capacity=best, label="grid",
         justification=f"evaluated {points} feasible allocations on a step-{step} grid "

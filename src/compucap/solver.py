@@ -22,11 +22,14 @@ closed geometric form, never a term-by-term sum.
 
 log2 g(y) is a log-sum-exp of functions affine in y (a family's closed
 form sums one per term), so it is convex, and its slope is -E[tau] under
-the weights 2**(-tau * y).  Newton's method started at y = 0, where
-log2 g = log2(total count) > 0, therefore climbs monotonically toward y*:
-every tangent of a convex curve lies below it, so in exact arithmetic no
-step passes the root.  Floats round, so the result is certified by a sign
-change of log2 g across an interval no wider than the tolerance.
+the weights 2**(-tau * y).  Newton's method started at any y where
+log2 g >= 0, such as y = 0, where log2 g = log2(total count) > 0,
+therefore climbs monotonically toward y*: every tangent of a convex curve
+lies below it, so in exact arithmetic no step passes the root.  Floats
+round, so the result is certified by a sign change of log2 g across an
+interval no wider than the tolerance.  As g decreases, the sign of
+log2 g at one point y tells whether y* lies below y; solve_compiled's
+at_least uses that to refuse a root below a bound in one evaluation.
 
 A bound set is compiled to floats once, on first use, as columns (see
 compile_columns and bound_columns): a log2 count and a base time for
@@ -249,12 +252,18 @@ def solve_capacity(iset: BoundInstructionSet, tolerance: float = 1e-12) -> Capac
     return solve_compiled(bound_columns(iset), iset.name, tolerance)
 
 
-def solve_compiled(columns: Columns, name: str, tolerance: float) -> CapacityResult:
+def solve_compiled(
+    columns: Columns, name: str, tolerance: float, at_least: float = 0.0
+) -> CapacityResult | None:
     """The root y* of g for compiled columns (see compile_columns) that hold
     at least two instructions, with a tolerance check_tolerance accepts;
     errors name the set `name`.
 
-    Newton steps on log2 g climb from y = 0 (see the module docstring)
+    log2 g is evaluated first at at_least, a finite y >= 0.  Where it is
+    negative there, y* lies below at_least and the result is None, after
+    that one evaluation; the default 0.0 never gives None, as log2 g(0) =
+    log2(total count) >= 1.  Otherwise Newton steps on log2 g climb from
+    at_least (see the module docstring)
     until a step is at most tolerance/2 with |g - 1| <= 1e-10, or no
     longer moves y, or rounding carries it past the root.
     The root is then certified by a sign change, log2 g > 0 at the left
@@ -264,8 +273,10 @@ def solve_compiled(columns: Columns, name: str, tolerance: float) -> CapacityRes
     when the root is out of float range, its residual cannot reach 1e-10
     in floats, or no root is certified within _MAX_ITERATIONS evaluations.
     """
-    y = 0.0
+    y = at_least
     f, slope = _log2_char(columns, y)
+    if f < 0.0:
+        return None
     iterations = 1
     while iterations < _MAX_ITERATIONS:
         if f == 0.0:

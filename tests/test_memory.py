@@ -156,6 +156,14 @@ def test_grid_exhausts_small_problem():
     assert best.total_cost == 2
 
 
+@pytest.mark.parametrize("step", [0, -1, True, False, 1.0, "2", None])
+def test_grid_step_must_be_a_positive_integer(step):
+    # a bool is an int to isinstance, but not a step, as it is not a count
+    problem = small_problem(2, ("A", 1, [(2, 1)]))
+    with pytest.raises(ProblemError, match=f"step must be a positive integer, got {step!r}$"):
+        optimize_grid(problem, step)
+
+
 def test_grid_zero_budget_returns_base():
     problem = small_problem(0, ("A", 1, [(2, 1)]))
     best = optimize_grid(problem, 1)
@@ -562,16 +570,25 @@ def test_grid_walker_matches_enumeration_across_denominators(step):
 # --- optimize_grid against a walk that solves every grid point ---
 
 
-def full_walk_grid(problem: MemoryDesignProblem, step: int):
+def full_walk_grid(
+    problem: MemoryDesignProblem, step: int, tolerance: float = 1e-12, refused: list | None = None
+):
     """(cells, total cost, capacity, justification) from solving every
     walked point in walk order: a point displaces the incumbent when its
     capacity is higher by more than the tie width, or within the tie width
-    and its vector is lexicographically greater."""
-    solve = _allocation_solver(problem, 1e-12)
+    and its vector is lexicographically greater.  A point whose solve
+    raises ValueError is appended to `refused` and skipped, when given."""
+    solve = _allocation_solver(problem, tolerance)
     points = walked_grid(problem, step)
     best = None
     for vec in points:
-        cap = solve(vec)
+        try:
+            cap = solve(vec)
+        except ValueError:
+            if refused is None:
+                raise
+            refused.append(vec)
+            continue
         if (
             best is None
             or cap.capacity_bits > best[0].capacity_bits + 1e-11
@@ -590,9 +607,11 @@ def full_walk_grid(problem: MemoryDesignProblem, step: int):
     )
 
 
-def assert_grid_matches_full_walk(problem: MemoryDesignProblem, step: int) -> Allocation:
-    grid = optimize_grid(problem, step)
-    cells, cost, cap, justification = full_walk_grid(problem, step)
+def assert_grid_matches_full_walk(
+    problem: MemoryDesignProblem, step: int, tolerance: float = 1e-12
+) -> Allocation:
+    grid = optimize_grid(problem, step, tolerance)
+    cells, cost, cap, justification = full_walk_grid(problem, step, tolerance)
     assert grid.cells == cells
     assert grid.total_cost == cost
     assert grid.capacity == cap
@@ -600,25 +619,51 @@ def assert_grid_matches_full_walk(problem: MemoryDesignProblem, step: int) -> Al
     return grid
 
 
+# optimize_grid decides a row from a climb that starts near the incumbent
+# whenever it can; the walk solves every point from y = 0 at each tolerance
+TOLERANCES = [1e-12, 1e-9, 1e-6]
+
+
+@pytest.mark.parametrize("tolerance", TOLERANCES)
 @pytest.mark.parametrize("step", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0x6A1, 0x6A2, 0x6A3])
-def test_grid_matches_a_full_walk_on_random_problems(seed, step):
+def test_grid_matches_a_full_walk_on_random_problems(seed, step, tolerance):
     rng = random.Random(seed)
     for _ in range(20):
-        assert_grid_matches_full_walk(random_problem(rng), step)
+        assert_grid_matches_full_walk(random_problem(rng), step, tolerance)
 
 
+@pytest.mark.parametrize("tolerance", TOLERANCES)
 @pytest.mark.parametrize("step", [1, 2])
 @pytest.mark.parametrize("kinds", [2, 3])
-def test_grid_exact_ties_take_the_greatest_vector(kinds, step):
+def test_grid_exact_ties_take_the_greatest_vector(kinds, step, tolerance):
     # identical kinds: every full allocation has the same capacity to the
     # last bit or nearly, and the first kind takes the whole budget
     names = "ABC"[:kinds]
     problem = small_problem(6, *((name, 1, [(2, 1)]) for name in names))
-    grid = assert_grid_matches_full_walk(problem, step)
+    grid = assert_grid_matches_full_walk(problem, step, tolerance)
     assert grid.cells == {name: 6 if name == "A" else 0 for name in names}
 
 
+@pytest.mark.parametrize("tolerance", TOLERANCES)
+@pytest.mark.parametrize("time", ["1e-5", "1e-180"])
+@pytest.mark.parametrize("budget", [3, 4])
+@pytest.mark.parametrize("kinds", [2, 3])
+def test_grid_exact_ties_finer_than_a_float_spacing(kinds, budget, time, tolerance):
+    # past about 5e4 bits a float spacing is wider than the tie width, so
+    # equal capacities tie only to the last bit, and a root solved from 0
+    # may lie a bracket above the sign change of another allocation's log2 g
+    accesses = [{"count": 1, "time": time}, {"count": 3, "time": time}]
+    problem = parse_problem(json.dumps({
+        "base": {"name": "b", "classes": [{"name": "x", "count": 1, "time": time}]},
+        "registers": 1,
+        "budget": budget,
+        "kinds": [{"name": f"K{k}", "cell_cost": 1, "access_classes": accesses} for k in range(kinds)],
+    }))
+    assert_grid_matches_full_walk(problem, 1, tolerance)
+
+
+@pytest.mark.parametrize("tolerance", TOLERANCES)
 @pytest.mark.parametrize("step", [1, 2])
 @pytest.mark.parametrize(
     "kinds",
@@ -632,10 +677,10 @@ def test_grid_exact_ties_take_the_greatest_vector(kinds, step):
     ],
     ids=["slower-first", "faster-first", "chain-past-tie-width", "slow-then-fast", "fast-then-slow", "three"],
 )
-def test_grid_near_ties_match_a_full_walk(kinds, step):
+def test_grid_near_ties_match_a_full_walk(kinds, step, tolerance):
     # a cell of access time near 40 moves the capacity of a 1-bit base by
     # about 1e-12 bits, inside the 1e-11 tie width
-    assert_grid_matches_full_walk(small_problem(5, *kinds), step)
+    assert_grid_matches_full_walk(small_problem(5, *kinds), step, tolerance)
 
 
 def test_near_tie_of_lower_capacity_wins_when_greater():
@@ -644,6 +689,45 @@ def test_near_tie_of_lower_capacity_wins_when_greater():
     grid = optimize_grid(problem)
     assert grid.cells == {"S1": 3, "S2": 0}
     assert 0 < solve((0, 3)).capacity_bits - grid.capacity.capacity_bits <= 1e-11
+
+
+def test_grid_decides_from_zero_below_a_capacity_of_the_tie_width():
+    # the base's capacity is about 3e-19 bits, so the incumbent less the tie
+    # width is negative, and the family's closed sum overflows at y < 0
+    problem = parse_problem(json.dumps({
+        "base": {"name": "b", "classes": [
+            {"name": "a", "count": 2, "time": "1e20"},
+            {"name": "f", "count": 1, "time": "1e20", "family": {"step": 1, "terms": "1*2^100"}},
+        ]},
+        "registers": 1,
+        "budget": 2,
+        "kinds": [{"name": "K", "cell_cost": 1, "access_classes": [{"count": 1, "time": "1e20"}]}],
+    }))
+    grid = assert_grid_matches_full_walk(problem, 1)
+    assert grid.cells == {"K": 2}
+    assert grid.capacity.capacity_bits == 6.103574576695489e-19
+
+
+def test_grid_falls_back_to_the_climb_from_zero():
+    # the base family's closed sum overflows its mean index near the floor
+    # of row (2, 0), so Newton's slope there is +inf and a climb from the
+    # floor creeps one float spacing a step; from y = 0 it certifies in 3
+    problem = parse_problem(json.dumps({
+        "base": {"name": "b", "classes": [{
+            "name": "c0", "count": "5*2^159", "time": "9e-1",
+            "family": {"step": "4e-274", "terms": "1*2^608"},
+        }]},
+        "registers": 1,
+        "budget": 4,
+        "kinds": [
+            {"name": "K0", "cell_cost": 1, "access_classes": [
+                {"count": "6*2^2780", "time": "7e-58"}, {"count": 1, "time": "2e-2"},
+            ]},
+            {"name": "K1", "cell_cost": 3, "access_classes": [{"count": "1*2^774", "time": "9e-5"}]},
+        ],
+    }))
+    grid = assert_grid_matches_full_walk(problem, 1)
+    assert grid.cells == {"K0": 4, "K1": 0}
 
 
 @pytest.mark.parametrize("step", [1, 2, 3])
@@ -674,14 +758,16 @@ def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_
         7, ("A", 2, [(1, 1)]), ("B", Fraction(3, 2), [(1, 2)]), ("C", last_cost, [(1, 3)])
     )
     make_solver = compucap.memory._allocation_solver
-    solved = []
+    decided, cold = [], []
 
     def spy(problem, tolerance):
         solve = make_solver(problem, tolerance)
 
-        def counted(vec):
-            solved.append(vec)
-            return solve(vec)
+        def counted(vec, *floor):
+            # a call that carries a floor decides its row; one without
+            # solves from y = 0
+            (decided if floor else cold).append(vec)
+            return solve(vec, *floor)
 
         return counted
 
@@ -689,12 +775,19 @@ def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_
     grid = optimize_grid(problem, step)
     rows = list(_grid_rows(problem, step))
     last_points = [prefix + (top - top % step,) for prefix, top in rows]
+    solved = [(0, 0, 0)] + decided
     if last_points[0] == (0, 0, 0):
         assert solved == last_points
     else:
         assert solved == [(0, 0, 0)] + last_points
     assert len(solved) <= len(rows) + 1
     assert f" by solving {len(solved)}: " in grid.justification
+    # the zero vector first, then at most one solve from 0 per decided row,
+    # the winner's included
+    assert cold[0] == (0, 0, 0)
+    assert len(set(cold[1:])) == len(cold) - 1 and set(cold[1:]) <= set(decided)
+    assert tuple(grid.cells.values()) in cold
+    assert grid.capacity == solve_capacity(instantiate(problem, grid.cells), 1e-12)
 
 
 def test_base_time_past_float_range_is_named_before_a_zero_access_time():

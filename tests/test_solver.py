@@ -311,6 +311,57 @@ def test_newton_iterations_on_reference_models():
         assert solve_capacity(iset).iterations <= 12
 
 
+# solve_capacity's results at tolerance 1e-12, climbing from y = 0; the
+# default at_least must keep them to the last bit
+CLIMB_FROM_ZERO = {
+    "toy": (TOY, solver.CapacityResult(1.271553303163612, 3.84773979655831e-17, 9.99866855977416e-13, 6)),
+    "mix": (
+        bound_model("mix.json"),
+        solver.CapacityResult(28.169925002503934, 2.501030867762901e-16, 9.947598300641403e-13, 10),
+    ),
+    "mmix": (
+        bound_model("mmix.json", mu="6/5"),
+        solver.CapacityResult(31.11894107286867, 1.894694976496866e-16, 9.947598300641403e-13, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CLIMB_FROM_ZERO))
+def test_default_start_is_the_climb_from_zero(name):
+    iset, expected = CLIMB_FROM_ZERO[name]
+    columns = solver.bound_columns(iset)
+    assert solve_capacity(iset) == expected
+    assert solver.solve_compiled(columns, name, 1e-12) == expected
+    assert solver.solve_compiled(columns, name, 1e-12, 0.0) == expected
+
+
+def test_at_least_refuses_exactly_where_log2_g_is_negative():
+    columns = solver.bound_columns(TOY)
+    root = solve_capacity(TOY).capacity_bits
+    assert solver.solve_compiled(columns, "toy", 1e-12, root + 1e-9) is None
+    starts = [root + k * math.ulp(root) for k in range(-4, 5)]
+    starts += [0.5 * root, root - 1e-9, root + 1e-9, 2 * root]
+    for start in starts:
+        refused = solver.solve_compiled(columns, "toy", 1e-12, start) is None
+        assert refused == (solver._log2_char(columns, start)[0] < 0.0)
+
+
+@pytest.mark.parametrize("tolerance", [1e-13, 1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("name", list(CLIMB_FROM_ZERO))
+def test_climb_from_left_of_the_root_certifies_near_the_climb_from_zero(name, tolerance):
+    iset, _ = CLIMB_FROM_ZERO[name]
+    columns = solver.bound_columns(iset)
+    cold = solve_capacity(iset, tolerance)
+    y = cold.capacity_bits
+    for start in (0.5 * y, y - 1e-3, y - 4 * tolerance):
+        assert solver._log2_char(columns, start)[0] >= 0.0
+        warm = solver.solve_compiled(columns, name, tolerance, start)
+        assert abs(warm.capacity_bits - y) <= tolerance
+        assert warm.residual <= 1e-10
+        assert warm.bracket_width <= max(tolerance, math.ulp(warm.capacity_bits))
+        assert warm.iterations <= cold.iterations
+
+
 @pytest.mark.parametrize("terms", ["1*2^25", "1*2^60", "1*2^2000"])
 def test_huge_family_terms_solve(terms):
     # 2^-y * (1 - 2^-(terms*y)) / (1 - 2^-y) = 1: the tail term is below
