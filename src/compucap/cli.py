@@ -136,7 +136,7 @@ def _load_and_solve(args):
     from .solver import solve_capacity
 
     bound, inputs = _load_bound(args)
-    cap = solve_capacity(bound, args.tolerance)
+    cap = solve_capacity(bound)
     return bound, inputs, cap, optimal_distribution(bound, cap)
 
 
@@ -187,7 +187,7 @@ def cmd_efficiency(args) -> tuple[dict, dict, list]:
 
     bound, inputs = _load_bound(args)
     trace_text, inputs["trace"] = _read(Path(args.trace))
-    report = efficiency_from_trace(bound, split_trace(trace_text), args.order, args.tolerance)
+    report = efficiency_from_trace(bound, split_trace(trace_text), args.order)
     return inputs, {
         "set": bound.name,
         "trace_length": report.length,
@@ -243,9 +243,9 @@ def cmd_optimize_memory(args) -> tuple[dict, dict, list]:
     params = ParameterBinding.from_strings(args.param).values
     problem = parse_problem(text, base_dir=path.parent, params=params, read_base=read_base)
     if args.mode == "vertex":
-        allocation = optimize_vertex(problem, args.tolerance)
+        allocation = optimize_vertex(problem)
     else:
-        allocation = optimize_grid(problem, 1 if args.step is None else args.step, args.tolerance)
+        allocation = optimize_grid(problem, 1 if args.step is None else args.step)
     warnings = []
     if allocation.tie_with:
         warnings.append(
@@ -268,15 +268,8 @@ def cmd_optimize_memory(args) -> tuple[dict, dict, list]:
 # --- argument parsing and entry point ---
 
 
-def _add_common(parser: argparse.ArgumentParser, solves: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    if solves:
-        parser.add_argument(
-            "--tolerance",
-            type=float,
-            default=1e-12,
-            help="solver bracket tolerance (default 1e-12)",
-        )
     parser.add_argument(
         "--param",
         action="append",
@@ -313,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact sequence counts by total time")
     p.add_argument("model", help="model JSON file")
     p.add_argument("--max-time", type=int, required=True, help="largest total time")
-    _add_common(p, solves=False)
+    _add_common(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("optimize-memory", help="choose cell counts under a budget")

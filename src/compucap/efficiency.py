@@ -345,10 +345,7 @@ class TraceEfficiencyReport:
 
 
 def efficiency_from_trace(
-    iset: BoundInstructionSet,
-    symbols: Iterable[str],
-    max_order: int = 1,
-    tolerance: float = 1e-12,
+    iset: BoundInstructionSet, symbols: Iterable[str], max_order: int = 1
 ) -> TraceEfficiencyReport:
     """Estimate entropy, efficiency, and utilization at orders 0..max_order.
 
@@ -394,7 +391,7 @@ def efficiency_from_trace(
         time, bits = table[symbol]
         mean_time += freq * time
         within_member += freq * bits
-    cap_bits = solve_capacity(iset, tolerance).capacity_bits
+    cap_bits = solve_capacity(iset).capacity_bits
     orders = []
     for order in range(max_order + 1):
         h = entropy_order_n(stats, order) + within_member

@@ -53,7 +53,7 @@ from .model import (
     parse_time,
 )
 from .solver import (
-    CapacityResult, bound_columns, check_tolerance, solve_capacity, solve_compiled, time_as_float,
+    TOLERANCE, CapacityResult, bound_columns, solve_capacity, solve_compiled, time_as_float,
 )
 
 _TIE_WIDTH = 1e-11
@@ -187,9 +187,9 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
     return BoundInstructionSet(problem.base.name, (*problem.bound_base.members, *installed))
 
 
-def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
-    """solve(vec), equal to solve_capacity(instantiate(problem, cells),
-    tolerance) for the cells vector vec in kind-declaration order, and
+def _allocation_solver(problem: MemoryDesignProblem):
+    """solve(vec), equal to solve_capacity(instantiate(problem, cells)) for
+    the cells vector vec in kind-declaration order, and
     solve(vec, at_least), which hands at_least to solve_compiled: None
     where the root lies below at_least, else the root climbed to from
     there.
@@ -204,13 +204,12 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
     solve_capacity's order: a time that is not positive, then a base
     member, then an access time.
     """
-    check_tolerance(tolerance)
     kind_times: dict[int, list[float]] = {}  # kind index -> float access times
 
     def solve(vec: tuple[int, ...], at_least: float = 0.0) -> CapacityResult | None:
         kinds = [k for k, n in enumerate(vec) if n]
         if not kinds:
-            return solve_capacity(problem.bound_base, tolerance)
+            return solve_capacity(problem.bound_base)
         new = [k for k in kinds if k not in kind_times]
         for k in new:
             for name, _, time in problem.accesses[k]:
@@ -222,7 +221,7 @@ def _allocation_solver(problem: MemoryDesignProblem, tolerance: float):
             math.log2(scale * vec[k]) for k in kinds for _, scale, _ in problem.accesses[k]
         ]
         times = times + [time for k in kinds for time in kind_times[k]]
-        return solve_compiled((log2_counts, times, families), problem.base.name, tolerance, at_least)
+        return solve_compiled((log2_counts, times, families), problem.base.name, at_least)
 
     return solve
 
@@ -236,9 +235,7 @@ def _allocation(problem: MemoryDesignProblem, vec: tuple[int, ...], **fields) ->
     )
 
 
-def optimize_vertex(
-    problem: MemoryDesignProblem, tolerance: float = 1e-12
-) -> Allocation:
+def optimize_vertex(problem: MemoryDesignProblem) -> Allocation:
     """Pick the best pure allocation: the whole budget on one kind, or none.
 
     Candidates are evaluated in declaration order ("none" first); a later
@@ -253,7 +250,7 @@ def optimize_vertex(
         if n > 0:
             candidates.append((kind.name, zero[:k] + (n,) + zero[k + 1 :]))
 
-    solve = _allocation_solver(problem, tolerance)
+    solve = _allocation_solver(problem)
     solved = [(label, vec, solve(vec)) for label, vec in candidates]
 
     best_label, best_vec, best_cap = solved[0]
@@ -301,20 +298,18 @@ def _grid_rows(problem: MemoryDesignProblem, step: int):
     yield from rec((), budget)
 
 
-def _warm_slack(y: float, tolerance: float) -> float:
+def _warm_slack(y: float) -> float:
     """How far apart two roots of one set near y may lie when solve_compiled
     certifies them from different starts.  Each lies within its bracket,
-    at most max(tolerance, ulp(y)) wide and rounded by up to half an ulp,
+    at most max(TOLERANCE, ulp(y)) wide and rounded by up to half an ulp,
     of a float sign change of log2 g, and rounding log2 g's terms spreads
-    those sign changes over a few ulps of y: so 2 * tolerance + 3 * ulp(y)
+    those sign changes over a few ulps of y: so 2 * TOLERANCE + 3 * ulp(y)
     plus that spread.  The bound allows 13 ulps for the spread, which
     covered every case measured."""
-    return 2 * tolerance + 16 * math.ulp(y)
+    return 2 * TOLERANCE + 16 * math.ulp(y)
 
 
-def optimize_grid(
-    problem: MemoryDesignProblem, step: int = 1, tolerance: float = 1e-12
-) -> Allocation:
+def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     """The best allocation on a step grid: every feasible allocation is
     counted, and the all-zero vector and one point per grid row are
     decided; the justification gives both numbers.
@@ -367,7 +362,7 @@ def optimize_grid(
         points += top // step + 1
         if points > _MAX_GRID_POINTS:
             raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
-    solve = _allocation_solver(problem, tolerance)
+    solve = _allocation_solver(problem)
     zero = (0,) * len(problem.kinds)
     best, best_vec, best_slack = solve(zero), zero, 0.0
     solves = 1
@@ -377,14 +372,14 @@ def optimize_grid(
             continue
         solves += 1
         floor = best.capacity_bits - _TIE_WIDTH
-        at_least = max(floor - best_slack - _warm_slack(best.capacity_bits, tolerance), 0.0)
+        at_least = max(floor - best_slack - _warm_slack(best.capacity_bits), 0.0)
         try:
             cap = solve(vec, at_least)
         except ValueError:
             cap, at_least = solve(vec), 0.0
         if cap is None:
             continue
-        slack = _warm_slack(cap.capacity_bits, tolerance) if at_least else 0.0
+        slack = _warm_slack(cap.capacity_bits) if at_least else 0.0
         if abs(cap.capacity_bits - floor) <= best_slack + slack:
             if best_slack:
                 best, best_slack = solve(best_vec), 0.0

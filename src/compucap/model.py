@@ -375,17 +375,22 @@ def total_count(iset: InstructionSet | BoundInstructionSet) -> int:
 # --- model file (JSON) parsing and serialization ---
 
 
+def _refuse_constant(name: str) -> None:
+    """json's parse_constant: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"invalid JSON constant {name!r}")
+
+
 def load_json(text: str, what: str, error: type[ValueError]) -> object:
     """Decode JSON text with exact rationals; `error` naming `what`, and the
     line and column of a syntax error, if it does not decode."""
     try:
-        return json.loads(text, parse_float=decimal_fraction)
+        return json.loads(text, parse_float=decimal_fraction, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise error(
             f"{what} syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # an integer past the int-to-str digit limit or
-        # a decimal exponent past _MAX_DECIMAL_EXPONENT
+    except ValueError as exc:  # an integer past the int-to-str digit limit, a
+        # decimal exponent past _MAX_DECIMAL_EXPONENT or a non-JSON constant
         raise error(f"{what}: {exc}") from None
     except RecursionError:  # arrays or objects nested past the decoder's depth
         raise error(f"{what}: nested too deeply") from None

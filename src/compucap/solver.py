@@ -27,7 +27,8 @@ log2 g >= 0, such as y = 0, where log2 g = log2(total count) > 0,
 therefore climbs monotonically toward y*: every tangent of a convex curve
 lies below it, so in exact arithmetic no step passes the root.  Floats
 round, so the result is certified by a sign change of log2 g across an
-interval no wider than the tolerance.  As g decreases, the sign of
+interval no wider than TOLERANCE, 1e-12, or one float spacing where y is
+too large for that.  As g decreases, the sign of
 log2 g at one point y tells whether y* lies below y; solve_compiled's
 at_least uses that to refuse a root below a bound in one evaluation.
 
@@ -59,6 +60,7 @@ from .model import BoundClass, BoundInstructionSet, BoundMember, total_count
 
 _LN2 = math.log(2.0)
 _MAX_ITERATIONS = 10_000
+TOLERANCE = 1e-12  # widest certified bracket, in bits per time unit
 _RESIDUAL_LIMIT = 1e-10
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
@@ -106,7 +108,10 @@ def _geom(u: float, terms: int) -> tuple[float, float]:
     b = u * n
     log2_sum = (math.log(-math.expm1(-b)) - math.log(-math.expm1(-u))) / _LN2
     if b < 1e-3:
-        return log2_sum, (n - 1.0) / 2.0 - (n * n - 1.0) * u / 12.0
+        # n * n overflows past 2**512 terms, where n * b (n * n * u) does not;
+        # below that, (n * n - 1) * u keeps its rounding
+        tail = (n * n - 1.0) * u if n * n != math.inf else n * b
+        return log2_sum, (n - 1.0) / 2.0 - tail / 12.0
     return log2_sum, (_phi(u) - _phi(b)) / u
 
 
@@ -229,46 +234,35 @@ def _residual(log2_g: float) -> float:
     return abs(math.expm1(log2_g * _LN2))
 
 
-def check_tolerance(tolerance: float) -> None:
-    """ValueError unless the solve tolerance lies in [1e-13, 1e-6]."""
-    if not 1e-13 <= tolerance <= 1e-6:
-        raise ValueError(f"tolerance must be in [1e-13, 1e-6], got {tolerance}")
-
-
-def solve_capacity(iset: BoundInstructionSet, tolerance: float = 1e-12) -> CapacityResult:
+def solve_capacity(iset: BoundInstructionSet) -> CapacityResult:
     """Find y* with g(y*) = 1; capacity_bits = y* = log2(X0).
 
-    Checks the tolerance, then the total count (one instruction carries
-    no choice: capacity 0), then hands the set's columns (bound_columns)
-    to solve_compiled.
+    Checks the total count (one instruction carries no choice: capacity
+    0), then hands the set's columns (bound_columns) to solve_compiled.
     """
-    check_tolerance(tolerance)
     total = total_count(iset)
     if total < 1:
         raise ValueError("instruction set has no instructions")
     if total == 1:
         # g(0) = 1 already: a single instruction carries no choice.
         return CapacityResult(0.0, 0.0, 0.0, 0)
-    return solve_compiled(bound_columns(iset), iset.name, tolerance)
+    return solve_compiled(bound_columns(iset), iset.name)
 
 
-def solve_compiled(
-    columns: Columns, name: str, tolerance: float, at_least: float = 0.0
-) -> CapacityResult | None:
+def solve_compiled(columns: Columns, name: str, at_least: float = 0.0) -> CapacityResult | None:
     """The root y* of g for compiled columns (see compile_columns) that hold
-    at least two instructions, with a tolerance check_tolerance accepts;
-    errors name the set `name`.
+    at least two instructions; errors name the set `name`.
 
     log2 g is evaluated first at at_least, a finite y >= 0.  Where it is
     negative there, y* lies below at_least and the result is None, after
     that one evaluation; the default 0.0 never gives None, as log2 g(0) =
     log2(total count) >= 1.  Otherwise Newton steps on log2 g climb from
     at_least (see the module docstring)
-    until a step is at most tolerance/2 with |g - 1| <= 1e-10, or no
+    until a step is at most TOLERANCE/2 with |g - 1| <= 1e-10, or no
     longer moves y, or rounding carries it past the root.
     The root is then certified by a sign change, log2 g > 0 at the left
     end and <= 0 at the right, across y and its neighbour at distance
-    tolerance (or one float spacing, where y is too large for that);
+    TOLERANCE (or one float spacing, where y is too large for that);
     without one, Newton resumes from the neighbour.  Raises ValueError
     when the root is out of float range, its residual cannot reach 1e-10
     in floats, or no root is certified within _MAX_ITERATIONS evaluations.
@@ -291,11 +285,11 @@ def solve_compiled(
             # f keeps its sign, as it must in exact arithmetic, unless
             # rounding carried the step past the root
             if (f > 0.0) == (step < 0.0) and (
-                abs(step) > tolerance / 2 or _residual(f) > _RESIDUAL_LIMIT
+                abs(step) > TOLERANCE / 2 or _residual(f) > _RESIDUAL_LIMIT
             ):
                 continue
         # rounding y +- w moves it by at most ulp(y) more than w
-        w = max(tolerance - math.ulp(y), math.ulp(y))
+        w = max(TOLERANCE - math.ulp(y), math.ulp(y))
         end = y + w if f > 0.0 else max(y - w, 0.0)
         f_end, slope_end = _log2_char(columns, end)
         iterations += 1

@@ -406,29 +406,37 @@ def test_unknown_flag_rejected():
     assert info.value.code == 2
 
 
-def test_count_takes_no_tolerance(capsys):
-    # count never solves, so it has no solver tolerance to set
-    with pytest.raises(SystemExit) as info:
-        main(["count", TOY, "--max-time", "8", "--tolerance", "1e-9"])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --tolerance 1e-9" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ("capacity", TOY),
         ("distribution", TOY),
         ("efficiency", TOY, TRACE),
+        ("count", TOY, "--max-time", "8"),
         ("optimize-memory", MEMORY),
     ],
-    ids=["capacity", "distribution", "efficiency", "optimize-memory"],
+    ids=["capacity", "distribution", "efficiency", "count", "optimize-memory"],
 )
-def test_solving_commands_take_a_tolerance(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--tolerance", "1e-9", "--json")
-    assert code == 0
-    assert err == ""
-    assert json.loads(out)["command"] == argv[0]
+def test_every_command_refuses_a_tolerance(capsys, argv):
+    # the solver's bracket is fixed at solver.TOLERANCE
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--tolerance", "1e-9"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tolerance 1e-9" in capsys.readouterr().err
+
+
+def test_family_past_two_to_the_512_terms_solves(capsys, tmp_path):
+    # a family of 2^608 terms, past the 2^512 where the square of its term
+    # count overflows; root 608.0901537706483 (mpmath, 50 digits)
+    model = tmp_path / "g2.json"
+    model.write_text(json.dumps({"name": "g", "classes": [
+        {"name": "f", "count": 1, "time": 1, "family": {"step": "1e-200", "terms": "1*2^608"}},
+        {"name": "b", "count": "1*2^300", "time": "0.5"},
+    ]}))
+    code, out, err = run_cli(capsys, "capacity", str(model), "--json")
+    assert (code, err) == (0, "")
+    y = json.loads(out)["results"]["capacity_bits"]
+    assert abs(y - 608.0901537706483) <= max(1e-12, 4 * math.ulp(y))
 
 
 def test_rational_time_count_suggests_scale(capsys, tmp_path):
@@ -786,3 +794,26 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, command, files, message):
         (tmp_path / name).write_text(text)
     code, out, err = run_cli(capsys, command, str(tmp_path / "input.json"))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "command, text, what",
+    [
+        ("capacity", '{"name": "m", "classes": [{"name": "a", "count": 2, "time": %s}]}', "model"),
+        ("capacity", '{"name": "m", "classes": [{"name": "a", "count": %s, "time": 1}]}', "model"),
+        (
+            "optimize-memory",
+            '{"base": {"name": "b", "classes": [{"name": "a", "count": 2, "time": 1}]},'
+            ' "registers": 1, "budget": %s, "kinds": []}',
+            "problem",
+        ),
+    ],
+    ids=["model-time", "model-count", "problem-budget"],
+)
+def test_non_json_constant_exits_2(capsys, tmp_path, command, text, what, constant):
+    # Python's json decodes NaN, Infinity and -Infinity, which JSON has not
+    path = tmp_path / "input.json"
+    path.write_text(text % constant)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"error: {what}: invalid JSON constant {constant!r}\n")

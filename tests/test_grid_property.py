@@ -70,6 +70,6 @@ def test_grid_on_extreme_problems_equals_the_full_walk(doc):
     assert grid.justification == justification
     # the one difference: a point whose root no solve certifies, where the
     # walk refuses, lies below the winner, as one evaluation shows
-    solve = _allocation_solver(problem, 1e-12)
+    solve = _allocation_solver(problem)
     for vec in refused:
         assert solve(vec, grid.capacity.capacity_bits) is None

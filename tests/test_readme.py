@@ -3,9 +3,11 @@
 Every fenced `json` block must parse as a model or a memory problem,
 every `python` block must run, and every `$ compucap ...` example must
 succeed and print each output line the README shows for it (a `...`
-line stands for omitted output).
+line stands for omitted output).  Every `--flag` the README names must be
+an option of some subcommand.
 """
 
+import argparse
 import json
 import re
 import shlex
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from compucap import parse_model, parse_problem
-from compucap.cli import main
+from compucap.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 README = (REPO / "README.md").read_text(encoding="utf-8")
@@ -75,3 +77,12 @@ def test_command_example_output(command, shown, capsys, monkeypatch):
     assert code == 0
     for line in shown:
         assert line in out
+
+
+def test_readme_names_only_flags_the_parser_takes():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for sub in subparsers.choices.values() for flag in sub._option_string_actions}
+    # pip's flag in the install instructions is not compucap's
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", README)) - {"--no-build-isolation"}
+    assert named
+    assert named <= options, sorted(named - options)

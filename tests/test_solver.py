@@ -140,7 +140,7 @@ def test_mmix_capacity(mu):
 
 def test_solver_diagnostics_within_contract():
     for iset in (TOY, classes((7, 3), (2, 1), (1, 8)), bound_model("mix.json")):
-        result = solve_capacity(iset, 1e-12)
+        result = solve_capacity(iset)
         assert result.capacity_bits >= 0.0
         assert result.residual <= 1e-10
         assert result.bracket_width <= 1e-12
@@ -154,13 +154,6 @@ def test_kraft_identity_via_independent_evaluation():
         iset = classes(*((rng.randint(1, 1000), rng.randint(1, 30)) for _ in range(3)))
         y = solve_capacity(iset).capacity_bits
         assert abs(eval_characteristic(iset, y) - 1.0) <= 1e-10
-
-
-def test_tolerance_range_enforced():
-    with pytest.raises(ValueError):
-        solve_capacity(TOY, 1e-14)
-    with pytest.raises(ValueError):
-        solve_capacity(TOY, 1e-5)
 
 
 def test_family_matches_expanded_classes():
@@ -264,22 +257,35 @@ def _log2_g(iset, y):
     return math.log2(sum(2.0 ** _one_member(m, y)[0] for m in iset.members))
 
 
-@pytest.mark.parametrize(
-    "iset",
-    [
-        TOY,
-        classes((7, 3), (2, 1), (1, 8)),
-        bound_model("mix.json"),
-        bound_model("mmix.json", mu="6/5"),
-    ],
-    ids=["toy", "three-class", "mix", "mmix"],
-)
-@pytest.mark.parametrize("tolerance", [1e-13, 1e-12, 1e-6])
-def test_root_certified_by_sign_change(iset, tolerance):
-    result = solve_capacity(iset, tolerance)
+def _random_classes(seed: int) -> BoundInstructionSet:
+    rng = random.Random(seed)
+    return classes(*((rng.randint(1, 1000), Fraction(rng.randint(1, 300), 10)) for _ in range(5)))
+
+
+SOLVE_CASES = {
+    "toy": TOY,
+    "three-class": classes((7, 3), (2, 1), (1, 8)),
+    "mix": bound_model("mix.json"),
+    **{f"mmix-{mu}": bound_model("mmix.json", mu=mu) for mu in ("1", "6/5", "2", "5")},
+    "family": BoundInstructionSet(
+        "fam", (BoundClass("x", 2, Fraction(1)), BoundFamily("g", 3, Fraction(2), Fraction(3), 4))
+    ),
+    # a family of 2^608 terms, past the 2^512 where n * n overflows in
+    # _geom's series branch; tests/test_cli.py checks its root against mpmath
+    "g2": BoundInstructionSet("g2", (
+        BoundFamily("f", 1, Fraction(1), Fraction("1e-200"), 2**608),
+        BoundClass("b", 2**300, Fraction(1, 2)),
+    )),
+    **{f"random-{seed}": _random_classes(seed) for seed in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("iset", SOLVE_CASES.values(), ids=SOLVE_CASES.keys())
+def test_root_certified_by_sign_change(iset):
+    result = solve_capacity(iset)
     y, width = result.capacity_bits, result.bracket_width
     assert result.residual <= 1e-10
-    assert width <= max(tolerance, math.ulp(y))
+    assert width <= max(solver.TOLERANCE, math.ulp(y))
     if width == 0.0:  # log2 g(y) evaluated to exactly 0
         assert result.residual == 0.0
         return
@@ -311,8 +317,8 @@ def test_newton_iterations_on_reference_models():
         assert solve_capacity(iset).iterations <= 12
 
 
-# solve_capacity's results at tolerance 1e-12, climbing from y = 0; the
-# default at_least must keep them to the last bit
+# solve_capacity's results, climbing from y = 0; the default at_least must
+# keep them to the last bit
 CLIMB_FROM_ZERO = {
     "toy": (TOY, solver.CapacityResult(1.271553303163612, 3.84773979655831e-17, 9.99866855977416e-13, 6)),
     "mix": (
@@ -331,35 +337,42 @@ def test_default_start_is_the_climb_from_zero(name):
     iset, expected = CLIMB_FROM_ZERO[name]
     columns = solver.bound_columns(iset)
     assert solve_capacity(iset) == expected
-    assert solver.solve_compiled(columns, name, 1e-12) == expected
-    assert solver.solve_compiled(columns, name, 1e-12, 0.0) == expected
+    assert solver.solve_compiled(columns, name) == expected
+    assert solver.solve_compiled(columns, name, 0.0) == expected
 
 
 def test_at_least_refuses_exactly_where_log2_g_is_negative():
     columns = solver.bound_columns(TOY)
     root = solve_capacity(TOY).capacity_bits
-    assert solver.solve_compiled(columns, "toy", 1e-12, root + 1e-9) is None
+    assert solver.solve_compiled(columns, "toy", root + 1e-9) is None
     starts = [root + k * math.ulp(root) for k in range(-4, 5)]
     starts += [0.5 * root, root - 1e-9, root + 1e-9, 2 * root]
     for start in starts:
-        refused = solver.solve_compiled(columns, "toy", 1e-12, start) is None
+        refused = solver.solve_compiled(columns, "toy", start) is None
         assert refused == (solver._log2_char(columns, start)[0] < 0.0)
 
 
-@pytest.mark.parametrize("tolerance", [1e-13, 1e-12, 1e-9, 1e-6])
-@pytest.mark.parametrize("name", list(CLIMB_FROM_ZERO))
-def test_climb_from_left_of_the_root_certifies_near_the_climb_from_zero(name, tolerance):
-    iset, _ = CLIMB_FROM_ZERO[name]
+@pytest.mark.parametrize("iset", SOLVE_CASES.values(), ids=SOLVE_CASES.keys())
+def test_climb_from_left_of_the_root_certifies_near_the_climb_from_zero(iset):
     columns = solver.bound_columns(iset)
-    cold = solve_capacity(iset, tolerance)
-    y = cold.capacity_bits
+    cold = solve_capacity(iset)
+    y, tolerance = cold.capacity_bits, solver.TOLERANCE
     for start in (0.5 * y, y - 1e-3, y - 4 * tolerance):
         assert solver._log2_char(columns, start)[0] >= 0.0
-        warm = solver.solve_compiled(columns, name, tolerance, start)
+        warm = solver.solve_compiled(columns, iset.name, start)
         assert abs(warm.capacity_bits - y) <= tolerance
         assert warm.residual <= 1e-10
         assert warm.bracket_width <= max(tolerance, math.ulp(warm.capacity_bits))
         assert warm.iterations <= cold.iterations
+
+
+def test_geom_mean_index_stays_finite_past_two_to_the_512_terms():
+    # u * terms is 4.4e-13, in the series branch, where terms**2 overflows
+    n = 2**608
+    log2_sum, mean_index = solver._geom(4.2e-196, n)
+    assert log2_sum == pytest.approx(608.0, abs=1e-9)
+    assert math.isfinite(mean_index)
+    assert mean_index == pytest.approx(n / 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("terms", ["1*2^25", "1*2^60", "1*2^2000"])
@@ -466,38 +479,47 @@ def test_tiny_root_needs_residual_before_stopping(slow, expected):
     assert result.iterations <= 10
 
 
+def _sixteenth(time) -> Fraction:
+    return Fraction(time) / 16
+
+
+# Each time is divided by 16, exactly in binary, so each iterate is 16 times
+# what it is on the unscaled set, and the roots lie near 16,000-20,000,
+# where a float spacing (3.6e-12) exceeds the 1e-12 tolerance.
 @pytest.mark.parametrize(
     "iset",
     [
         classes(
-            (32149693, Fraction(16835, 849344)),
-            (124259, Fraction(422916, 58301)),
-            (170634, Fraction(575470, 5051)),
-            (3, Fraction(274317, 91)),
+            (32149693, _sixteenth(Fraction(16835, 849344))),
+            (124259, _sixteenth(Fraction(422916, 58301))),
+            (170634, _sixteenth(Fraction(575470, 5051))),
+            (3, _sixteenth(Fraction(274317, 91))),
         ),
         BoundInstructionSet(
             "noisy",
             (
-                BoundClass("c0", 3, Fraction(864929, 40030)),
+                BoundClass("c0", 3, _sixteenth(Fraction(864929, 40030))),
                 BoundFamily(
-                    "f1", 24710986352, Fraction(282273, 72491), Fraction(1, 7), 62040757294
+                    "f1", 24710986352, _sixteenth(Fraction(282273, 72491)),
+                    _sixteenth(Fraction(1, 7)), 62040757294,
                 ),
-                BoundClass("c2", 667099387489, Fraction(31669, 817818)),
-                BoundClass("c3", 25185452718, Fraction(147719)),
-                BoundClass("c4", 262011613083, Fraction(926231, 235099)),
-                BoundClass("c5", 37251196935, Fraction(270405)),
-                BoundClass("c6", 101, Fraction(534638, 1711)),
+                BoundClass("c2", 667099387489, _sixteenth(Fraction(31669, 817818))),
+                BoundClass("c3", 25185452718, _sixteenth(147719)),
+                BoundClass("c4", 262011613083, _sixteenth(Fraction(926231, 235099))),
+                BoundClass("c5", 37251196935, _sixteenth(270405)),
+                BoundClass("c6", 101, _sixteenth(Fraction(534638, 1711))),
             ),
         ),
     ],
     ids=["one-spacing-steps", "two-spacing-steps"],
 )
 def test_root_below_float_spacing_terminates(iset):
-    # Roots near 1000 have a float spacing above the 1e-13 tolerance, and
-    # rounding in log2 g makes Newton steps hop across the root by one or
-    # two spacings; the solve must still stop with a certified root.
-    result = solve_capacity(iset, 1e-13)
+    # Where a float spacing exceeds the tolerance, rounding in log2 g makes
+    # Newton steps hop across the root by one or two spacings; the solve
+    # must still stop with a certified root.
+    result = solve_capacity(iset)
     y = result.capacity_bits
+    assert math.ulp(y) > solver.TOLERANCE
     assert result.residual <= 1e-10
     assert result.bracket_width <= math.ulp(y)
     assert result.iterations <= 20
@@ -628,7 +650,7 @@ def test_solve_and_distribution_share_one_compile(monkeypatch):
     cap = solve_capacity(iset)
     optimal_distribution(iset, cap)
     eval_characteristic(iset, cap.capacity_bits)
-    solve_capacity(iset, 1e-9)
+    solve_capacity(iset)
     assert len(calls) == 1
     # an equal set built anew compiles for itself
     solve_capacity(bound_model("mmix.json", mu="6/5"))
@@ -678,7 +700,7 @@ def test_a_set_that_does_not_compile_raises_on_every_call(monkeypatch, time):
 )
 def test_cached_results_are_the_uncached_ones(iset):
     # the uncached path: compile the members for each call, as before the cache
-    uncached = solver.solve_compiled(solver.compile_columns(iset.members), iset.name, 1e-12)
+    uncached = solver.solve_compiled(solver.compile_columns(iset.members), iset.name)
     log2_weights = solver.member_points(solver.compile_columns(iset.members), uncached.capacity_bits)[0]
     uncached_masses = {m.name: 2.0 ** w for m, w in zip(iset.members, log2_weights)}
     cap = solve_capacity(iset)
