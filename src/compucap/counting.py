@@ -67,14 +67,18 @@ class CountTable:
 
 def _multiplicities(iset: BoundInstructionSet, max_time: int) -> dict[int, int]:
     """Total instruction multiplicity per integer time value <= max_time."""
+    # each member as a run (name, count per term, first time, step, terms);
+    # a class is a family of one term
+    runs = [
+        (m.name, m.count, m.time, 0, 1) if isinstance(m, BoundClass)
+        else (m.name, m.count_per_term, m.time_base, m.step, m.num_terms)
+        for m in iset.members
+    ]
     denominators = {}  # denominator -> the first member that has it
-    for m in iset.members:
-        if isinstance(m, BoundClass):
-            denominators.setdefault(m.time.denominator, m.name)
-        else:
-            denominators.setdefault(m.time_base.denominator, m.name)
-            if m.num_terms > 1:
-                denominators.setdefault(m.step.denominator, m.name)
+    for name, _, first, step, terms in runs:
+        denominators.setdefault(first.denominator, name)
+        if terms > 1:
+            denominators.setdefault(step.denominator, name)
     scale = math.lcm(*denominators)
     if scale != 1:
         brief = brief_int(scale)
@@ -93,20 +97,14 @@ def _multiplicities(iset: BoundInstructionSet, max_time: int) -> dict[int, int]:
         raise CountingError(message, suggested_scale=scale)
     mult: dict[int, int] = {}
     pairs = 0
-    for m in iset.members:
-        if isinstance(m, BoundClass):
-            t = int(m.time)
-            if t <= max_time:
-                mult[t] = mult.get(t, 0) + m.count
-                pairs += 1
-        else:
-            base, step = int(m.time_base), int(m.step)
-            for index in range(m.num_terms):
-                t = base + index * step
-                if t > max_time:
-                    break
-                mult[t] = mult.get(t, 0) + m.count_per_term
-                pairs += 1
+    for _, count, first, step, terms in runs:
+        first, step = int(first), int(step)
+        for index in range(terms):
+            t = first + index * step
+            if t > max_time:
+                break
+            mult[t] = mult.get(t, 0) + count
+            pairs += 1
         if pairs > _MAX_PAIRS:
             raise CountingError(
                 f"more than {_MAX_PAIRS} (member, time) terms at or below max_time"

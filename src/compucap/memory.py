@@ -275,27 +275,19 @@ def _grid_rows(problem: MemoryDesignProblem, step: int):
     range(0, top + 1, step).  Vectors come in kind-declaration order,
     depth-first.  The budget and cell costs are scaled by the lcm of their
     denominators, to integers that divide exactly as the rationals do.
-    The level above the last yields the rows itself, so a row costs no
-    generator of its own."""
+    Each kind but the last extends every partial row (prefix, remaining
+    budget) by its counts, one chained generator per kind, so a row costs
+    no generator of its own."""
     scale = math.lcm(problem.budget.denominator, *(k.cell_cost.denominator for k in problem.kinds))
-    budget = int(problem.budget * scale)
-    costs = [int(k.cell_cost * scale) for k in problem.kinds]
-    *heads, last = costs
-    if not heads:
-        yield (), budget // last
-        return
+    *heads, last = [int(k.cell_cost * scale) for k in problem.kinds]
 
-    def rec(prefix: tuple[int, ...], remaining: int):
-        cost = costs[len(prefix)]
-        counts = range(0, remaining // cost + 1, step)
-        if len(prefix) + 1 == len(heads):
-            for n in counts:
-                yield prefix + (n,), (remaining - cost * n) // last
-        else:
-            for n in counts:
-                yield from rec(prefix + (n,), remaining - cost * n)
+    def extend(rows, cost):
+        return ((p + (n,), r - cost * n) for p, r in rows for n in range(0, r // cost + 1, step))
 
-    yield from rec((), budget)
+    rows = iter([((), int(problem.budget * scale))])
+    for cost in heads:
+        rows = extend(rows, cost)
+    return ((prefix, remaining // last) for prefix, remaining in rows)
 
 
 def _warm_slack(y: float) -> float:

@@ -180,15 +180,11 @@ class TimeExpression:
         return frozenset(self.coeffs)
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
+        """The time under `values`; a time without coeffs is its base itself."""
         total = self.base
         for name, coeff in self.coeffs.items():
             total += coeff * values[name]
         return total
-
-    def evaluate_positive(self, values: Mapping[str, Fraction], member: str) -> Fraction:
-        """evaluate(values); BindingError naming `member` unless it is > 0.
-        A time without coeffs is its base, taken as it is."""
-        return check_positive_time(self.evaluate(values) if self.coeffs else self.base, member)
 
 
 def check_positive_time(time: Fraction, member: str) -> Fraction:
@@ -354,9 +350,9 @@ def bind(iset: InstructionSet, binding: ParameterBinding) -> BoundInstructionSet
     members: list[BoundMember] = []
     for m in iset.members:
         if isinstance(m, InstructionClass):
-            members.append(BoundClass(m.name, m.count, m.time.evaluate_positive(values, m.name)))
+            members.append(BoundClass(m.name, m.count, check_positive_time(m.time.evaluate(values), m.name)))
         else:
-            t0 = m.time_base.evaluate_positive(values, m.name)
+            t0 = check_positive_time(m.time_base.evaluate(values), m.name)
             members.append(BoundFamily(m.name, m.count_per_term, t0, m.step, m.num_terms))
     return BoundInstructionSet(iset.name, tuple(members))
 

@@ -701,6 +701,27 @@ def test_closed_stdout_exits_1_quietly():
     assert proc.stderr == b""
 
 
+def test_stdout_closed_mid_report_exits_1_quietly():
+    # the report is about 1.7 MB, far past a pipe's buffer, so the child is
+    # still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "compucap.cli", "count", TOY, "--max-time", "3000", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    try:
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
+
+
 @pytest.mark.parametrize("command", ["capacity", "distribution"])
 def test_results_carry_capacity_once(capsys, command):
     code, out, _ = run_cli(capsys, command, TOY, "--json")

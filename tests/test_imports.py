@@ -49,3 +49,13 @@ def test_traced_layers_exist():
             if not ok:
                 missing.append(f"{module_name}.{name}")
     assert not missing, f"traced layers missing: {missing}"
+
+
+def test_package_attribute_edges():
+    import compucap
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        compucap.no_such_name
+    assert set(compucap.__all__) <= set(dir(compucap))
+    with pytest.raises(FileNotFoundError, match="no-such.json"):
+        compucap.data_path("no-such.json")

@@ -557,6 +557,14 @@ def test_grid_walker_matches_enumeration_across_denominators(step):
     )
     assert [k.cell_cost.denominator for k in problem.kinds] == [2**30, 3, 7]
     assert walked_grid(problem, step) == fraction_grid(problem, step)
+    # one and two kinds, against a budget of another denominator
+    one = small_problem(Fraction(23, 5), ("A", Fraction(2, 7), [(1, 1)]))
+    two = small_problem(
+        Fraction(23, 5), ("A", Fraction(3, 4), [(1, 1)]), ("B", Fraction(2, 7), [(1, 2)])
+    )
+    for problem in (one, two):
+        assert walked_grid(problem, step) == fraction_grid(problem, step)
+        assert len(walked_grid(problem, step)) > 1
 
 
 # --- optimize_grid against a walk that solves every grid point ---

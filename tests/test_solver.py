@@ -540,19 +540,47 @@ def test_family_step_outside_float_range_raises():
         solve_capacity(BoundInstructionSet("s", (family, BoundClass("c", 1, Fraction(1)))))
 
 
-def _decimal_root(eps: str) -> Decimal:
-    """Root of 2**(-eps*y) + 2**(-y) = 1 by bisection at 60 digits."""
+def _decimal_root(iset: BoundInstructionSet) -> Decimal:
+    """Root of g(y) = 1 by bisection at 60 digits.  A class is a family of
+    one term; a family's terms go through their closed geometric sum,
+    (1 - e**(-n*x)) / (1 - e**(-x)) at x = step * y * ln 2, with each
+    1 - e**(-x) summed as its series below x = 1, where the subtraction
+    would cancel (g2's ratio e**(-x) is about 1 - 4e-198)."""
     with localcontext() as ctx:
         ctx.prec = 60
-        ln2, e = Decimal(2).ln(), Decimal(eps)
+        ln2 = Decimal(2).ln()
+        runs = [
+            (m.count, m.time, Fraction(0), 1) if isinstance(m, BoundClass)
+            else (m.count_per_term, m.time_base, m.step, m.num_terms)
+            for m in iset.members
+        ]
+
+        def one_minus_exp(x):
+            if x >= 1:
+                return 1 - (-x).exp()
+            total, term, k = Decimal(0), x, 1
+            while term.copy_abs() > total * Decimal("1e-62"):
+                total += term
+                k += 1
+                term = -term * x / k
+            return total
 
         def g(y):
-            return (-e * y * ln2).exp() + (-y * ln2).exp() - 1
+            total = Decimal(0)
+            for count, first, step, terms in runs:
+                weight = count * (-first.numerator * y * ln2 / first.denominator).exp()
+                if terms > 1:
+                    x = step.numerator * y * ln2 / step.denominator
+                    weight *= one_minus_exp(terms * x) / one_minus_exp(x)
+                total += weight
+            return total
 
-        lo, hi = Decimal(0), Decimal(200)
-        for _ in range(120):
+        lo, hi = Decimal(0), Decimal(1)
+        while g(hi) > 1:
+            lo, hi = hi, 2 * hi
+        for _ in range(100):
             mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+            lo, hi = (mid, hi) if g(mid) > 1 else (lo, mid)
         return lo
 
 
@@ -560,10 +588,17 @@ def _decimal_root(eps: str) -> Decimal:
 def test_fast_class_beside_a_slow_one(eps):
     # Near the root the slow class's weight is below the rounding of the
     # fast one's, so g must not be summed as 1 + rest before its logarithm.
-    result = solve_capacity(classes((1, Fraction(eps)), (1, 1)))
-    assert abs(result.capacity_bits - float(_decimal_root(eps))) <= 2e-12
+    iset = classes((1, Fraction(eps)), (1, 1))
+    result = solve_capacity(iset)
+    assert abs(result.capacity_bits - float(_decimal_root(iset))) <= 2e-12
     assert result.residual <= 1e-10
     assert result.iterations <= 100
+
+
+@pytest.mark.parametrize("iset", SOLVE_CASES.values(), ids=SOLVE_CASES.keys())
+def test_root_matches_the_60_digit_oracle(iset):
+    y = solve_capacity(iset).capacity_bits
+    assert abs(y - float(_decimal_root(iset))) <= max(1e-12, 4 * math.ulp(y))
 
 
 # --- the column kernel against a per-member reference ---
