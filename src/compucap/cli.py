@@ -115,9 +115,11 @@ def render_report(report: dict, as_json: bool) -> str:
 
 
 def _read(path: Path) -> tuple[str, dict]:
-    """A file's UTF-8 text and its input record: path and SHA-256."""
-    text = path.read_text(encoding="utf-8")
-    return text, {"path": str(path), "sha256": sha256(text.encode("utf-8")).hexdigest()}
+    """A file's UTF-8 text, newlines translated as read_text translates
+    them, and its input record: path and the SHA-256 of its bytes."""
+    data = path.read_bytes()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return text, {"path": str(path), "sha256": sha256(data).hexdigest()}
 
 
 # --- subcommand implementations: each returns (inputs, results, warnings) ---
@@ -171,7 +173,10 @@ def cmd_distribution(args) -> tuple[dict, dict, list]:
             entry["count_per_term"] = m.count_per_term
             entry["num_terms"] = m.num_terms
             entry["time_base"] = float(m.time_base)
-            entry["step"] = float(m.step)
+            try:
+                entry["step"] = float(m.step)
+            except OverflowError:  # a one-term family's step may lie past the float range
+                entry["step"] = float("inf")
             entry["per_instruction_base"] = dist.instruction_probability(m.time_base)
         members.append(entry)
     return inputs, {

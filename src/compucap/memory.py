@@ -53,7 +53,7 @@ from .model import (
     parse_time,
 )
 from .solver import (
-    TOLERANCE, CapacityResult, bound_columns, solve_capacity, solve_compiled, time_as_float,
+    CapacityResult, bound_columns, solve_capacity, solve_compiled, time_as_float, warm_slack,
 )
 
 _TIE_WIDTH = 1e-11
@@ -189,20 +189,18 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
 
 def _allocation_solver(problem: MemoryDesignProblem):
     """solve(vec), equal to solve_capacity(instantiate(problem, cells)) for
-    the cells vector vec in kind-declaration order, and
-    solve(vec, at_least), which hands at_least to solve_compiled: None
-    where the root lies below at_least, else the root climbed to from
-    there.
+    the cells vector vec in kind-declaration order, and solve(vec,
+    at_least), which hands at_least to solve_compiled: None where the root
+    lies below at_least, else the root climbed to from there.
 
     A vector that installs nothing goes to solve_capacity on the base,
-    at_least aside.
-    Otherwise each installed access class adds log2 of its count and its
-    float time to the base's columns (bound_columns), as compile_columns
-    would compile its BoundClass, so the base's families keep their
-    indices.  A kind's times become floats the first time it is installed
-    and are kept per solver.  The errors come in instantiate and
-    solve_capacity's order: a time that is not positive, then a base
-    member, then an access time.
+    at_least aside.  Otherwise each installed access class adds log2 of
+    its count and its float time to the base's columns (bound_columns), as
+    compile_columns would compile its BoundClass, so the base's families
+    keep their indices.  A kind's times are checked positive and become
+    floats on its first install, after the base compiles, and are kept per
+    solver: a fault is named as solve_capacity(instantiate(...)) names it,
+    but of two faults in new inputs the other may be named first.
     """
     kind_times: dict[int, list[float]] = {}  # kind index -> float access times
 
@@ -210,13 +208,13 @@ def _allocation_solver(problem: MemoryDesignProblem):
         kinds = [k for k, n in enumerate(vec) if n]
         if not kinds:
             return solve_capacity(problem.bound_base)
-        new = [k for k in kinds if k not in kind_times]
-        for k in new:
-            for name, _, time in problem.accesses[k]:
-                check_positive_time(time, name)
         log2_counts, times, families = bound_columns(problem.bound_base)
-        for k in new:
-            kind_times[k] = [time_as_float(time, name) for name, _, time in problem.accesses[k]]
+        for k in kinds:
+            if k not in kind_times:
+                kind_times[k] = [
+                    time_as_float(check_positive_time(time, name), name)
+                    for name, _, time in problem.accesses[k]
+                ]
         log2_counts = log2_counts + [
             math.log2(scale * vec[k]) for k in kinds for _, scale, _ in problem.accesses[k]
         ]
@@ -290,17 +288,6 @@ def _grid_rows(problem: MemoryDesignProblem, step: int):
     return ((prefix, remaining // last) for prefix, remaining in rows)
 
 
-def _warm_slack(y: float) -> float:
-    """How far apart two roots of one set near y may lie when solve_compiled
-    certifies them from different starts.  Each lies within its bracket,
-    at most max(TOLERANCE, ulp(y)) wide and rounded by up to half an ulp,
-    of a float sign change of log2 g, and rounding log2 g's terms spreads
-    those sign changes over a few ulps of y: so 2 * TOLERANCE + 3 * ulp(y)
-    plus that spread.  The bound allows 13 ulps for the spread, which
-    covered every case measured."""
-    return 2 * TOLERANCE + 16 * math.ulp(y)
-
-
 def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     """The best allocation on a step grid: every feasible allocation is
     counted, and the all-zero vector and one point per grid row are
@@ -329,10 +316,10 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     A row's last point is decided from below the floor.  The capacity
     compared is the one solve_capacity gives, a climb from y = 0; call it
     cold.  A climb from another start is warm, and lies within
-    _warm_slack of the cold one.  The incumbent's value is cold or warm,
+    warm_slack of the cold one.  The incumbent's value is cold or warm,
     so the cold floor lies within its slack (0 when cold) of the floor
     computed from it.  log2 g is evaluated first at that floor less the
-    incumbent's slack and one more _warm_slack (at least 0): as g falls,
+    incumbent's slack and one more warm_slack (at least 0): as g falls,
     a negative value puts every sign change of log2 g, and so the point's
     cold capacity, below the cold floor, and that one evaluation decides
     a losing point.  Otherwise the point climbs from there, where log2
@@ -364,14 +351,14 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
             continue
         solves += 1
         floor = best.capacity_bits - _TIE_WIDTH
-        at_least = max(floor - best_slack - _warm_slack(best.capacity_bits), 0.0)
+        at_least = max(floor - best_slack - warm_slack(best.capacity_bits), 0.0)
         try:
             cap = solve(vec, at_least)
         except ValueError:
             cap, at_least = solve(vec), 0.0
         if cap is None:
             continue
-        slack = _warm_slack(cap.capacity_bits) if at_least else 0.0
+        slack = warm_slack(cap.capacity_bits) if at_least else 0.0
         if abs(cap.capacity_bits - floor) <= best_slack + slack:
             if best_slack:
                 best, best_slack = solve(best_vec), 0.0
@@ -433,9 +420,7 @@ def parse_problem(
     )
     base_obj = doc["base"]
     if isinstance(base_obj, str):
-        path = Path(base_obj)
-        if not path.is_absolute():
-            path = (base_dir or Path.cwd()) / path
+        path = (base_dir or Path.cwd()) / base_obj  # an absolute base_obj stands alone
         try:
             base_text = read_base(path) if read_base else path.read_text(encoding="utf-8")
         except OSError as exc:

@@ -65,6 +65,15 @@ _RESIDUAL_LIMIT = 1e-10
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
+def warm_slack(y: float) -> float:
+    """How far apart two roots of one set near y, certified by solve_compiled
+    from different starts, may lie: two brackets, each at most
+    max(TOLERANCE, ulp(y)) wide and rounded by up to half an ulp, plus the
+    spread of log2 g's float sign changes, which was under 13 ulps of y in
+    every case measured."""
+    return 2 * TOLERANCE + 16 * math.ulp(y)
+
+
 @dataclass(frozen=True)
 class CapacityResult:
     """Solved root y* = log2(X0) plus solver diagnostics.
@@ -96,17 +105,22 @@ def _geom(u: float, terms: int) -> tuple[float, float]:
     """log2 of the geometric sum 1 + e**-u + ... + e**-(terms-1)u, u >= 0,
     and the expected index F under its weights e**-uF.
 
-    The sum is computed as log((1 - e**-Mu) / (1 - e**-u)) via expm1,
-    which stays accurate as u -> 0 where the naive ratio cancels
-    catastrophically.  The mean index equals -d/du of the log sum; it is
-    written as a difference of phi values, with a series fallback where
-    that difference cancels.
+    The log is taken as log1p of the sum less its first term, e**-u *
+    (1 - e**-(M-1)u) / (1 - e**-u), each factor through exp or expm1.  It
+    keeps full precision where the sum nears 1 (u large) and as u -> 0,
+    where the naive ratio cancels catastrophically; the logs of 1 - e**-Mu
+    and 1 - e**-u apiece would each round at their own size.  The mean
+    index equals -d/du of the log sum; it is written as a difference of phi
+    values, with a series fallback where that difference cancels.
     """
     n = _float(terms)
     if u == 0.0:
         return math.log2(terms), (n - 1.0) / 2.0
     b = u * n
-    log2_sum = (math.log(-math.expm1(-b)) - math.log(-math.expm1(-u))) / _LN2
+    # the sum less its first term, inf or nan only where u is subnormal or inf
+    rest = math.exp(-u) * math.expm1(u - b) / math.expm1(-u)
+    log_sum = math.log1p(rest) if rest < math.inf else math.log(-math.expm1(-b)) - math.log(-math.expm1(-u))
+    log2_sum = log_sum / _LN2
     if b < 1e-3:
         # n * n overflows past 2**512 terms, where n * b (n * n * u) does not;
         # below that, (n * n - 1) * u keeps its rounding
@@ -139,8 +153,8 @@ def compile_columns(members: Iterable[BoundMember]) -> Columns:
     count and base time, one entry per member, a class taken as one term,
     and (index, step, terms) for each member of more than one term; terms
     stays an exact int, as it may exceed the float range.  A one-term
-    family converts its step, then evaluates as a class.  solve_compiled
-    and member_points take these; neither changes them."""
+    family's step enters no sum and is not compiled.  solve_compiled and
+    member_points take these; neither changes them."""
     log2_counts: list[float] = []
     times: list[float] = []
     families: list[tuple[int, float, int]] = []
@@ -151,9 +165,8 @@ def compile_columns(members: Iterable[BoundMember]) -> Columns:
             continue
         log2_counts.append(math.log2(member.count_per_term))
         times.append(time_as_float(member.time_base, member.name))
-        step = time_as_float(member.step, member.name)
         if member.num_terms != 1:
-            families.append((index, step, member.num_terms))
+            families.append((index, time_as_float(member.step, member.name), member.num_terms))
     return log2_counts, times, families
 
 
@@ -257,15 +270,16 @@ def solve_compiled(columns: Columns, name: str, at_least: float = 0.0) -> Capaci
     negative there, y* lies below at_least and the result is None, after
     that one evaluation; the default 0.0 never gives None, as log2 g(0) =
     log2(total count) >= 1.  Otherwise Newton steps on log2 g climb from
-    at_least (see the module docstring)
-    until a step is at most TOLERANCE/2 with |g - 1| <= 1e-10, or no
-    longer moves y, or rounding carries it past the root.
-    The root is then certified by a sign change, log2 g > 0 at the left
-    end and <= 0 at the right, across y and its neighbour at distance
-    TOLERANCE (or one float spacing, where y is too large for that);
-    without one, Newton resumes from the neighbour.  Raises ValueError
-    when the root is out of float range, its residual cannot reach 1e-10
-    in floats, or no root is certified within _MAX_ITERATIONS evaluations.
+    at_least (see the module docstring) until a step is at most
+    TOLERANCE/2 with |g - 1| <= 1e-10, or no longer moves y, or rounding
+    carries it past the root.  The root is then certified by a sign
+    change, log2 g > 0 at the left end and <= 0 at the right, across y and
+    its neighbour at distance TOLERANCE (or one float spacing, where y is
+    too large for that); without one, Newton resumes from the neighbour.
+    A root certified from at_least lies within warm_slack(root) of the one
+    certified from 0.  Raises ValueError when the root is out of float
+    range, its residual cannot reach 1e-10 in floats, or no root is
+    certified within _MAX_ITERATIONS evaluations.
     """
     y = at_least
     f, slope = _log2_char(columns, y)

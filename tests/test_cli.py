@@ -340,6 +340,45 @@ def test_base_read_from_a_path_is_an_input(capsys, tmp_path):
     assert inputs[0] != inputs[1]
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_input_digests_are_the_sha256_of_each_files_bytes(capsys, tmp_path, newline):
+    # the parser reads each line end as "\n", so the results match the LF
+    # files', but each digest is the file's own, as sha256sum gives it
+    problem = (
+        '{"base": "base.json", "registers": 1, "budget": 2,\n'
+        ' "kinds": [{"name": "A", "cell_cost": 1, "access_classes": [{"count": 2, "time": 1}]}]}\n'
+    )
+    runs = []
+    for sub, line_end in (("lf", "\n"), ("other", newline)):
+        folder = tmp_path / sub
+        folder.mkdir()
+        paths = {}
+        for role, name, text in (
+            ("model", "toy.json", Path(TOY).read_text()),
+            ("trace", "trace.txt", Path(TRACE).read_text()),
+            ("problem", "problem.json", problem),
+            ("base", "base.json", Path(TOY).read_text()),
+        ):
+            paths[role] = folder / name
+            paths[role].write_bytes(text.replace("\n", line_end).encode())
+        runs.append([])
+        for argv, roles in (
+            (["capacity", paths["model"]], ["model"]),
+            (["efficiency", paths["model"], paths["trace"], "--order", "2"], ["model", "trace"]),
+            (["optimize-memory", paths["problem"]], ["problem", "base"]),
+        ):
+            code, out, err = run_cli(capsys, *map(str, argv), "--json")
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report["inputs"] == {
+                role: {"path": str(paths[role]), "sha256": hashlib.sha256(paths[role].read_bytes()).hexdigest()}
+                for role in roles
+            }
+            runs[-1].append(report["results"])
+    assert b"\r" in (tmp_path / "other" / "base.json").read_bytes()
+    assert runs[0] == runs[1]
+
+
 def test_param_undeclared_by_the_problem_exits_3(capsys):
     code, out, err = run_cli(capsys, "optimize-memory", MEMORY, "--param", "zz=1")
     assert (code, out, err) == (3, "", "error: undeclared parameter 'zz'\n")
@@ -650,9 +689,11 @@ def test_huge_class_beside_a_huge_family_exits_0(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["capacity", "distribution", "efficiency"])
-def test_model_without_a_float_root_exits_2(capsys, tmp_path, command):
-    # A family past 2^1023 terms stalls Newton at y = 0 (see
-    # test_solver.test_wide_family_without_a_float_root_raises).
+def test_wide_model_is_refused_today_though_its_root_is_a_float(capsys, tmp_path, command):
+    # Pins today's refusal.  A family past 2^1023 terms stalls Newton at
+    # y = 0 (see test_solver.test_wide_family_is_refused_today_though_its_root_is_a_float),
+    # yet the root is a float, between 9.999999999999998e300 and
+    # 9.999999999999999e300.
     model = tmp_path / "wide.json"
     model.write_text(
         '{"name": "wide", "classes": [{"name": "a", "count": 1, "time": "1e-301",'
@@ -682,6 +723,23 @@ def test_time_outside_float_range_exits_2(capsys, tmp_path, command, time):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "outside the float range" in err
+
+
+@pytest.mark.parametrize("step", ["1e-400", "1e400"])
+@pytest.mark.parametrize("command", ["capacity", "distribution", "efficiency"])
+def test_one_term_family_step_outside_float_range_exits_0(capsys, tmp_path, command, step):
+    # a one-term family is a class: its step enters no sum, so it need not be a float
+    model = tmp_path / "one.json"
+    model.write_text(
+        '{"name": "o", "classes": [{"name": "a", "count": 2, "time": 1}, {"name": "f",'
+        ' "count": 1, "time": 2, "family": {"step": "%s", "terms": 1}}]}' % step
+    )
+    trace = tmp_path / "trace.txt"
+    trace.write_text("a f@2 a\n")
+    argv = [command, str(model)] + ([str(trace)] if command == "efficiency" else [])
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["capacity_bits"] == 1.27155330316361
 
 
 def test_closed_stdout_exits_1_quietly():
