@@ -321,8 +321,6 @@ def efficiency_from_distribution(
                 f"as {name}@time or supply a per-instruction rule"
             )
         mean_time += mass * time
-    if mean_time <= 0.0:
-        raise DistributionError("distribution has zero mean time")
     return entropy_bits / mean_time
 
 

@@ -53,7 +53,8 @@ from .model import (
     parse_time,
 )
 from .solver import (
-    CapacityResult, bound_columns, solve_capacity, solve_compiled, time_as_float, warm_slack,
+    CapacityResult, bound_columns, root_below, solve_capacity, solve_compiled, time_as_float,
+    warm_slack,
 )
 
 _TIE_WIDTH = 1e-11
@@ -189,14 +190,14 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
 
 def _allocation_solver(problem: MemoryDesignProblem):
     """solve(vec), equal to solve_capacity(instantiate(problem, cells)) for
-    the cells vector vec in kind-declaration order, and solve(vec,
-    at_least), which hands at_least to solve_compiled: None where the root
-    lies below at_least, else the root climbed to from there.
+    the cells vector vec in kind-declaration order, and solve(vec, below),
+    root_below of its set at below: whether one evaluation puts its root
+    below that y.
 
-    A vector that installs nothing goes to solve_capacity on the base,
-    at_least aside.  Otherwise each installed access class adds log2 of
-    its count and its float time to the base's columns (bound_columns), as
-    compile_columns would compile its BoundClass, so the base's families
+    A vector that installs nothing is solved by solve_capacity on the base.
+    Otherwise, and for every probe, each installed access class adds log2
+    of its count and its float time to the base's columns (bound_columns),
+    as compile_columns would compile its BoundClass, so the base's families
     keep their indices.  A kind's times are checked positive and become
     floats on its first install, after the base compiles, and are kept per
     solver: a fault is named as solve_capacity(instantiate(...)) names it,
@@ -204,9 +205,9 @@ def _allocation_solver(problem: MemoryDesignProblem):
     """
     kind_times: dict[int, list[float]] = {}  # kind index -> float access times
 
-    def solve(vec: tuple[int, ...], at_least: float = 0.0) -> CapacityResult | None:
+    def solve(vec: tuple[int, ...], below: float | None = None) -> CapacityResult | bool:
         kinds = [k for k, n in enumerate(vec) if n]
-        if not kinds:
+        if not kinds and below is None:
             return solve_capacity(problem.bound_base)
         log2_counts, times, families = bound_columns(problem.bound_base)
         for k in kinds:
@@ -219,7 +220,10 @@ def _allocation_solver(problem: MemoryDesignProblem):
             math.log2(scale * vec[k]) for k in kinds for _, scale, _ in problem.accesses[k]
         ]
         times = times + [time for k in kinds for time in kind_times[k]]
-        return solve_compiled((log2_counts, times, families), problem.base.name, at_least)
+        columns = (log2_counts, times, families)
+        if below is not None:
+            return root_below(columns, below)
+        return solve_compiled(columns, problem.base.name)
 
     return solve
 
@@ -313,26 +317,15 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     in the same order: solve_capacity solves it on the base alone, and
     each kind is first installed by the same row as in the full walk.
 
-    A row's last point is decided from below the floor.  The capacity
-    compared is the one solve_capacity gives, a climb from y = 0; call it
-    cold.  A climb from another start is warm, and lies within
-    warm_slack of the cold one.  The incumbent's value is cold or warm,
-    so the cold floor lies within its slack (0 when cold) of the floor
-    computed from it.  log2 g is evaluated first at that floor less the
-    incumbent's slack and one more warm_slack (at least 0): as g falls,
-    a negative value puts every sign change of log2 g, and so the point's
-    cold capacity, below the cold floor, and that one evaluation decides
-    a losing point.  Otherwise the point climbs from there, where log2
-    g >= 0, to a warm root.  When the warm root lies within the two
-    slacks of the floor, the incumbent and the point are solved from 0
-    (each at most once) and their cold values decide, by the rule above.
-    The winner, when its value is warm, is solved from 0 at the end, so
-    the result is the one solve_capacity gives for instantiate's set.  A
-    warm climb that fails (a float edge can stall Newton from one start
-    and not from another) gives way to the cold one, which then decides.
-    So the grid is refused only where solving every point would be; a
-    point decided by one evaluation is not solved at all, so a root that
-    cannot be certified there refuses no grid.
+    A row's last point is decided from below the floor.  log2 g is
+    evaluated first at the floor less warm_slack, where that lies above
+    0: as g falls, a negative value puts the point's root, as
+    solve_compiled certifies it, below the floor, and that one evaluation
+    decides a losing point.  Otherwise the point is solved as
+    solve_capacity solves it, so each decision and the result are those
+    of solving every point.  A point decided by one evaluation is not
+    solved at all, so a root that cannot be certified there refuses no
+    grid.
     """
     if isinstance(step, bool) or not isinstance(step, int) or step < 1:
         raise ProblemError(f"step must be a positive integer, got {step!r}")
@@ -343,7 +336,7 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
             raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
     solve = _allocation_solver(problem)
     zero = (0,) * len(problem.kinds)
-    best, best_vec, best_slack = solve(zero), zero, 0.0
+    best, best_vec = solve(zero), zero
     solves = 1
     for prefix, top in _grid_rows(problem, step):
         vec = prefix + (top - top % step,)
@@ -351,24 +344,12 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
             continue
         solves += 1
         floor = best.capacity_bits - _TIE_WIDTH
-        at_least = max(floor - best_slack - warm_slack(best.capacity_bits), 0.0)
-        try:
-            cap = solve(vec, at_least)
-        except ValueError:
-            cap, at_least = solve(vec), 0.0
-        if cap is None:
+        probe = floor - warm_slack(best.capacity_bits)
+        if probe > 0.0 and solve(vec, probe):
             continue
-        slack = warm_slack(cap.capacity_bits) if at_least else 0.0
-        if abs(cap.capacity_bits - floor) <= best_slack + slack:
-            if best_slack:
-                best, best_slack = solve(best_vec), 0.0
-                floor = best.capacity_bits - _TIE_WIDTH
-            if slack:
-                cap, slack = solve(vec), 0.0
+        cap = solve(vec)
         if cap.capacity_bits >= floor:
-            best, best_vec, best_slack = cap, vec, slack
-    if best_slack:
-        best = solve(best_vec)
+            best, best_vec = cap, vec
     return _allocation(
         problem, best_vec, capacity=best, label="grid",
         justification=f"evaluated {points} feasible allocations on a step-{step} grid "

@@ -29,7 +29,7 @@ class BindingError(ValueError):
     """Parameter values do not match the set's declared parameters."""
 
 
-_POW2_COUNT_RE = re.compile(r"\s*(\d+)\s*\*\s*2\s*\^\s*(\d+)\s*\Z")
+_POW2_COUNT_RE = re.compile(r"\s*(\d+)\s*\*\s*2\s*\^\s*(\d+)\s*\Z", re.ASCII)
 # the largest b in a count "a*2^b": 2**b takes b/8 bytes to build
 _MAX_COUNT_EXPONENT = 1_000_000
 # the largest |e| in a decimal "...e<e>": Fraction builds 10**e, which then
@@ -83,7 +83,8 @@ def check_ident(name: object, what: str) -> str:
 
 
 def decimal_fraction(text: str) -> Fraction:
-    """Fraction(text), refused with ValueError before it is built when the
+    """Fraction(text), refused with ValueError before it is built when text
+    is not ASCII (Fraction would take any Unicode digit or space) or the
     decimal exponent exceeds _MAX_DECIMAL_EXPONENT in magnitude.
 
     The plain spellings -- an integer, "p/q" or "i.f" in ASCII digits with
@@ -92,7 +93,9 @@ def decimal_fraction(text: str) -> Fraction:
     Every other spelling (exponents, spaces, "_", "+", "1.", ".5", long
     digit strings) goes to Fraction(text).
     """
-    if len(text) <= _PLAIN_DECIMAL_CHARS and text.isascii():
+    if not text.isascii():
+        raise ValueError("expected ASCII digits")
+    if len(text) <= _PLAIN_DECIMAL_CHARS:
         unsigned = text[1:] if text[:1] == "-" else text
         if unsigned.isdigit():
             return Fraction(int(text))

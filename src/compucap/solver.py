@@ -23,14 +23,16 @@ closed geometric form, never a term-by-term sum.
 log2 g(y) is a log-sum-exp of functions affine in y (a family's closed
 form sums one per term), so it is convex, and its slope is -E[tau] under
 the weights 2**(-tau * y).  Newton's method started at any y where
-log2 g >= 0, such as y = 0, where log2 g = log2(total count) > 0,
-therefore climbs monotonically toward y*: every tangent of a convex curve
-lies below it, so in exact arithmetic no step passes the root.  Floats
-round, so the result is certified by a sign change of log2 g across an
-interval no wider than TOLERANCE, 1e-12, or one float spacing where y is
-too large for that.  As g decreases, the sign of
-log2 g at one point y tells whether y* lies below y; solve_compiled's
-at_least uses that to refuse a root below a bound in one evaluation.
+log2 g >= 0 therefore climbs monotonically toward y*: every tangent of a
+convex curve lies below it, so in exact arithmetic no step passes the
+root.  g is at least any one member's weight, and a member's first term
+alone weighs 1 at log2 count / time, so the largest of those values is
+such a start (y = 0, where log2 g = log2(total count) > 0, is another).
+Floats round, so the result is certified by a sign change of log2 g
+across an interval no wider than TOLERANCE, 1e-12, or one float spacing
+where y is too large for that.  As g decreases, the sign of log2 g at one
+point y tells whether y* lies below y; root_below makes that one
+evaluation.
 
 A bound set is compiled to floats once, on first use, as columns (see
 compile_columns and bound_columns): a log2 count and a base time for
@@ -54,7 +56,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, truediv
 
 from .model import BoundClass, BoundInstructionSet, BoundMember, total_count
 
@@ -66,11 +68,12 @@ _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
 def warm_slack(y: float) -> float:
-    """How far apart two roots of one set near y, certified by solve_compiled
-    from different starts, may lie: two brackets, each at most
+    """A margin near y that covers two brackets, each at most
     max(TOLERANCE, ulp(y)) wide and rounded by up to half an ulp, plus the
     spread of log2 g's float sign changes, which was under 13 ulps of y in
-    every case measured."""
+    every case measured.  solve_compiled starts this far below the largest
+    one-member root, and a root certified by solve_compiled lies at most
+    this far above a point where root_below reads True."""
     return 2 * TOLERANCE + 16 * math.ulp(y)
 
 
@@ -129,16 +132,17 @@ def _geom(u: float, terms: int) -> tuple[float, float]:
     return log2_sum, (_phi(u) - _phi(b)) / u
 
 
-def time_as_float(value: Fraction, name: str) -> float:
-    """A positive time (or step) as a normal float; ValueError naming `name`
-    where floats cannot hold it at full precision (0.0, subnormal or inf)."""
+def time_as_float(value: Fraction, name: str, what: str = "time") -> float:
+    """A positive time (or step, what="step") as a normal float; ValueError
+    naming what of `name` where floats cannot hold it at full precision
+    (0.0, subnormal or inf)."""
     try:
         result = float(value)
     except OverflowError:
         result = math.inf
     if not _FLOAT_MIN <= result <= _FLOAT_MAX:
         raise ValueError(
-            f"time of {name!r} lies outside the float range [{_FLOAT_MIN:.4g}, {_FLOAT_MAX:.4g}]"
+            f"{what} of {name!r} lies outside the float range [{_FLOAT_MIN:.4g}, {_FLOAT_MAX:.4g}]"
         )
     return result
 
@@ -166,7 +170,7 @@ def compile_columns(members: Iterable[BoundMember]) -> Columns:
         log2_counts.append(math.log2(member.count_per_term))
         times.append(time_as_float(member.time_base, member.name))
         if member.num_terms != 1:
-            families.append((index, time_as_float(member.step, member.name), member.num_terms))
+            families.append((index, time_as_float(member.step, member.name, "step"), member.num_terms))
     return log2_counts, times, families
 
 
@@ -262,30 +266,42 @@ def solve_capacity(iset: BoundInstructionSet) -> CapacityResult:
     return solve_compiled(bound_columns(iset), iset.name)
 
 
-def solve_compiled(columns: Columns, name: str, at_least: float = 0.0) -> CapacityResult | None:
+def root_below(columns: Columns, y: float) -> bool:
+    """Whether log2 g is negative at y, a finite y >= 0, so that the root
+    lies below y (within warm_slack of where it is certified): one
+    evaluation."""
+    return _log2_char(columns, y)[0] < 0.0
+
+
+def solve_compiled(columns: Columns, name: str) -> CapacityResult:
     """The root y* of g for compiled columns (see compile_columns) that hold
     at least two instructions; errors name the set `name`.
 
-    log2 g is evaluated first at at_least, a finite y >= 0.  Where it is
-    negative there, y* lies below at_least and the result is None, after
-    that one evaluation; the default 0.0 never gives None, as log2 g(0) =
-    log2(total count) >= 1.  Otherwise Newton steps on log2 g climb from
-    at_least (see the module docstring) until a step is at most
-    TOLERANCE/2 with |g - 1| <= 1e-10, or no longer moves y, or rounding
-    carries it past the root.  The root is then certified by a sign
-    change, log2 g > 0 at the left end and <= 0 at the right, across y and
-    its neighbour at distance TOLERANCE (or one float spacing, where y is
-    too large for that); without one, Newton resumes from the neighbour.
-    A root certified from at_least lies within warm_slack(root) of the one
-    certified from 0.  Raises ValueError when the root is out of float
-    range, its residual cannot reach 1e-10 in floats, or no root is
-    certified within _MAX_ITERATIONS evaluations.
+    The climb starts at the largest one-member root log2 count / time, a
+    family's first term standing in for the family, less its warm_slack;
+    at 0 where that start is not positive and finite, or where log2 g is
+    negative there (rounding), and each start's evaluation counts as an
+    iteration.  Newton steps on log2 g climb from the start (see the module
+    docstring) until a step is at most TOLERANCE/2 with |g - 1| <= 1e-10,
+    or no longer moves y, or rounding carries it past the root.  The root
+    is then certified by a sign change, log2 g > 0 at the left end and
+    <= 0 at the right, across y and its neighbour at distance TOLERANCE
+    (or one float spacing, where y is too large for that); without one,
+    Newton resumes from the neighbour.  Raises ValueError when the root is
+    out of float range, its residual cannot reach 1e-10 in floats, or no
+    root is certified within _MAX_ITERATIONS evaluations.
     """
-    y = at_least
+    log2_counts, times, _ = columns
+    top = max(map(truediv, log2_counts, times))
+    y = top - warm_slack(top)
+    if not 0.0 < y < math.inf:
+        y = 0.0
     f, slope = _log2_char(columns, y)
-    if f < 0.0:
-        return None
     iterations = 1
+    if f < 0.0:
+        y = 0.0
+        f, slope = _log2_char(columns, y)
+        iterations += 1
     while iterations < _MAX_ITERATIONS:
         if f == 0.0:
             return CapacityResult(y, 0.0, 0.0, iterations)

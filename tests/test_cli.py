@@ -851,6 +851,56 @@ def test_huge_trace_time_annotation_exits_2_at_once(capsys, tmp_path, annotation
     assert f"invalid time annotation in 'fast@{annotation}'" in err
 
 
+@pytest.mark.parametrize(
+    "where, spelling, message",
+    [
+        ("time", "\u0661", "invalid rational '\u0661': expected ASCII digits"),
+        ("time", "\uff11", "invalid rational '\uff11': expected ASCII digits"),
+        ("time", "1\u0660", "invalid rational '1\u0660': expected ASCII digits"),
+        ("count", "\u0662*2^\u0663", "invalid count '\u0662*2^\u0663'"),
+        ("count", "2*2^\u0663", "invalid count '2*2^\u0663'"),
+        ("annotation", "\u0661", "invalid time annotation in 'fast@\u0661'"),
+        ("param", "\u0661", "invalid rational '\u0661': expected ASCII digits"),
+        ("cell_cost", "\u0661", "invalid rational '\u0661': expected ASCII digits"),
+        ("budget", "\uff11", "invalid rational '\uff11': expected ASCII digits"),
+        ("parameters", "\u0661", "invalid rational '\u0661': expected ASCII digits"),
+    ],
+    ids=[
+        "time-arabic-indic", "time-fullwidth", "time-mixed", "count", "count-exponent",
+        "trace-annotation", "param-flag", "cell-cost", "budget", "problem-parameter",
+    ],
+)
+def test_non_ascii_digits_exit_2(capsys, tmp_path, where, spelling, message):
+    # Fraction and re's \d take any Unicode digit; the spellings are ASCII
+    path = tmp_path / "input.json"
+    if where == "time":
+        path.write_text(MODEL_WITH % json.dumps(spelling))
+        argv = ["capacity", str(path)]
+    elif where == "count":
+        path.write_text('{"name": "m", "classes": [{"name": "a", "count": %s, "time": 1}]}' % json.dumps(spelling))
+        argv = ["capacity", str(path)]
+    elif where == "annotation":
+        path.write_text(f"fast@{spelling} fast slow\n", encoding="utf-8")
+        argv = ["efficiency", TOY, str(path)]
+    elif where == "param":
+        argv = ["capacity", MMIX, "--param", f"mu={spelling}"]
+    else:
+        values = {"budget": "1", "parameters": "1", "cell_cost": "1", where: json.dumps(spelling)}
+        path.write_text(PROBLEM_WITH % (values["budget"], values["parameters"], values["cell_cost"]))
+        argv = ["optimize-memory", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("spelling", ['" +1_0 "', '"+3/4"', '" 2.5"', '"1_0e-1"'])
+def test_ascii_underscore_plus_and_spaces_still_parse(spelling):
+    from compucap import parse_model
+
+    expected = Fraction(json.loads(spelling).replace(" ", ""))
+    assert parse_model(MODEL_WITH % spelling).members[0].time.base == expected
+
+
 DEEP = "[" * 100_000 + "]" * 100_000
 
 

@@ -29,6 +29,8 @@ from compucap.model import as_rational, check_ident, decimal_fraction
 
 
 def reference_decimal_fraction(text):
+    if not text.isascii():
+        raise ValueError("expected ASCII digits")
     _, e, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-0_").replace("_", "")
     if e and digits.isdigit() and (len(digits) > 9 or int(digits) > 4300):

@@ -535,6 +535,17 @@ def test_vertex_candidates_match_solve_capacity():
     assert best.capacity == solve_capacity(instantiate(problem, best.cells))
 
 
+def test_a_probe_of_the_all_zero_vector_reads_the_base():
+    # solve((0, 0)) is solve_capacity's result, which is truthy; a probe
+    # must answer True or False from the base's own columns
+    problem = parse_problem(data_path("memory-example.json").read_text())
+    solve = _allocation_solver(problem)
+    base = solve((0, 0)).capacity_bits
+    assert solve((0, 0), base + 1e-9) is True
+    assert solve((0, 0), base - 1e-9) is False
+    assert solve((1, 0), base - 1e-9) is False
+
+
 def zero_time_problem(cost) -> MemoryDesignProblem:
     kind = MemoryKind("A", Fraction(cost), (AccessClass(1, TimeExpression(base=0)),))
     return MemoryDesignProblem(
@@ -638,8 +649,8 @@ def assert_grid_matches_full_walk(problem: MemoryDesignProblem, step: int) -> Al
     return grid
 
 
-# optimize_grid decides a row from a climb that starts near the incumbent
-# whenever it can; the walk solves every point from y = 0
+# optimize_grid decides a row by one evaluation whenever it can; the walk
+# solves every point
 
 
 @pytest.mark.parametrize("step", [1, 2, 3])
@@ -667,7 +678,7 @@ def test_grid_exact_ties_take_the_greatest_vector(kinds, step, budget):
 @pytest.mark.parametrize("kinds", [2, 3])
 def test_grid_exact_ties_finer_than_a_float_spacing(kinds, budget, time):
     # past about 5e4 bits a float spacing is wider than the tie width, so
-    # equal capacities tie only to the last bit, and a root solved from 0
+    # equal capacities tie only to the last bit, and a solved root
     # may lie a bracket above the sign change of another allocation's log2 g
     accesses = [{"count": 1, "time": time}, {"count": 3, "time": time}]
     problem = parse_problem(json.dumps({
@@ -724,42 +735,6 @@ def test_grid_decides_from_zero_below_a_capacity_of_the_tie_width():
     assert grid.capacity.capacity_bits == 6.103574576695489e-19
 
 
-def test_grid_falls_back_to_the_climb_from_zero(monkeypatch):
-    import compucap.memory
-
-    # A float edge can stall Newton from one start and not from another, so
-    # a warm climb that raises gives way to the climb from 0.  No problem
-    # known stalls that way with _geom's full-precision log, so the spy
-    # makes row (1,)'s climb from its floor raise as a stall would.
-    problem = parse_problem(json.dumps({
-        "base": {"name": "b", "classes": [{
-            "name": "c0", "count": "9*2^8", "time": "9e-178",
-            "family": {"step": "6e-295", "terms": "1*2^52"},
-        }]},
-        "registers": 1,
-        "budget": 1,
-        "kinds": [{"name": "K0", "cell_cost": 1, "access_classes": [{"count": 7, "time": "7e-177"}]}],
-    }))
-    make_solver = compucap.memory._allocation_solver
-    stalled = []
-
-    def spy(problem):
-        solve = make_solver(problem)
-
-        def warm_climbs_stall(vec, *floor):
-            if floor and floor[0] > 0.0:
-                stalled.append(vec)
-                raise ValueError("set 'b': no root found in 10000 iterations at float precision")
-            return solve(vec, *floor)
-
-        return warm_climbs_stall
-
-    monkeypatch.setattr(compucap.memory, "_allocation_solver", spy)
-    grid = assert_grid_matches_full_walk(problem, 1)
-    assert grid.cells == {"K0": 1}
-    assert stalled == [(1,)]
-
-
 @pytest.mark.parametrize("step", [1, 2, 3])
 def test_capacity_never_falls_along_a_grid_row(step):
     # optimize_grid solves only each row's last point; rounding may put an
@@ -793,11 +768,10 @@ def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_
     def spy(problem):
         solve = make_solver(problem)
 
-        def counted(vec, *floor):
-            # a call that carries a floor decides its row; one without
-            # solves from y = 0
-            (decided if floor else cold).append(vec)
-            return solve(vec, *floor)
+        def counted(vec, *below):
+            # a call that carries a y probes its row; one without solves
+            (decided if below else cold).append(vec)
+            return solve(vec, *below)
 
         return counted
 
@@ -812,8 +786,8 @@ def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_
         assert solved == [(0, 0, 0)] + last_points
     assert len(solved) <= len(rows) + 1
     assert f" by solving {len(solved)}: " in grid.justification
-    # the zero vector first, then at most one solve from 0 per decided row,
-    # the winner's included
+    # the zero vector first, then at most one solve per probed row, the
+    # winner's included
     assert cold[0] == (0, 0, 0)
     assert len(set(cold[1:])) == len(cold) - 1 and set(cold[1:]) <= set(decided)
     assert tuple(grid.cells.values()) in cold

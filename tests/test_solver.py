@@ -46,6 +46,10 @@ def classes(*pairs) -> BoundInstructionSet:
 TOY = classes((2, 1), (1, 2))
 
 
+def _model(doc) -> BoundInstructionSet:
+    return bind(parse_model(json.dumps(doc)), ParameterBinding())
+
+
 def bound_model(name: str, **params) -> BoundInstructionSet:
     iset = parse_model(data_path(name).read_text())
     return bind(iset, ParameterBinding({k: Fraction(v) for k, v in params.items()}))
@@ -317,53 +321,73 @@ def test_newton_iterations_on_reference_models():
         assert solve_capacity(iset).iterations <= 12
 
 
-# solve_capacity's results, climbing from y = 0; the default at_least must
-# keep them to the last bit
-CLIMB_FROM_ZERO = {
+def _certified_start(columns):
+    """The start solve_compiled climbs from: the largest one-member root
+    less its warm_slack, or 0 where that is not positive and finite."""
+    top = max(a / t for a, t in zip(columns[0], columns[1]))
+    y = top - solver.warm_slack(top)
+    return y if 0.0 < y < math.inf else 0.0
+
+
+# solve_capacity's results, climbing from the largest one-member root
+CERTIFIED_START = {
     "toy": (TOY, solver.CapacityResult(1.271553303163612, 3.84773979655831e-17, 9.99866855977416e-13, 6)),
     "mix": (
         bound_model("mix.json"),
-        solver.CapacityResult(28.169925002503934, 2.501030867762901e-16, 9.947598300641403e-13, 10),
+        solver.CapacityResult(28.169925002503934, 2.501030867762901e-16, 9.947598300641403e-13, 4),
     ),
     "mmix": (
         bound_model("mmix.json", mu="6/5"),
-        solver.CapacityResult(31.11894107286867, 1.894694976496866e-16, 9.947598300641403e-13, 6),
+        solver.CapacityResult(31.11894107286867, 1.894694976496866e-16, 9.947598300641403e-13, 3),
     ),
 }
 
 
-@pytest.mark.parametrize("name", list(CLIMB_FROM_ZERO))
-def test_default_start_is_the_climb_from_zero(name):
-    iset, expected = CLIMB_FROM_ZERO[name]
+@pytest.mark.parametrize("name", list(CERTIFIED_START))
+def test_solve_starts_at_the_largest_one_member_root(name):
+    iset, expected = CERTIFIED_START[name]
     columns = solver.bound_columns(iset)
     assert solve_capacity(iset) == expected
     assert solver.solve_compiled(columns, name) == expected
-    assert solver.solve_compiled(columns, name, 0.0) == expected
+    assert 0.0 < _certified_start(columns) <= expected.capacity_bits
+    assert solver._log2_char(columns, _certified_start(columns))[0] >= 0.0
 
 
-def test_at_least_refuses_exactly_where_log2_g_is_negative():
+def test_root_below_reads_the_sign_of_log2_g():
     columns = solver.bound_columns(TOY)
     root = solve_capacity(TOY).capacity_bits
-    assert solver.solve_compiled(columns, "toy", root + 1e-9) is None
+    assert solver.root_below(columns, root + 1e-9)
+    assert not solver.root_below(columns, 0.0)
     starts = [root + k * math.ulp(root) for k in range(-4, 5)]
     starts += [0.5 * root, root - 1e-9, root + 1e-9, 2 * root]
     for start in starts:
-        refused = solver.solve_compiled(columns, "toy", start) is None
-        assert refused == (solver._log2_char(columns, start)[0] < 0.0)
+        assert solver.root_below(columns, start) == (solver._log2_char(columns, start)[0] < 0.0)
 
 
 @pytest.mark.parametrize("iset", SOLVE_CASES.values(), ids=SOLVE_CASES.keys())
-def test_climb_from_left_of_the_root_certifies_near_the_climb_from_zero(iset):
+def test_log2_g_is_not_negative_at_the_certified_start(iset):
     columns = solver.bound_columns(iset)
-    cold = solve_capacity(iset)
-    y, tolerance = cold.capacity_bits, solver.TOLERANCE
-    for start in (0.5 * y, y - 1e-3, y - 4 * tolerance):
-        assert solver._log2_char(columns, start)[0] >= 0.0
-        warm = solver.solve_compiled(columns, iset.name, start)
-        assert abs(warm.capacity_bits - y) <= tolerance
-        assert warm.residual <= 1e-10
-        assert warm.bracket_width <= max(tolerance, math.ulp(warm.capacity_bits))
-        assert warm.iterations <= cold.iterations
+    start = _certified_start(columns)
+    assert solver._log2_char(columns, start)[0] >= 0.0
+    assert start <= solve_capacity(iset).capacity_bits
+
+
+def test_a_start_where_log2_g_rounds_negative_climbs_from_zero(monkeypatch):
+    # No input is known to round below 0 at the certified start, so the
+    # first evaluation is made to read as if it had
+    columns = solver.bound_columns(TOY)
+    log2_char, points = solver._log2_char, []
+
+    def rounded_below_at_the_start(columns, y):
+        points.append(y)
+        f, slope = log2_char(columns, y)
+        return (-1e-17 if len(points) == 1 else f), slope
+
+    monkeypatch.setattr(solver, "_log2_char", rounded_below_at_the_start)
+    result = solver.solve_compiled(columns, "toy")
+    assert points[:2] == [_certified_start(columns), 0.0]
+    assert result.iterations == len(points)
+    assert abs(result.capacity_bits - LOG2_SILVER) <= 1e-12
 
 
 def test_geom_mean_index_stays_finite_past_two_to_the_512_terms():
@@ -410,6 +434,29 @@ def test_wide_family_is_refused_today_though_its_root_is_a_float():
         solve_capacity(iset)
 
 
+def test_slope_leaves_out_a_vanished_weight_of_inf_mean_time():
+    # At y = 0 the family's weight underflows to 0 beside the class's and
+    # its mean index is inf; 0 * inf is nan, and that member adds nothing.
+    # The climb starts near 5000, so only a direct evaluation reaches this.
+    iset = _model({"name": "deep", "classes": [
+        {"name": "a", "count": "1*2^5000", "time": 1},
+        {"name": "g", "count": 1, "time": 1, "family": {"step": 1, "terms": "1*2^2000"}},
+    ]})
+    assert solver._log2_char(solver.bound_columns(iset), 0.0) == (5000.0, -1.0)
+
+
+def test_steep_family_is_refused_today_though_its_root_is_a_float():
+    # Pins today's refusal.  The root is 7.4046545394613556e-301, where
+    # log2 g falls with a slope of several 1e300: across a certified
+    # bracket 1e-12 wide it changes by about 1e288, so neither end passes
+    # the residual.
+    iset = _model({"name": "r", "classes": [
+        {"name": "m0", "count": "5*2^0", "time": "4e300", "family": {"step": "2e300", "terms": "1*2^5000"}},
+    ]})
+    with pytest.raises(ValueError, match=re.escape("set 'r': residual above 1e-10 at float precision")):
+        solve_capacity(iset)
+
+
 @pytest.mark.parametrize(
     "iset, message",
     [
@@ -449,19 +496,25 @@ def test_root_far_above_two_to_the_sixty():
     assert result.residual <= 1e-10
 
 
-def test_step_landing_past_the_float_range_of_g_continues():
-    # At y = 0 log2 g is about 1830 and the slope about -1e100, so the
-    # first step, under tolerance/2, lands where a's weight has vanished
-    # and log2 g is about 1092: g itself lies past the float range there,
-    # and its residual must read as too large, not overflow.
-    iset = BoundInstructionSet(
-        "ovf",
-        (BoundClass("a", 2**1830, Fraction("1e100")), BoundClass("b", 2**1092, Fraction("1e-300"))),
-    )
+def test_step_landing_past_the_float_range_of_g_continues(monkeypatch):
+    # The largest one-member root, m1's, is about 7.3e-65, below its
+    # warm_slack, so the climb starts at 0, where log2 g is 4879.  Its steps
+    # are under tolerance/2 from the first, which lands where log2 g is
+    # about 4866: g itself lies past the float range there, and its
+    # residual must read as too large, not overflow.  The 60-digit
+    # oracle's bisection of [0, 1] resolves a root this small only to its
+    # 1e-12 bound.
+    iset = _model({"name": "f", "classes": [
+        {"name": "m0", "count": "1*2^2098", "time": "1e59"},
+        {"name": "m1", "count": "1*2^4497", "time": "7e67", "family": {"step": "1e156", "terms": "1*2^382"}},
+    ]})
+    residual, seen = solver._residual, []
+    monkeypatch.setattr(solver, "_residual", lambda f: seen.append(f) or residual(f))
     result = solve_capacity(iset)
-    assert result.capacity_bits == pytest.approx(1.092e303, rel=1e-12)
+    assert max(seen) == pytest.approx(4866.28, abs=0.01)
+    assert result.capacity_bits == pytest.approx(2.098e-56, rel=1e-12)
     assert result.residual <= 1e-10
-    assert result.iterations == 4
+    assert result.iterations == 38
 
 
 @pytest.mark.parametrize(
@@ -536,9 +589,10 @@ def test_time_outside_float_range_raises(time):
         solve_capacity(classes((1, Fraction(time)), (1, 1)))
 
 
-def test_family_step_outside_float_range_raises():
-    family = BoundFamily("f", 1, Fraction(1), Fraction("1e400"), 3)
-    with pytest.raises(ValueError, match="'f' lies outside the float range"):
+@pytest.mark.parametrize("step", ["1e-400", "1e400"])
+def test_family_step_outside_float_range_raises(step):
+    family = BoundFamily("f", 1, Fraction(1), Fraction(step), 3)
+    with pytest.raises(ValueError, match="^step of 'f' lies outside the float range"):
         solve_capacity(BoundInstructionSet("s", (family, BoundClass("c", 1, Fraction(1)))))
 
 
@@ -623,8 +677,30 @@ NEAR_ONE_CASES = {
 }
 
 
+# Models at float edges of the climb.
+FLOAT_EDGE_CASES = {
+    # a climb from 0 ran out of iterations; from the largest one-member
+    # root it certifies 5.358589635130401e+102
+    "r2": _model({"name": "r", "classes": [
+        {"name": "m0", "count": "1*2^1", "time": "7e10", "family": {"step": "2e100", "terms": "1*2^1"}},
+        {"name": "m1", "count": "6*2^10", "time": "3e-10"},
+        {"name": "m2", "count": "8*2^2000", "time": "5e-100", "family": {"step": "7e-307", "terms": "1*2^2000"}},
+    ]}),
+    # both one-member roots are 0, so the climb starts there; below y =
+    # 8e-9 the family's mean index is inf, so Newton's steps are 0 and
+    # certification creeps one tolerance an iteration, for 8,035 of the
+    # 10,000 allowed
+    "creep": _model({"name": "creep", "classes": [
+        {"name": "a", "count": 1, "time": 1, "family": {"step": "1e-300", "terms": "1*2^2000"}},
+        {"name": "b", "count": 1, "time": 1},
+    ]}),
+}
+
+
 @pytest.mark.parametrize(
-    "iset", [*SOLVE_CASES.values(), *NEAR_ONE_CASES.values()], ids=[*SOLVE_CASES, *NEAR_ONE_CASES]
+    "iset",
+    [*SOLVE_CASES.values(), *NEAR_ONE_CASES.values(), *FLOAT_EDGE_CASES.values()],
+    ids=[*SOLVE_CASES, *NEAR_ONE_CASES, *FLOAT_EDGE_CASES],
 )
 def test_root_matches_the_60_digit_oracle(iset):
     y = solve_capacity(iset).capacity_bits
