@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 
-from .model import BoundClass, BoundInstructionSet, BoundMember, brief_rational, decimal_fraction, is_ident
+from .model import (
+    BoundClass, BoundInstructionSet, BoundMember, Spellings, brief_rational, decimal_fraction, is_ident,
+)
 from .solver import CapacityResult, bound_columns, compile_columns, member_points, solve_capacity, time_as_float
 
 _MASS_SLACK = 1e-10
@@ -140,21 +142,6 @@ def _chunks(text: str):
         start = end
 
 
-class _Spellings(dict):
-    """token -> resolve(token), filled on first use: a token found here
-    costs one dict lookup, and resolve runs once per distinct spelling, in
-    first-use order, so its first error is the first bad token's."""
-
-    __slots__ = ("resolve",)
-
-    def __init__(self, resolve: Callable[[str], str]):
-        self.resolve = resolve
-
-    def __missing__(self, token: str) -> str:
-        symbol = self[token] = self.resolve(token)
-        return symbol
-
-
 def parse_trace(text: str) -> tuple[str, ...]:
     """Split a trace file into canonical symbol tokens.
 
@@ -165,7 +152,7 @@ def parse_trace(text: str) -> tuple[str, ...]:
     split_trace(text), so only one chunk's token strings are held at once;
     each distinct spelling is parsed once.
     """
-    spellings = _Spellings(lambda token: _canonical_token(token)[0])
+    spellings = Spellings(lambda token: _canonical_token(token)[0])
     return tuple(map(spellings.__getitem__, split_trace(text)))
 
 
@@ -379,7 +366,7 @@ def efficiency_from_trace(
         table[symbol] = (time_as_float(time, symbol), math.log2(count))
         return symbol
 
-    resolved = list(map(_Spellings(resolve).__getitem__, symbols))
+    resolved = list(map(Spellings(resolve).__getitem__, symbols))
     if not resolved:
         raise TraceError("trace is empty")
     stats = TraceStatistics.from_symbols(resolved, max_order)

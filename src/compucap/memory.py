@@ -190,9 +190,10 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
 
 def _allocation_solver(problem: MemoryDesignProblem):
     """solve(vec), equal to solve_capacity(instantiate(problem, cells)) for
-    the cells vector vec in kind-declaration order, and solve(vec, below),
-    root_below of its set at below: whether one evaluation puts its root
-    below that y.
+    the cells vector vec in kind-declaration order.  solve(vec, below), for
+    below > 0, first evaluates root_below of the same set at below: None
+    where that one evaluation puts its root below that y, and otherwise
+    the same result, solved from the same columns.
 
     A vector that installs nothing is solved by solve_capacity on the base.
     Otherwise, and for every probe, each installed access class adds log2
@@ -205,9 +206,9 @@ def _allocation_solver(problem: MemoryDesignProblem):
     """
     kind_times: dict[int, list[float]] = {}  # kind index -> float access times
 
-    def solve(vec: tuple[int, ...], below: float | None = None) -> CapacityResult | bool:
+    def solve(vec: tuple[int, ...], below: float = 0.0) -> CapacityResult | None:
         kinds = [k for k, n in enumerate(vec) if n]
-        if not kinds and below is None:
+        if not kinds and below <= 0.0:
             return solve_capacity(problem.bound_base)
         log2_counts, times, families = bound_columns(problem.bound_base)
         for k in kinds:
@@ -221,9 +222,9 @@ def _allocation_solver(problem: MemoryDesignProblem):
         ]
         times = times + [time for k in kinds for time in kind_times[k]]
         columns = (log2_counts, times, families)
-        if below is not None:
-            return root_below(columns, below)
-        return solve_compiled(columns, problem.base.name)
+        if below > 0.0 and root_below(columns, below):
+            return None
+        return solve_compiled(columns, problem.base.name) if kinds else solve_capacity(problem.bound_base)
 
     return solve
 
@@ -321,11 +322,11 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     evaluated first at the floor less warm_slack, where that lies above
     0: as g falls, a negative value puts the point's root, as
     solve_compiled certifies it, below the floor, and that one evaluation
-    decides a losing point.  Otherwise the point is solved as
-    solve_capacity solves it, so each decision and the result are those
-    of solving every point.  A point decided by one evaluation is not
-    solved at all, so a root that cannot be certified there refuses no
-    grid.
+    decides a losing point.  Otherwise the point is solved from the
+    columns that evaluation read, as solve_capacity solves it, so each
+    decision and the result are those of solving every point.  A point
+    decided by one evaluation is not solved at all, so a root that
+    cannot be certified there refuses no grid.
     """
     if isinstance(step, bool) or not isinstance(step, int) or step < 1:
         raise ProblemError(f"step must be a positive integer, got {step!r}")
@@ -344,11 +345,8 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
             continue
         solves += 1
         floor = best.capacity_bits - _TIE_WIDTH
-        probe = floor - warm_slack(best.capacity_bits)
-        if probe > 0.0 and solve(vec, probe):
-            continue
-        cap = solve(vec)
-        if cap.capacity_bits >= floor:
+        cap = solve(vec, floor - warm_slack(best.capacity_bits))
+        if cap is not None and cap.capacity_bits >= floor:
             best, best_vec = cap, vec
     return _allocation(
         problem, best_vec, capacity=best, label="grid",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,6 +41,21 @@ _PLAIN_DECIMAL_CHARS = 640
 # an integer of more digits prints in a message as its first and last ten
 # digits and its length (brief_int)
 _BRIEF_DIGITS = 30
+
+
+class Spellings(dict):
+    """key -> resolve(key), filled on first use: a key found here costs one
+    dict lookup, and resolve runs once per distinct key, in first-use
+    order, so its first error is the first bad key's."""
+
+    __slots__ = ("resolve",)
+
+    def __init__(self, resolve: Callable):
+        self.resolve = resolve
+
+    def __missing__(self, key):
+        value = self[key] = self.resolve(key)
+        return value
 
 
 def _decimal_digits(n: int) -> int:
@@ -120,8 +135,6 @@ def as_rational(value: int | float | str | Fraction) -> Fraction:
     returned as it is."""
     if type(value) is Fraction:
         return value
-    if type(value) is int:
-        return Fraction(value)
     if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
         raise ModelError(f"expected a rational number, got {value!r}")
     try:
@@ -165,12 +178,7 @@ class TimeExpression:
 
     def __post_init__(self):
         object.__setattr__(self, "base", as_rational(self.base))
-        if type(self.coeffs) is dict and not self.coeffs:
-            object.__setattr__(self, "coeffs", {})  # not the caller's dict
-        else:
-            object.__setattr__(
-                self, "coeffs", {k: as_rational(v) for k, v in self.coeffs.items()}
-            )
+        object.__setattr__(self, "coeffs", {k: as_rational(v) for k, v in self.coeffs.items()})
         if self.base.numerator < 0:
             raise ModelError(f"time base must be non-negative, got {self.base}")
         for name, coeff in self.coeffs.items():
@@ -258,12 +266,14 @@ class InstructionSet:
             if p in seen:
                 raise ModelError(f"duplicate parameter {p!r}")
             seen.add(p)
+        times = [m.time if isinstance(m, InstructionClass) else m.time_base for m in self.members]
+        if seen.union(*[t.coeffs for t in times]) == seen and len({m.name for m in self.members}) == len(times):
+            return  # the common case, checked in bulk; the loop below names the first fault
         names: set[str] = set()
-        for m in self.members:
+        for m, time in zip(self.members, times):
             if m.name in names:
                 raise ModelError(f"duplicate member name {m.name!r}")
             names.add(m.name)
-            time = m.time if isinstance(m, InstructionClass) else m.time_base
             for ref in time.coeffs:
                 if ref not in seen:
                     raise ModelError(
@@ -383,7 +393,9 @@ def load_json(text: str, what: str, error: type[ValueError]) -> object:
     """Decode JSON text with exact rationals; `error` naming `what`, and the
     line and column of a syntax error, if it does not decode."""
     try:
-        return json.loads(text, parse_float=decimal_fraction, parse_constant=_refuse_constant)
+        # each distinct decimal literal is parsed once, to one shared Fraction
+        decimals = Spellings(decimal_fraction).__getitem__
+        return json.loads(text, parse_float=decimals, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise error(
             f"{what} syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -436,24 +448,9 @@ def parse_time(obj: object, where: str, error: type[ValueError] = ModelError) ->
 
 class _MemberShapeError(ModelError):
     """A shape or count error inside one entry of "classes", its message
-    starting at the JSON path below the entry; _parse_member prefixes the
-    entry's own path, so that path is formatted only for a model that
-    fails."""
-
-
-def _parse_member(obj: object, index: int) -> Member:
-    try:
-        check_object(obj, "", _MemberShapeError, ("name", "count", "time"), ("family",))
-        name = obj["name"]
-        count = parse_count(obj["count"], " count", _MemberShapeError)
-        time = parse_time(obj["time"], " time", _MemberShapeError)
-        if "family" not in obj:
-            return InstructionClass(name=name, count=count, time=time)
-        fam = check_object(obj["family"], " family", _MemberShapeError, ("step", "terms"))
-        terms = parse_count(fam["terms"], " family terms", _MemberShapeError)
-    except _MemberShapeError as exc:
-        raise ModelError(f"classes[{index}]{exc}") from None
-    return InstructionFamily(name, count, time, fam["step"], terms)
+    starting at the JSON path below the entry; instruction_set_from_object
+    prefixes the entry's own path, so that path is formatted only for a
+    model that fails."""
 
 
 def parse_model(text: str) -> InstructionSet:
@@ -462,15 +459,38 @@ def parse_model(text: str) -> InstructionSet:
 
 
 def instruction_set_from_object(doc: object) -> InstructionSet:
-    """Build a validated InstructionSet from already-parsed model JSON."""
+    """Build a validated InstructionSet from already-parsed model JSON.
+
+    Each distinct int or str spelling of a time or step (not a bool, equal
+    to 0 or 1) and of an "a*2^b" count is parsed once per call, so members
+    that spell a time alike share one TimeExpression.  A JSON decimal, one
+    Fraction per literal already (load_json), keys no table: too slow to hash."""
     check_object(doc, "model file", ModelError, ("name", "classes"), ("parameters",))
     params = check_container(doc.get("parameters", []), list, "parameters", ModelError)
     classes = check_container(doc["classes"], list, "classes", ModelError)
-    return InstructionSet(
-        name=doc["name"],
-        parameters=tuple(params),
-        members=tuple([_parse_member(c, i) for i, c in enumerate(classes)]),
-    )
+    times, steps, scalars = Spellings(TimeExpression), Spellings(as_rational), (int, str)
+    counts = Spellings(lambda text: parse_count(text, " count", _MemberShapeError))
+    members: list[Member] = []
+    try:
+        for index, obj in enumerate(classes):
+            if not (type(obj) is dict and len(obj) == 3 and "name" in obj and "count" in obj and "time" in obj):
+                check_object(obj, "", _MemberShapeError, ("name", "count", "time"), ("family",))
+            name, count, time = obj["name"], obj["count"], obj["time"]
+            if type(count) is not int:
+                count = counts[count] if type(count) is str else parse_count(count, " count", _MemberShapeError)
+            time = times[time] if type(time) in scalars else parse_time(time, " time", _MemberShapeError)
+            if len(obj) == 3:
+                members.append(InstructionClass(name, count, time))
+                continue
+            fam = check_object(obj["family"], " family", _MemberShapeError, ("step", "terms"))
+            terms = parse_count(fam["terms"], " family terms", _MemberShapeError)
+            step = fam["step"]
+            if type(step) in scalars and check_ident(name, "member name"):  # name first, as InstructionFamily
+                step = steps[step]
+            members.append(InstructionFamily(name, count, time, step, terms))
+    except _MemberShapeError as exc:
+        raise ModelError(f"classes[{index}]{exc}") from None
+    return InstructionSet(doc["name"], tuple(params), tuple(members))
 
 
 def _rational_json(value: Fraction) -> int | str:

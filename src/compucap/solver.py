@@ -96,17 +96,9 @@ def _float(n: int) -> float:
     return float(n) if n.bit_length() <= 1023 else math.inf
 
 
-def _phi(v: float) -> float:
-    """v / (e**v - 1) for v > 0, monotone decreasing."""
-    if v > 690.0:
-        # e**v - 1 overflows; the quotient decays like v * e**-v (nan at inf).
-        return 0.0 if v == math.inf else v * math.exp(-v)
-    return v / math.expm1(v)
-
-
-def _geom(u: float, terms: int) -> tuple[float, float]:
+def _geom(u: float, n: float, terms: int) -> tuple[float, float]:
     """log2 of the geometric sum 1 + e**-u + ... + e**-(terms-1)u, u >= 0,
-    and the expected index F under its weights e**-uF.
+    and the expected index F under its weights e**-uF; n is _float(terms).
 
     The log is taken as log1p of the sum less its first term, e**-u *
     (1 - e**-(M-1)u) / (1 - e**-u), each factor through exp or expm1.  It
@@ -116,7 +108,6 @@ def _geom(u: float, terms: int) -> tuple[float, float]:
     index equals -d/du of the log sum; it is written as a difference of phi
     values, with a series fallback where that difference cancels.
     """
-    n = _float(terms)
     if u == 0.0:
         return math.log2(terms), (n - 1.0) / 2.0
     b = u * n
@@ -129,7 +120,11 @@ def _geom(u: float, terms: int) -> tuple[float, float]:
         # below that, (n * n - 1) * u keeps its rounding
         tail = (n * n - 1.0) * u if n * n != math.inf else n * b
         return log2_sum, (n - 1.0) / 2.0 - tail / 12.0
-    return log2_sum, (_phi(u) - _phi(b)) / u
+    # phi(v) = v / (e**v - 1), monotone decreasing; past 690 e**v - 1
+    # overflows, and phi decays like v * e**-v (0 at inf)
+    phi_u = u / math.expm1(u) if u <= 690.0 else 0.0 if u == math.inf else u * math.exp(-u)
+    phi_b = b / math.expm1(b) if b <= 690.0 else 0.0 if b == math.inf else b * math.exp(-b)
+    return log2_sum, (phi_u - phi_b) / u
 
 
 def time_as_float(value: Fraction, name: str, what: str = "time") -> float:
@@ -147,30 +142,30 @@ def time_as_float(value: Fraction, name: str, what: str = "time") -> float:
     return result
 
 
-# (log2 counts, base times, [(index, step, terms) per family]); see compile_columns
-Columns = tuple[list[float], list[float], list[tuple[int, float, int]]]
+# (log2 counts, base times, [(index, step, ln 2 * step, float terms, terms) per family])
+Columns = tuple[list[float], list[float], list[tuple[int, float, float, float, int]]]
 
 
 def compile_columns(members: Iterable[BoundMember]) -> Columns:
     """The members compiled to floats in order, so the first member that
     does not compile is the one named, and laid out as columns: log2
     count and base time, one entry per member, a class taken as one term,
-    and (index, step, terms) for each member of more than one term; terms
-    stays an exact int, as it may exceed the float range.  A one-term
-    family's step enters no sum and is not compiled.  solve_compiled and
-    member_points take these; neither changes them."""
+    and (index, step, ln 2 * step, float terms, terms) for each member of
+    more than one term; terms stays an exact int, as it may exceed the
+    float range.  A one-term family's step enters no sum and is not
+    compiled.  solve_compiled and member_points take these; neither
+    changes them."""
     log2_counts: list[float] = []
     times: list[float] = []
-    families: list[tuple[int, float, int]] = []
+    families: list[tuple[int, float, float, float, int]] = []
     for index, member in enumerate(members):
-        if isinstance(member, BoundClass):
-            log2_counts.append(math.log2(member.count))
-            times.append(time_as_float(member.time, member.name))
-            continue
-        log2_counts.append(math.log2(member.count_per_term))
-        times.append(time_as_float(member.time_base, member.name))
-        if member.num_terms != 1:
-            families.append((index, time_as_float(member.step, member.name, "step"), member.num_terms))
+        family = not isinstance(member, BoundClass)
+        time = member.time_base if family else member.time
+        log2_counts.append(math.log2(member.count_per_term if family else member.count))
+        times.append(time_as_float(time, member.name))
+        if family and member.num_terms != 1:
+            step = time_as_float(member.step, member.name, "step")
+            families.append((index, step, _LN2 * step, _float(member.num_terms), member.num_terms))
     return log2_counts, times, families
 
 
@@ -200,8 +195,8 @@ def member_points(columns: Columns, y: float) -> tuple[list[float], list[float]]
     means = times
     if families:
         means = times.copy()
-        for index, step, terms in families:
-            log2_sum, mean_index = _geom(_LN2 * step * y, terms)
+        for index, step, ln2_step, n, terms in families:
+            log2_sum, mean_index = _geom(ln2_step * y, n, terms)
             values[index] += log2_sum
             means[index] += step * mean_index
     return values, means

@@ -20,9 +20,11 @@ from compucap import (
     InstructionFamily,
     InstructionSet,
     ModelError,
+    BindingError,
     ParameterBinding,
     TimeExpression,
     bind,
+    data_path,
     parse_model,
 )
 from compucap.model import as_rational, check_ident, decimal_fraction
@@ -176,7 +178,7 @@ def reference_set(text):
     def count(value):
         if isinstance(value, int):
             return value
-        a, b = value.split("*2^")
+        a, b = value.replace(" ", "").split("*2^")
         return int(a) * 2 ** int(b)
 
     def time(value):
@@ -191,7 +193,7 @@ def reference_set(text):
         if "family" in c:
             fam = c["family"]
             members.append(
-                InstructionFamily(c["name"], count(c["count"]), time(c["time"]), Fraction(fam["step"]), fam["terms"])
+                InstructionFamily(c["name"], count(c["count"]), time(c["time"]), Fraction(fam["step"]), count(fam["terms"]))
             )
         else:
             members.append(InstructionClass(c["name"], count(c["count"]), time(c["time"])))
@@ -207,6 +209,125 @@ def test_parse_model_equals_the_plain_json_build():
         assert repr(parsed) == repr(reference)
         binding = ParameterBinding({"mu": Fraction(rng.randint(0, 20), 4)} if parsed.parameters else {})
         assert bind(parsed, binding) == bind(reference, binding)
+
+
+# --- shared spellings: each distinct spelling is parsed once per call ---
+
+
+def repeated_spelling_text(rng, index):
+    """A model whose members repeat every kind of spelling, each drawn from
+    a few values: int, decimal and "p/q" times (some equal in value but
+    spelled apart), "a*2^b" counts and terms, family steps and
+    parameterized times."""
+    times = [1, 7, "7", 12.5, "12.50", "25/2", 0.25, "3/4", "22/7", 2e1]
+    counts = [1, 3, 12, "3*2^4", "1*2^0", "5*2^10", "3 * 2^4"]
+    classes = []
+    for i in range(rng.randint(2, 80)):
+        time = rng.choice(times)
+        if rng.random() < 0.25:
+            time = {"base": time, "coeffs": {"mu": rng.choice(times)}}
+        member = {"name": f"m{i}", "count": rng.choice(counts), "time": time}
+        if rng.random() < 0.3:
+            step = rng.choice([1, 0.5, "1/3", "2", 1.5, "0.5"])
+            member["family"] = {"step": step, "terms": rng.choice([1, 2, 5, "1*2^3"])}
+        classes.append(member)
+    return json.dumps({"name": f"shared{index}", "parameters": ["mu"], "classes": classes})
+
+
+def test_shared_spellings_parse_as_the_member_by_member_build():
+    rng = random.Random(14)
+    bundled = [data_path(name).read_text() for name in ("toy.json", "mix.json", "mmix.json")]
+    for text in bundled + [repeated_spelling_text(rng, index) for index in range(150)]:
+        parsed, reference = parse_model(text), reference_set(text)
+        assert parsed == reference
+        assert hash(parsed) == hash(reference)
+        assert repr(parsed) == repr(reference)
+        binding = ParameterBinding({"mu": Fraction(rng.randint(0, 20), 4)} if parsed.parameters else {})
+        assert repr(bind(parsed, binding)) == repr(bind(reference, binding))
+
+
+def test_members_that_spell_a_time_alike_share_one_time_expression():
+    parsed = parse_model(
+        '{"name": "x", "classes": [{"name": "a", "count": 1, "time": "3/2"},'
+        ' {"name": "b", "count": 2, "time": 1.5}, {"name": "c", "count": 3, "time": "3/2"},'
+        ' {"name": "d", "count": 4, "time": 1.5}, {"name": "e", "count": 5, "time": "1.5"}]}'
+    )
+    a, b, c, d, e = (m.time for m in parsed.members)
+    # a JSON decimal is one Fraction per literal, shared by its members
+    assert a is c and b.base is d.base
+    assert a == b == d == e == TimeExpression(Fraction(3, 2))
+
+
+C = '{"name": "x", "classes": [{"name": "a", "count": 1, "time": 1}, %s, %s]}'
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # a bad spelling at two members names the first
+        (
+            C % ('{"name": "b", "count": "2^3", "time": 1}', '{"name": "c", "count": "2^3", "time": 1}'),
+            "classes[1] count: invalid count '2^3': expected integer or \"a*2^b\"",
+        ),
+        (
+            C % ('{"name": "b", "count": 1, "time": 1, "family": {"step": "0", "terms": 2}}',
+                 '{"name": "c", "count": 1, "time": 1, "family": {"step": "0", "terms": 2}}'),
+            "family 'b': step must be > 0",
+        ),
+        # a good spelling seen before does not hide a later member's fault
+        (
+            C % ('{"name": "b", "count": "3*2^4", "time": "3/2"}', '{"name": "9c", "count": "3*2^4", "time": "3/2"}'),
+            "member name must be an identifier, got '9c'",
+        ),
+        (
+            C % ('{"name": "b", "count": 1, "time": 1, "family": {"step": "1/2", "terms": 2}}',
+                 '{"name": "9c", "count": 1, "time": 1, "family": {"step": "1/2", "terms": 2}}'),
+            "member name must be an identifier, got '9c'",
+        ),
+        (
+            C % ('{"name": "b", "count": 1, "time": 1, "family": {"step": "1/2", "terms": 2}}',
+                 '{"name": "c", "count": 0, "time": 1, "family": {"step": "1/2", "terms": 2}}'),
+            "family 'c': count must be >= 1",
+        ),
+        # a bad name is named before a bad step, as InstructionFamily checks them
+        (
+            C % ('{"name": "b", "count": 1, "time": 1, "family": {"step": "x", "terms": 2}}',
+                 '{"name": "c", "count": 1, "time": 1, "family": {"step": "x", "terms": 2}}'),
+            "invalid rational 'x': Invalid literal for Fraction: 'x'",
+        ),
+        (
+            C % ('{"name": "b", "count": 1, "time": 1}', '{"name": "9c", "count": 1, "time": 1, "family": {"step": "x", "terms": 2}}'),
+            "member name must be an identifier, got '9c'",
+        ),
+        # true equals 1 but is no rational, beside a 1 of every kind
+        (C % ('{"name": "b", "count": 1, "time": 1.0}', '{"name": "c", "count": 1, "time": true}'),
+         "expected a rational number, got True"),
+        (C % ('{"name": "b", "count": 1, "time": 1}', '{"name": "c", "count": true, "time": 1}'),
+         "classes[2] count: invalid count True"),
+        (
+            C % ('{"name": "b", "count": 1, "time": 1, "family": {"step": 1, "terms": 2}}',
+                 '{"name": "c", "count": 1, "time": 1, "family": {"step": true, "terms": 2}}'),
+            "expected a rational number, got True",
+        ),
+        (
+            C % ('{"name": "b", "count": 1, "time": 1, "family": {"step": 1, "terms": 1}}',
+                 '{"name": "c", "count": 1, "time": 1, "family": {"step": 1, "terms": true}}'),
+            "classes[2] family terms: invalid count True",
+        ),
+    ],
+)
+def test_shared_spellings_keep_every_message_and_its_order(doc, message):
+    with pytest.raises(ModelError) as info:
+        parse_model(doc)
+    assert type(info.value) is ModelError
+    assert str(info.value) == message
+
+
+def test_a_shared_time_that_binds_to_zero_names_its_first_member():
+    iset = parse_model(C % ('{"name": "b", "count": 1, "time": 0}', '{"name": "c", "count": 1, "time": 0}'))
+    assert iset.members[1].time is iset.members[2].time
+    with pytest.raises(BindingError, match="^member 'b': evaluated time 0 is not positive$"):
+        bind(iset, ParameterBinding({}))
 
 
 # --- invalid models: every message exactly as before ---

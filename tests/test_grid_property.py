@@ -72,4 +72,4 @@ def test_grid_on_extreme_problems_equals_the_full_walk(doc):
     # walk refuses, lies below the winner, as one evaluation shows
     solve = _allocation_solver(problem)
     for vec in refused:
-        assert solve(vec, grid.capacity.capacity_bits) is True
+        assert solve(vec, grid.capacity.capacity_bits) is None

@@ -536,14 +536,14 @@ def test_vertex_candidates_match_solve_capacity():
 
 
 def test_a_probe_of_the_all_zero_vector_reads_the_base():
-    # solve((0, 0)) is solve_capacity's result, which is truthy; a probe
-    # must answer True or False from the base's own columns
+    # a probe answers None, or the result solved from the columns it
+    # evaluated; the all-zero vector is probed on the base's own columns
     problem = parse_problem(data_path("memory-example.json").read_text())
     solve = _allocation_solver(problem)
     base = solve((0, 0)).capacity_bits
-    assert solve((0, 0), base + 1e-9) is True
-    assert solve((0, 0), base - 1e-9) is False
-    assert solve((1, 0), base - 1e-9) is False
+    assert solve((0, 0), base + 1e-9) is None
+    assert solve((0, 0), base - 1e-9) == solve((0, 0))
+    assert solve((1, 0), base - 1e-9) == solve((1, 0))
 
 
 def zero_time_problem(cost) -> MemoryDesignProblem:
@@ -769,9 +769,14 @@ def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_
         solve = make_solver(problem)
 
         def counted(vec, *below):
-            # a call that carries a y probes its row; one without solves
-            (decided if below else cold).append(vec)
-            return solve(vec, *below)
+            # a call that carries a y probes its row; one that returns a
+            # result solves its point
+            if below:
+                decided.append(vec)
+            result = solve(vec, *below)
+            if result is not None:
+                cold.append(vec)
+            return result
 
         return counted
 

@@ -393,7 +393,7 @@ def test_a_start_where_log2_g_rounds_negative_climbs_from_zero(monkeypatch):
 def test_geom_mean_index_stays_finite_past_two_to_the_512_terms():
     # u * terms is 4.4e-13, in the series branch, where terms**2 overflows
     n = 2**608
-    log2_sum, mean_index = solver._geom(4.2e-196, n)
+    log2_sum, mean_index = solver._geom(4.2e-196, solver._float(n), n)
     assert log2_sum == pytest.approx(608.0, abs=1e-9)
     assert math.isfinite(mean_index)
     assert mean_index == pytest.approx(n / 2, rel=1e-12)
@@ -721,7 +721,8 @@ def _reference_point(member, y):
     log2_count, time, step = math.log2(member.count_per_term), float(member.time_base), float(member.step)
     if member.num_terms == 1:
         return log2_count - time * y, time
-    log2_sum, mean_index = solver._geom(math.log(2.0) * step * y, member.num_terms)
+    terms = member.num_terms
+    log2_sum, mean_index = solver._geom(math.log(2.0) * step * y, solver._float(terms), terms)
     return log2_count - time * y + log2_sum, time + step * mean_index
 
 
@@ -748,6 +749,12 @@ COLUMN_SETS = {
     "families": [_family("f", 5, 1, "1/2", 40), _family("g", 2, "3/2", 3, 7), _family("h", 1, 4, "1/9", 1)],
     "single": [BoundClass("a", 6, Fraction(5, 2))],
     "2^25-terms": [_family("mv", 2**25, 1, 2, 2**25 + 1), BoundClass("a", 9, Fraction(3))],
+    # u = ln 2 * step * y passes 690 from y = 1 on, where e**u - 1
+    # overflows and _geom takes phi(u) in its decaying form
+    "past-690": [_family("w", 2, 1, 1000, 5), BoundClass("a", 3, Fraction(2))],
+    # u * terms stays below 1e-3 at every y tested, the root included: the
+    # series branch of the mean index
+    "series": [_family("s", 3, 2, "1/1000000", 100), BoundClass("a", 2, Fraction(1))],
 }
 
 
