@@ -53,8 +53,8 @@ from .model import (
     parse_time,
 )
 from .solver import (
-    CapacityResult, bound_columns, root_below, solve_capacity, solve_compiled, time_as_float,
-    warm_slack,
+    CapacityResult, Columns, bound_columns, root_below, solve_capacity, solve_compiled,
+    time_as_float, warm_slack,
 )
 
 _TIE_WIDTH = 1e-11
@@ -189,27 +189,18 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
 
 
 def _allocation_solver(problem: MemoryDesignProblem):
-    """solve(vec), equal to solve_capacity(instantiate(problem, cells)) for
-    the cells vector vec in kind-declaration order.  solve(vec, below), for
-    below > 0, first evaluates root_below of the same set at below: None
-    where that one evaluation puts its root below that y, and otherwise
-    the same result, solved from the same columns.
-
-    A vector that installs nothing is solved by solve_capacity on the base.
-    Otherwise, and for every probe, each installed access class adds log2
-    of its count and its float time to the base's columns (bound_columns),
-    as compile_columns would compile its BoundClass, so the base's families
-    keep their indices.  A kind's times are checked positive and become
-    floats on its first install, after the base compiles, and are kept per
-    solver: a fault is named as solve_capacity(instantiate(...)) names it,
-    but of two faults in new inputs the other may be named first.
+    """columns(vec), equal to compile_columns(instantiate(problem, cells).members)
+    for the cells vector vec in kind-declaration order: the base's columns
+    (bound_columns) and the log2 count and float time of each installed
+    access class.  A kind's times are checked positive and become floats on
+    its first install, after the base compiles, and are kept per builder: a
+    fault is named as solve_capacity(instantiate(...)) names it, but of two
+    faults in new inputs the other may be named first.
     """
     kind_times: dict[int, list[float]] = {}  # kind index -> float access times
 
-    def solve(vec: tuple[int, ...], below: float = 0.0) -> CapacityResult | None:
+    def columns(vec: tuple[int, ...]) -> Columns:
         kinds = [k for k, n in enumerate(vec) if n]
-        if not kinds and below <= 0.0:
-            return solve_capacity(problem.bound_base)
         log2_counts, times, families = bound_columns(problem.bound_base)
         for k in kinds:
             if k not in kind_times:
@@ -220,13 +211,9 @@ def _allocation_solver(problem: MemoryDesignProblem):
         log2_counts = log2_counts + [
             math.log2(scale * vec[k]) for k in kinds for _, scale, _ in problem.accesses[k]
         ]
-        times = times + [time for k in kinds for time in kind_times[k]]
-        columns = (log2_counts, times, families)
-        if below > 0.0 and root_below(columns, below):
-            return None
-        return solve_compiled(columns, problem.base.name) if kinds else solve_capacity(problem.bound_base)
+        return log2_counts, times + [time for k in kinds for time in kind_times[k]], families
 
-    return solve
+    return columns
 
 
 def _allocation(problem: MemoryDesignProblem, vec: tuple[int, ...], **fields) -> Allocation:
@@ -247,14 +234,13 @@ def optimize_vertex(problem: MemoryDesignProblem) -> Allocation:
     within the tie width of the winner are reported in tie_with.
     """
     zero = (0,) * len(problem.kinds)
-    candidates = [("none", zero)]
+    columns = _allocation_solver(problem)
+    solved = [("none", zero, solve_capacity(problem.bound_base))]
     for k, kind in enumerate(problem.kinds):
         n = int(problem.budget // kind.cell_cost)
         if n > 0:
-            candidates.append((kind.name, zero[:k] + (n,) + zero[k + 1 :]))
-
-    solve = _allocation_solver(problem)
-    solved = [(label, vec, solve(vec)) for label, vec in candidates]
+            vec = zero[:k] + (n,) + zero[k + 1 :]
+            solved.append((kind.name, vec, solve_compiled(columns(vec), problem.base.name)))
 
     best_label, best_vec, best_cap = solved[0]
     for label, vec, cap in solved[1:]:
@@ -335,9 +321,9 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
         points += top // step + 1
         if points > _MAX_GRID_POINTS:
             raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
-    solve = _allocation_solver(problem)
+    columns = _allocation_solver(problem)
     zero = (0,) * len(problem.kinds)
-    best, best_vec = solve(zero), zero
+    best, best_vec = solve_capacity(problem.bound_base), zero
     solves = 1
     for prefix, top in _grid_rows(problem, step):
         vec = prefix + (top - top % step,)
@@ -345,8 +331,12 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
             continue
         solves += 1
         floor = best.capacity_bits - _TIE_WIDTH
-        cap = solve(vec, floor - warm_slack(best.capacity_bits))
-        if cap is not None and cap.capacity_bits >= floor:
+        probe = floor - warm_slack(best.capacity_bits)
+        cols = columns(vec)
+        if probe > 0.0 and root_below(cols, probe):
+            continue
+        cap = solve_compiled(cols, problem.base.name)
+        if cap.capacity_bits >= floor:
             best, best_vec = cap, vec
     return _allocation(
         problem, best_vec, capacity=best, label="grid",

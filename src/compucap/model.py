@@ -266,15 +266,12 @@ class InstructionSet:
             if p in seen:
                 raise ModelError(f"duplicate parameter {p!r}")
             seen.add(p)
-        times = [m.time if isinstance(m, InstructionClass) else m.time_base for m in self.members]
-        if seen.union(*[t.coeffs for t in times]) == seen and len({m.name for m in self.members}) == len(times):
-            return  # the common case, checked in bulk; the loop below names the first fault
         names: set[str] = set()
-        for m, time in zip(self.members, times):
+        for m in self.members:
             if m.name in names:
                 raise ModelError(f"duplicate member name {m.name!r}")
             names.add(m.name)
-            for ref in time.coeffs:
+            for ref in (m.time if isinstance(m, InstructionClass) else m.time_base).coeffs:
                 if ref not in seen:
                     raise ModelError(
                         f"member {m.name!r} references undeclared parameter {ref!r}"
@@ -299,12 +296,14 @@ class ParameterBinding:
 
     @classmethod
     def from_strings(cls, pairs: list[str]) -> "ParameterBinding":
-        """Build from CLI-style "name=value" strings."""
+        """Build from CLI-style "name=value" strings, each name given once."""
         values: dict[str, Fraction] = {}
         for pair in pairs:
             name, sep, text = pair.partition("=")
             if not sep or not name:
                 raise ModelError(f"expected name=value, got {pair!r}")
+            if name in values:
+                raise ModelError(f"duplicate parameter {name!r}")
             values[name] = text.strip()
         return cls(values)
 
@@ -461,15 +460,14 @@ def parse_model(text: str) -> InstructionSet:
 def instruction_set_from_object(doc: object) -> InstructionSet:
     """Build a validated InstructionSet from already-parsed model JSON.
 
-    Each distinct int or str spelling of a time or step (not a bool, equal
-    to 0 or 1) and of an "a*2^b" count is parsed once per call, so members
-    that spell a time alike share one TimeExpression.  A JSON decimal, one
-    Fraction per literal already (load_json), keys no table: too slow to hash."""
+    Each distinct int or str spelling of a scalar time (not a bool, equal
+    to 0 or 1) is parsed once per call, so members that spell a time alike
+    share one TimeExpression.  A JSON decimal, one Fraction per literal
+    already (load_json), keys no table: too slow to hash."""
     check_object(doc, "model file", ModelError, ("name", "classes"), ("parameters",))
     params = check_container(doc.get("parameters", []), list, "parameters", ModelError)
     classes = check_container(doc["classes"], list, "classes", ModelError)
-    times, steps, scalars = Spellings(TimeExpression), Spellings(as_rational), (int, str)
-    counts = Spellings(lambda text: parse_count(text, " count", _MemberShapeError))
+    times = Spellings(TimeExpression)
     members: list[Member] = []
     try:
         for index, obj in enumerate(classes):
@@ -477,17 +475,14 @@ def instruction_set_from_object(doc: object) -> InstructionSet:
                 check_object(obj, "", _MemberShapeError, ("name", "count", "time"), ("family",))
             name, count, time = obj["name"], obj["count"], obj["time"]
             if type(count) is not int:
-                count = counts[count] if type(count) is str else parse_count(count, " count", _MemberShapeError)
-            time = times[time] if type(time) in scalars else parse_time(time, " time", _MemberShapeError)
+                count = parse_count(count, " count", _MemberShapeError)
+            time = times[time] if type(time) in (int, str) else parse_time(time, " time", _MemberShapeError)
             if len(obj) == 3:
                 members.append(InstructionClass(name, count, time))
                 continue
             fam = check_object(obj["family"], " family", _MemberShapeError, ("step", "terms"))
             terms = parse_count(fam["terms"], " family terms", _MemberShapeError)
-            step = fam["step"]
-            if type(step) in scalars and check_ident(name, "member name"):  # name first, as InstructionFamily
-                step = steps[step]
-            members.append(InstructionFamily(name, count, time, step, terms))
+            members.append(InstructionFamily(name, count, time, fam["step"], terms))
     except _MemberShapeError as exc:
         raise ModelError(f"classes[{index}]{exc}") from None
     return InstructionSet(doc["name"], tuple(params), tuple(members))

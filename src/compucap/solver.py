@@ -132,9 +132,11 @@ def time_as_float(value: Fraction, name: str, what: str = "time") -> float:
     naming what of `name` where floats cannot hold it at full precision
     (0.0, subnormal or inf)."""
     try:
-        result = float(value)
+        result = value.numerator / value.denominator  # float(value) without its Python-level call
     except OverflowError:
         result = math.inf
+    except AttributeError:  # a float time in a hand-built bound set
+        result = float(value)
     if not _FLOAT_MIN <= result <= _FLOAT_MAX:
         raise ValueError(
             f"{what} of {name!r} lies outside the float range [{_FLOAT_MIN:.4g}, {_FLOAT_MAX:.4g}]"
@@ -192,13 +194,11 @@ def member_points(columns: Columns, y: float) -> tuple[list[float], list[float]]
     """
     log2_counts, times, families = columns
     values = [a - t * y for a, t in zip(log2_counts, times)]
-    means = times
-    if families:
-        means = times.copy()
-        for index, step, ln2_step, n, terms in families:
-            log2_sum, mean_index = _geom(ln2_step * y, n, terms)
-            values[index] += log2_sum
-            means[index] += step * mean_index
+    means = times.copy()
+    for index, step, ln2_step, n, terms in families:
+        log2_sum, mean_index = _geom(ln2_step * y, n, terms)
+        values[index] += log2_sum
+        means[index] += step * mean_index
     return values, means
 
 

@@ -384,6 +384,17 @@ def test_param_undeclared_by_the_problem_exits_3(capsys):
     assert (code, out, err) == (3, "", "error: undeclared parameter 'zz'\n")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("capacity", MMIX), "mu"), (("optimize-memory", MEMORY), "mu1")],
+    ids=["capacity", "optimize-memory"],
+)
+def test_a_repeated_param_name_exits_2(capsys, argv, name):
+    # a value given twice is refused, not silently replaced by the last
+    code, out, err = run_cli(capsys, *argv, "--param", f"{name}=1", "--param", f"{name}=2")
+    assert (code, out, err) == (2, "", f"error: duplicate parameter {name!r}\n")
+
+
 def test_optimize_memory_builds_the_problem_once(capsys, monkeypatch):
     from compucap.memory import MemoryDesignProblem
 

@@ -27,6 +27,7 @@ from compucap import (
     total_count,
 )
 from compucap.memory import Allocation, _allocation_solver, _grid_rows
+from compucap.solver import compile_columns, root_below, solve_compiled
 
 # Pure-allocation capacities of the bundled two-kind example, solved
 # independently at 60-digit precision: the cheap slow kind loses to the
@@ -491,6 +492,12 @@ def random_problem(rng: random.Random) -> MemoryDesignProblem:
     )
 
 
+def solve_vec(problem: MemoryDesignProblem, vec: tuple[int, ...]) -> CapacityResult:
+    """solve_capacity of instantiate's set for the cells vector vec, in
+    kind-declaration order: the contract both optimizers keep."""
+    return solve_capacity(instantiate(problem, {kind.name: n for kind, n in zip(problem.kinds, vec)}))
+
+
 def walked_grid(problem: MemoryDesignProblem, step: int) -> list[tuple[int, ...]]:
     """Every cells vector the grid walker's rows stand for, in walk order."""
     return [prefix + (n,) for prefix, top in _grid_rows(problem, step) for n in range(0, top + 1, step)]
@@ -511,39 +518,28 @@ def test_every_grid_point_matches_solve_capacity(step):
     rng = random.Random(0xC0DE + step)
     for _ in range(12):
         problem = random_problem(rng)
-        names = [kind.name for kind in problem.kinds]
-        solve = _allocation_solver(problem)
+        columns = _allocation_solver(problem)
         points = walked_grid(problem, step)
         assert points == fraction_grid(problem, step)
-        reference = {
-            vec: solve_capacity(instantiate(problem, dict(zip(names, vec)))) for vec in points
-        }
+        reference = {vec: solve_vec(problem, vec) for vec in points}
         for vec in points:
-            assert solve(vec) == reference[vec]
+            if any(vec):
+                assert solve_compiled(columns(vec), problem.base.name) == reference[vec]
         grid = optimize_grid(problem, step)
         assert grid.capacity == reference[tuple(grid.cells.values())]
 
 
 def test_vertex_candidates_match_solve_capacity():
+    # the builder's columns are those compile_columns gives instantiate's set
     problem = parse_problem(data_path("memory-example.json").read_text())
-    solve = _allocation_solver(problem)
-    candidates = [(0, 0), (2**30, 0), (0, 2**34)]
-    for vec in candidates:
+    columns = _allocation_solver(problem)
+    for vec in [(0, 0), (2**30, 0), (0, 2**34), (1, 3)]:
         cells = dict(zip(("kind1", "kind2"), vec))
-        assert solve(vec) == solve_capacity(instantiate(problem, cells))
+        assert columns(vec) == compile_columns(instantiate(problem, cells).members)
+        if any(vec):
+            assert solve_compiled(columns(vec), problem.base.name) == solve_vec(problem, vec)
     best = optimize_vertex(problem)
     assert best.capacity == solve_capacity(instantiate(problem, best.cells))
-
-
-def test_a_probe_of_the_all_zero_vector_reads_the_base():
-    # a probe answers None, or the result solved from the columns it
-    # evaluated; the all-zero vector is probed on the base's own columns
-    problem = parse_problem(data_path("memory-example.json").read_text())
-    solve = _allocation_solver(problem)
-    base = solve((0, 0)).capacity_bits
-    assert solve((0, 0), base + 1e-9) is None
-    assert solve((0, 0), base - 1e-9) == solve((0, 0))
-    assert solve((1, 0), base - 1e-9) == solve((1, 0))
 
 
 def zero_time_problem(cost) -> MemoryDesignProblem:
@@ -610,12 +606,11 @@ def full_walk_grid(problem: MemoryDesignProblem, step: int, refused: list | None
     capacity is higher by more than the tie width, or within the tie width
     and its vector is lexicographically greater.  A point whose solve
     raises ValueError is appended to `refused` and skipped, when given."""
-    solve = _allocation_solver(problem)
     points = walked_grid(problem, step)
     best = None
     for vec in points:
         try:
-            cap = solve(vec)
+            cap = solve_vec(problem, vec)
         except ValueError:
             if refused is None:
                 raise
@@ -712,10 +707,9 @@ def test_grid_near_ties_match_a_full_walk(kinds, step, budget):
 
 def test_near_tie_of_lower_capacity_wins_when_greater():
     problem = small_problem(3, ("S1", 1, [(1, 41)]), ("S2", 1, [(1, 40)]))
-    solve = _allocation_solver(problem)
     grid = optimize_grid(problem)
     assert grid.cells == {"S1": 3, "S2": 0}
-    assert 0 < solve((0, 3)).capacity_bits - grid.capacity.capacity_bits <= 1e-11
+    assert 0 < solve_vec(problem, (0, 3)).capacity_bits - grid.capacity.capacity_bits <= 1e-11
 
 
 def test_grid_decides_from_zero_below_a_capacity_of_the_tie_width():
@@ -743,18 +737,17 @@ def test_capacity_never_falls_along_a_grid_row(step):
         rng = random.Random(seed)
         for _ in range(10):
             problem = random_problem(rng)
-            solve = _allocation_solver(problem)
             for prefix, top in _grid_rows(problem, step):
-                caps = [solve(prefix + (n,)).capacity_bits for n in range(0, top + 1, step)]
+                caps = [solve_vec(problem, prefix + (n,)).capacity_bits for n in range(0, top + 1, step)]
                 assert max(caps) - caps[-1] <= 1e-13
 
 
 @pytest.mark.parametrize(
-    "last_cost, step",
-    [(1, 1), (1, 2), (1, 3), (8, 1)],
+    "last_cost, step, losers",
+    [(1, 1, 0), (1, 2, 0), (1, 3, 0), (8, 1, 1)],
     ids=["step-1", "step-2", "step-3", "last-kind-never-fits"],
 )
-def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_cost, step):
+def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_cost, step, losers):
     import compucap.memory
 
     # the problem of test_grid_reports_every_feasible_point; where the last
@@ -762,25 +755,41 @@ def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_
     problem = small_problem(
         7, ("A", 2, [(1, 1)]), ("B", Fraction(3, 2), [(1, 2)]), ("C", last_cost, [(1, 3)])
     )
-    make_solver = compucap.memory._allocation_solver
-    decided, cold = [], []
+    make_columns = compucap.memory._allocation_solver
+    decided, lost, cold = [], [], []
+    built = {}  # the columns of the point built last
 
     def spy(problem):
-        solve = make_solver(problem)
+        columns = make_columns(problem)
 
-        def counted(vec, *below):
-            # a call that carries a y probes its row; one that returns a
-            # result solves its point
-            if below:
-                decided.append(vec)
-            result = solve(vec, *below)
-            if result is not None:
-                cold.append(vec)
-            return result
+        def counted(vec):
+            # each decided point is built once, then probed, solved or both
+            decided.append(vec)
+            built["cols"] = columns(vec)
+            return built["cols"]
 
         return counted
 
+    def probe(cols, y):
+        assert cols is built["cols"]
+        below = root_below(cols, y)
+        if below:
+            lost.append(decided[-1])
+        return below
+
+    def solve_base(iset):
+        cold.append((0, 0, 0))
+        return solve_capacity(iset)
+
+    def solve_point(cols, name):
+        assert cols is built["cols"]
+        cold.append(decided[-1])
+        return solve_compiled(cols, name)
+
     monkeypatch.setattr(compucap.memory, "_allocation_solver", spy)
+    monkeypatch.setattr(compucap.memory, "root_below", probe)
+    monkeypatch.setattr(compucap.memory, "solve_capacity", solve_base)
+    monkeypatch.setattr(compucap.memory, "solve_compiled", solve_point)
     grid = optimize_grid(problem, step)
     rows = list(_grid_rows(problem, step))
     last_points = [prefix + (top - top % step,) for prefix, top in rows]
@@ -791,10 +800,10 @@ def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_
         assert solved == [(0, 0, 0)] + last_points
     assert len(solved) <= len(rows) + 1
     assert f" by solving {len(solved)}: " in grid.justification
-    # the zero vector first, then at most one solve per probed row, the
-    # winner's included
-    assert cold[0] == (0, 0, 0)
-    assert len(set(cold[1:])) == len(cold) - 1 and set(cold[1:]) <= set(decided)
+    # the zero vector first, then one solve per decided row that one
+    # evaluation did not show to lose, the winner's included
+    assert len(lost) == losers
+    assert cold == [(0, 0, 0)] + [vec for vec in decided if vec not in lost]
     assert tuple(grid.cells.values()) in cold
     assert grid.capacity == solve_capacity(instantiate(problem, grid.cells))
 

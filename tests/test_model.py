@@ -227,6 +227,8 @@ def test_param_binding_from_strings():
     assert binding.values == {"mu": Fraction(6, 5), "nu": Fraction(3, 4)}
     with pytest.raises(ModelError):
         ParameterBinding.from_strings(["mu"])
+    with pytest.raises(ModelError, match="^duplicate parameter 'mu'$"):
+        ParameterBinding.from_strings(["mu=1", "nu=2", "mu=1"])
     with pytest.raises(BindingError):
         ParameterBinding(values={"mu": -1})
 

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -594,6 +595,40 @@ def test_family_step_outside_float_range_raises(step):
     family = BoundFamily("f", 1, Fraction(1), Fraction(step), 3)
     with pytest.raises(ValueError, match="^step of 'f' lies outside the float range"):
         solve_capacity(BoundInstructionSet("s", (family, BoundClass("c", 1, Fraction(1)))))
+
+
+def _float_time_reference(value: Fraction) -> float:
+    """time_as_float written with float(value)."""
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if not sys.float_info.min <= result <= sys.float_info.max:
+        raise ValueError("time of 't' lies outside the float range [2.225e-308, 1.798e+308]")
+    return result
+
+
+def test_time_as_float_is_the_float_of_the_fraction():
+    # the quotient of numerator and denominator is the correctly rounded
+    # float that float(value) gives, and overflows where it does
+    most, past = Fraction(sys.float_info.max), Fraction(2**970)  # max + 2**970 rounds to 2**1024
+    rng = random.Random(33)
+    spans = [(rng.randint(1, 12000), rng.randint(1, 12000)) for _ in range(300)]
+    for value in [
+        most, most - 1, most + past - 1, most + Fraction(1, 3), most + past, Fraction(2**1024),
+        Fraction(10) ** 400, Fraction(sys.float_info.min), Fraction(2**1023 - 1, 2**2045),
+        Fraction(1, 2**1074), Fraction(10) ** -320, Fraction(1, 10**400), Fraction(1, 3),
+        Fraction(7 * 10**3000 + 1, 10**3000), Fraction(3**6000 + 1, 3**6000 * 22),
+        1.5, 5e-324, sys.float_info.max, 3,  # a hand-built bound set may hold a float or int
+        *(Fraction(rng.getrandbits(a) + 1, rng.getrandbits(b) + 1) for a, b in spans),
+    ]:
+        try:
+            expected = _float_time_reference(value)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                solver.time_as_float(value, "t")
+        else:
+            assert solver.time_as_float(value, "t") == expected
 
 
 def _decimal_root(iset: BoundInstructionSet) -> Decimal:
