@@ -71,10 +71,16 @@ class InstructionDistribution:
         return self.masses.get(name, 0.0)
 
     def instruction_probability(self, time: float | Fraction) -> float:
-        """Per-individual-instruction probability at the given time."""
+        """Per-individual-instruction probability at the given time; a time
+        past the float range gives the value the formula rounds to, 0.0
+        (or 1.0 where log2_x0 is 0)."""
         if self.log2_x0 is None:
             raise DistributionError("distribution carries no per-instruction rule")
-        return 2.0 ** (-float(time) * self.log2_x0)
+        try:
+            exponent = -float(time) * self.log2_x0
+        except OverflowError:
+            exponent = -math.inf * self.log2_x0 if self.log2_x0 else 0.0
+        return 2.0 ** exponent
 
 
 def optimal_distribution(

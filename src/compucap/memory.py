@@ -17,7 +17,13 @@ every cell count, so do its root and the capacity: on a grid row, where
 only the last kind's count varies, no point beats the row's last one, so
 optimize_grid decides that point alone: as g falls, one evaluation of
 log2 g just below the incumbent's capacity shows a point that loses, and
-only a point that may win is solved (see its docstring).  instantiate
+only a point that may win is solved (see its docstring).  The same
+linearity bounds every allocation by the continuous relaxation: its g is
+at most the largest g among the base plus the whole budget, in fractional
+cells, on one kind.  So optimize_grid solves the grid's last point first,
+and where one evaluation of log2 g per such relaxed vertex shows that no
+allocation's root reaches that point's capacity plus the tie width, the
+tie rule makes that point the answer with no walk at all.  instantiate
 and the optimizers read the access classes an allocation installs from
 one table, problem.accesses.  An optimizer hands an allocation that
 installs none to solve_capacity; otherwise it appends them, in
@@ -177,7 +183,7 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
     for name, n in cells.items():
         if name not in known:
             raise ProblemError(f"unknown memory kind {name!r}")
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ProblemError(f"cell count for {name!r} must be a non-negative integer")
     installed = (
         BoundClass(name, scale * n, check_positive_time(time, name))
@@ -192,14 +198,17 @@ def _allocation_solver(problem: MemoryDesignProblem):
     """columns(vec), equal to compile_columns(instantiate(problem, cells).members)
     for the cells vector vec in kind-declaration order: the base's columns
     (bound_columns) and the log2 count and float time of each installed
-    access class.  A kind's times are checked positive and become floats on
-    its first install, after the base compiles, and are kept per builder: a
+    access class.  A cell count may also be a Fraction, as in a relaxed
+    vertex: each log2 count is the log2 of its numerator less that of its
+    denominator (0.0 for an int), as float() of a Fraction overflows past
+    2**1024.  A kind's times are checked positive and become floats on its
+    first install, after the base compiles, and are kept per builder: a
     fault is named as solve_capacity(instantiate(...)) names it, but of two
     faults in new inputs the other may be named first.
     """
     kind_times: dict[int, list[float]] = {}  # kind index -> float access times
 
-    def columns(vec: tuple[int, ...]) -> Columns:
+    def columns(vec: tuple[int | Fraction, ...]) -> Columns:
         kinds = [k for k, n in enumerate(vec) if n]
         log2_counts, times, families = bound_columns(problem.bound_base)
         for k in kinds:
@@ -209,7 +218,9 @@ def _allocation_solver(problem: MemoryDesignProblem):
                     for name, _, time in problem.accesses[k]
                 ]
         log2_counts = log2_counts + [
-            math.log2(scale * vec[k]) for k in kinds for _, scale, _ in problem.accesses[k]
+            math.log2(scale * vec[k].numerator) - math.log2(vec[k].denominator)
+            for k in kinds
+            for _, scale, _ in problem.accesses[k]
         ]
         return log2_counts, times + [time for k in kinds for time in kind_times[k]], families
 
@@ -304,6 +315,27 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     in the same order: solve_capacity solves it on the base alone, and
     each kind is first installed by the same row as in the full walk.
 
+    The last row's last point L, the greatest vector, is solved next, and
+    the continuous relaxation bounds every other point.  For each kind k
+    the grid installs, the relaxed vertex k is the base plus the
+    fractional budget / cell_cost_k cells of k.  An allocation of n_k
+    cells, costing at most the budget B, has at every y
+    g = g_base + sum over k of (n_k c_k / B) (B / c_k) a_k, where a_k is
+    one cell's share of g; the weights n_k c_k / B sum to at most 1, so g
+    is at most the largest relaxed vertex's g.  log2 g of each relaxed
+    vertex is evaluated once, at L's capacity plus the tie width less
+    twice warm_slack, where that lies above 0: one warm_slack covers a
+    root certified above a point where root_below reads True, the other
+    the rounding between a point's columns and a relaxed vertex's.  Where
+    every value is negative, each point's root, as solve_compiled
+    certifies it, lies below L's capacity plus the tie width, so under
+    the tie rule L displaces whatever the walk held before it and, as the
+    last point, is the answer: the rows before it are decided by the
+    bound.  Otherwise the rows are walked, as below, and L's solve is
+    reused when the walk reaches it.  A ValueError in building, solving
+    or bounding L abandons the bound, and the walk then names every fault
+    as it would without it.
+
     A row's last point is decided from below the floor.  log2 g is
     evaluated first at the floor less warm_slack, where that lies above
     0: as g falls, a negative value puts the point's root, as
@@ -311,33 +343,53 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     decides a losing point.  Otherwise the point is solved from the
     columns that evaluation read, as solve_capacity solves it, so each
     decision and the result are those of solving every point.  A point
-    decided by one evaluation is not solved at all, so a root that
-    cannot be certified there refuses no grid.
+    decided by one evaluation or by the bound is not solved at all, so a
+    root that cannot be certified there refuses no grid.
     """
     if isinstance(step, bool) or not isinstance(step, int) or step < 1:
         raise ProblemError(f"step must be a positive integer, got {step!r}")
-    points = 0
-    for _, top in _grid_rows(problem, step):
+    points = rows = 0
+    for prefix, top in _grid_rows(problem, step):
         points += top // step + 1
+        rows += 1
         if points > _MAX_GRID_POINTS:
             raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
+    last = prefix + (top - top % step,)
+    # each row decides one point; the first row's, of all-zero prefix, is
+    # the all-zero vector itself unless the last kind affords step cells
+    solves = rows + (step * problem.kinds[-1].cell_cost <= problem.budget)
     columns = _allocation_solver(problem)
     zero = (0,) * len(problem.kinds)
     best, best_vec = solve_capacity(problem.bound_base), zero
-    solves = 1
-    for prefix, top in _grid_rows(problem, step):
-        vec = prefix + (top - top % step,)
-        if vec == zero:  # the first row holds the all-zero vector alone
-            continue
-        solves += 1
-        floor = best.capacity_bits - _TIE_WIDTH
-        probe = floor - warm_slack(best.capacity_bits)
-        cols = columns(vec)
-        if probe > 0.0 and root_below(cols, probe):
-            continue
-        cap = solve_compiled(cols, problem.base.name)
-        if cap.capacity_bits >= floor:
-            best, best_vec = cap, vec
+    last_cap = None
+    try:
+        last_cap = best if last == zero else solve_compiled(columns(last), problem.base.name)
+        y = last_cap.capacity_bits + _TIE_WIDTH - 2 * warm_slack(last_cap.capacity_bits)
+        bounded = y > 0.0 and all(
+            root_below(columns(zero[:k] + (problem.budget / kind.cell_cost,) + zero[k + 1 :]), y)
+            for k, kind in enumerate(problem.kinds)
+            if step * kind.cell_cost <= problem.budget
+        )
+    except ValueError:
+        bounded = False
+    if bounded:
+        best, best_vec = last_cap, last
+    else:
+        for prefix, top in _grid_rows(problem, step):
+            vec = prefix + (top - top % step,)
+            if vec == zero:  # the first row holds the all-zero vector alone
+                continue
+            floor = best.capacity_bits - _TIE_WIDTH
+            if vec == last and last_cap is not None:
+                cap = last_cap
+            else:
+                probe = floor - warm_slack(best.capacity_bits)
+                cols = columns(vec)
+                if probe > 0.0 and root_below(cols, probe):
+                    continue
+                cap = solve_compiled(cols, problem.base.name)
+            if cap.capacity_bits >= floor:
+                best, best_vec = cap, vec
     return _allocation(
         problem, best_vec, capacity=best, label="grid",
         justification=f"evaluated {points} feasible allocations on a step-{step} grid "

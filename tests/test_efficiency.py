@@ -106,6 +106,15 @@ def test_distribution_validation():
         flat.instruction_probability(1)
 
 
+@pytest.mark.parametrize("log2_x0, expected", [(1.0, 0.0), (1e-300, 0.0), (0.0, 1.0)])
+@pytest.mark.parametrize("time", [Fraction(10**400), 10**400], ids=["fraction", "int"])
+def test_instruction_probability_past_the_float_range(time, log2_x0, expected):
+    # float(time) overflows; the formula 2**(-time * log2_x0) rounds to 0,
+    # or is exactly 1 at a rate of 0
+    dist = InstructionDistribution({"a": 1.0}, log2_x0=log2_x0)
+    assert dist.instruction_probability(time) == expected
+
+
 # --- empirical entropy ---
 
 

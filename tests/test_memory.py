@@ -27,7 +27,7 @@ from compucap import (
     total_count,
 )
 from compucap.memory import Allocation, _allocation_solver, _grid_rows
-from compucap.solver import compile_columns, root_below, solve_compiled
+from compucap.solver import compile_columns, root_below, solve_compiled, warm_slack
 
 # Pure-allocation capacities of the bundled two-kind example, solved
 # independently at 60-digit precision: the cheap slow kind loses to the
@@ -92,6 +92,11 @@ def test_instantiate_validates_cells():
         instantiate(problem, {"B": 1})
     with pytest.raises(ProblemError, match="non-negative"):
         instantiate(problem, {"A": -1})
+    # a bool is an int, but not a cell count
+    example = parse_problem(data_path("memory-example.json").read_text())
+    for flag in (True, False):
+        with pytest.raises(ProblemError, match="^cell count for 'kind1' must be a non-negative integer$"):
+            instantiate(example, {"kind1": flag})
 
 
 def test_problem_binding_must_match_referenced_parameters():
@@ -742,70 +747,155 @@ def test_capacity_never_falls_along_a_grid_row(step):
                 assert max(caps) - caps[-1] <= 1e-13
 
 
+def relaxed_capacity(problem: MemoryDesignProblem, kind: MemoryKind) -> float:
+    """The capacity of the base plus the fractional budget / cell_cost cells
+    of kind, its columns compiled here, not by the grid's column builder."""
+    cells = problem.budget / kind.cell_cost
+    log2_counts, times, families = compile_columns(problem.bound_base.members)
+    for ac in kind.access_classes:
+        log2_counts.append(math.log2(problem.registers * ac.count_per_cell * cells))
+        times.append(float(ac.time.evaluate(problem.binding.values)))
+    return solve_compiled((log2_counts, times, families), "relaxed").capacity_bits
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(0x6A1, 0x6AA))
+def test_no_grid_point_beats_the_best_relaxed_vertex(seed, step):
+    # any allocation's g is at most the largest g among the base plus the
+    # whole budget spent, in fractional cells, on one kind
+    rng = random.Random(seed)
+    for _ in range(20):
+        problem = random_problem(rng)
+        bound = max([
+            solve_capacity(problem.bound_base).capacity_bits,
+            *(relaxed_capacity(problem, kind) for kind in problem.kinds if kind.cell_cost <= problem.budget),
+        ])
+        for vec in walked_grid(problem, step):
+            assert solve_vec(problem, vec).capacity_bits <= bound + warm_slack(bound)
+
+
+def test_a_relaxed_count_past_the_float_range_takes_its_log2_exactly():
+    # the relaxed vertex holds 8/3 cells of 2**1024 instructions each, a
+    # count float() overflows on
+    problem = parse_problem(json.dumps({
+        "base": json.loads(BASE_TWO),
+        "registers": 1,
+        "budget": 8,
+        "kinds": [{"name": "K", "cell_cost": 3, "access_classes": [{"count": "1*2^1024", "time": 1}]}],
+    }))
+    log2_counts, _, _ = _allocation_solver(problem)((Fraction(8, 3),))
+    assert log2_counts[-1] == 1024 + math.log2(8) - math.log2(3)
+    assert assert_grid_matches_full_walk(problem, 1).cells == {"K": 2}
+
+
+F = Fraction
+
+
 @pytest.mark.parametrize(
-    "last_cost, step, losers",
-    [(1, 1, 0), (1, 2, 0), (1, 3, 0), (8, 1, 1)],
-    ids=["step-1", "step-2", "step-3", "last-kind-never-fits"],
+    "budget, kinds, events, cells",
+    [
+        (
+            # C costs more than the budget: no point installs it, and it has
+            # no relaxed vertex
+            4, (("A", 2, [(1, 1)]), ("B", 1, [(1, 2)]), ("C", 5, [(1, 1)])),
+            [
+                ("solve", (0, 0, 0)), ("build", (2, 0, 0)), ("solve", (2, 0, 0)),
+                ("build", (F(2), 0, 0)), ("probe", (F(2), 0, 0), True),
+                ("build", (0, F(4), 0)), ("probe", (0, F(4), 0), True),
+            ],
+            {"A": 2, "B": 0, "C": 0},
+        ),
+        (
+            2, (("A", 1, [(1, 1)]), ("B", 1, [(1, 1)])),
+            [
+                ("solve", (0, 0)), ("build", (2, 0)), ("solve", (2, 0)),
+                ("build", (F(2), 0)), ("probe", (F(2), 0), True),
+                ("build", (0, F(2))), ("probe", (0, F(2)), True),
+            ],
+            {"A": 2, "B": 0},
+        ),
+        (
+            4, (("A", 2, [(1, 2)]), ("B", 1, [(1, 1)])),
+            [
+                ("solve", (0, 0)), ("build", (2, 0)), ("solve", (2, 0)),
+                ("build", (F(2), 0)), ("probe", (F(2), 0), True),
+                ("build", (0, F(4))), ("probe", (0, F(4)), False),
+                # the walk: rows (0, 4), (1, 2), then (2, 0), whose solve is reused
+                ("build", (0, 4)), ("probe", (0, 4), False), ("solve", (0, 4)),
+                ("build", (1, 2)), ("probe", (1, 2), True),
+            ],
+            {"A": 0, "B": 4},
+        ),
+        (
+            3, (("A", 2, [(1, 1)]), ("B", 2, [(1, 2)])),
+            [
+                ("solve", (0, 0)), ("build", (1, 0)), ("solve", (1, 0)),
+                # one and a half cells of A beat every whole allocation
+                ("build", (F(3, 2), 0)), ("probe", (F(3, 2), 0), False),
+                ("build", (0, 1)), ("probe", (0, 1), False), ("solve", (0, 1)),
+            ],
+            {"A": 1, "B": 0},
+        ),
+        (
+            2, (("Z", 1, [(1, 0)]), ("A", 1, [(1, 1)])),
+            [
+                # installing Z raises, so the walk names it where it installs it
+                ("solve", (0, 0)), ("build", (2, 0)),
+                ("build", (0, 2)), ("probe", (0, 2), False), ("solve", (0, 2)),
+                ("build", (1, 1)),
+            ],
+            None,
+        ),
+    ],
+    ids=["last-point-wins", "identical-kinds-tie", "last-kind-wins", "fractional-cells", "zero-access-time"],
 )
-def test_grid_solves_the_zero_vector_and_each_rows_last_point(monkeypatch, last_cost, step, losers):
+def test_grid_solves_the_base_then_the_last_point_then_bounds_it(monkeypatch, budget, kinds, events, cells):
     import compucap.memory
 
-    # the problem of test_grid_reports_every_feasible_point; where the last
-    # kind never fits, every row holds one point and the first is all-zero
-    problem = small_problem(
-        7, ("A", 2, [(1, 1)]), ("B", Fraction(3, 2), [(1, 2)]), ("C", last_cost, [(1, 3)])
-    )
+    problem = small_problem(budget, *kinds)
     make_columns = compucap.memory._allocation_solver
-    decided, lost, cold = [], [], []
-    built = {}  # the columns of the point built last
+    seen, built = [], []  # built: (vec, its columns), to name what a probe or solve reads
+
+    def vec_of(cols):
+        return next(vec for vec, built_cols in built if built_cols is cols)
 
     def spy(problem):
         columns = make_columns(problem)
 
         def counted(vec):
-            # each decided point is built once, then probed, solved or both
-            decided.append(vec)
-            built["cols"] = columns(vec)
-            return built["cols"]
+            seen.append(("build", vec))
+            built.append((vec, columns(vec)))
+            return built[-1][1]
 
         return counted
 
     def probe(cols, y):
-        assert cols is built["cols"]
         below = root_below(cols, y)
-        if below:
-            lost.append(decided[-1])
+        seen.append(("probe", vec_of(cols), below))
         return below
 
     def solve_base(iset):
-        cold.append((0, 0, 0))
+        seen.append(("solve", (0,) * len(kinds)))
         return solve_capacity(iset)
 
     def solve_point(cols, name):
-        assert cols is built["cols"]
-        cold.append(decided[-1])
+        seen.append(("solve", vec_of(cols)))
         return solve_compiled(cols, name)
 
     monkeypatch.setattr(compucap.memory, "_allocation_solver", spy)
     monkeypatch.setattr(compucap.memory, "root_below", probe)
     monkeypatch.setattr(compucap.memory, "solve_capacity", solve_base)
     monkeypatch.setattr(compucap.memory, "solve_compiled", solve_point)
-    grid = optimize_grid(problem, step)
-    rows = list(_grid_rows(problem, step))
-    last_points = [prefix + (top - top % step,) for prefix, top in rows]
-    solved = [(0, 0, 0)] + decided
-    if last_points[0] == (0, 0, 0):
-        assert solved == last_points
+    if cells is None:
+        with pytest.raises(BindingError, match="'Z/0': evaluated time 0 is not positive"):
+            optimize_grid(problem)
+        with pytest.raises(BindingError, match="'Z/0': evaluated time 0 is not positive"):
+            full_walk_grid(problem, 1)
     else:
-        assert solved == [(0, 0, 0)] + last_points
-    assert len(solved) <= len(rows) + 1
-    assert f" by solving {len(solved)}: " in grid.justification
-    # the zero vector first, then one solve per decided row that one
-    # evaluation did not show to lose, the winner's included
-    assert len(lost) == losers
-    assert cold == [(0, 0, 0)] + [vec for vec in decided if vec not in lost]
-    assert tuple(grid.cells.values()) in cold
-    assert grid.capacity == solve_capacity(instantiate(problem, grid.cells))
+        grid = optimize_grid(problem)
+        assert grid.cells == cells
+        assert (grid.cells, grid.total_cost, grid.capacity, grid.justification) == full_walk_grid(problem, 1)
+    assert seen == events
 
 
 def test_base_time_past_float_range_is_named_before_a_zero_access_time():
