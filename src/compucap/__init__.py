@@ -91,10 +91,11 @@ def __dir__():
 
 
 def data_path(name: str):
-    """Path of a bundled example file (e.g. "mix.json", "toy-trace.txt")."""
+    """Path of a bundled example file (e.g. "mix.json", "toy-trace.txt");
+    `name` is a bare file name, not a path."""
     from pathlib import Path
 
     path = Path(__file__).resolve().parent / "data" / name
-    if not path.is_file():
+    if path.name != str(name) or not path.is_file():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path

@@ -12,23 +12,14 @@ At any fixed root X the characteristic sum is linear and increasing in
 each cell count, so a continuous-relaxation optimum always sits at a
 vertex of the budget simplex: the entire budget on one kind.
 optimize_vertex compares exactly those pure allocations; optimize_grid
-gives the exact answer over an integer grid.  As the sum increases with
-every cell count, so do its root and the capacity: on a grid row, where
-only the last kind's count varies, no point beats the row's last one, so
-optimize_grid decides that point alone: as g falls, one evaluation of
-log2 g just below the incumbent's capacity shows a point that loses, and
-only a point that may win is solved (see its docstring).  The same
-linearity bounds every allocation by the continuous relaxation: its g is
-at most the largest g among the base plus the whole budget, in fractional
-cells, on one kind.  So optimize_grid solves the grid's last point first,
-and where one evaluation of log2 g per such relaxed vertex shows that no
-allocation's root reaches that point's capacity plus the tie width, the
-tie rule makes that point the answer with no walk at all.  instantiate
-and the optimizers read the access classes an allocation installs from
-one table, problem.accesses.  An optimizer hands an allocation that
-installs none to solve_capacity; otherwise it appends them, in
-instantiate's order, to the base's columns (compiled once per problem,
-kept on bound_base), so each result is the one solve_capacity gives for
+gives the exact answer over an integer grid, deciding one point per row
+and, where the relaxation bounds every allocation below the grid's last
+point, that point alone (see its docstring).  instantiate and the
+optimizers read the access classes an allocation installs from one
+table, problem.accesses.  An optimizer appends them, in instantiate's
+order, to the base's columns (compiled once per problem, kept on
+bound_base) and hands those to solve_compiled, the all-zero allocation
+included, so each result is the one solve_capacity gives for
 instantiate's set.
 """
 
@@ -54,13 +45,13 @@ from .model import (
     check_object,
     check_positive_time,
     instruction_set_from_object,
+    is_count,
     load_json,
     parse_count,
     parse_time,
 )
 from .solver import (
-    CapacityResult, Columns, bound_columns, root_below, solve_capacity, solve_compiled,
-    time_as_float, warm_slack,
+    CapacityResult, Columns, bound_columns, root_below, solve_compiled, time_as_float, warm_slack,
 )
 
 _TIE_WIDTH = 1e-11
@@ -85,7 +76,7 @@ class AccessClass:
     time: TimeExpression
 
     def __post_init__(self):
-        if not isinstance(self.count_per_cell, int) or self.count_per_cell < 1:
+        if not is_count(self.count_per_cell):
             raise ProblemError("access-class count must be >= 1")
 
 
@@ -130,7 +121,7 @@ class MemoryDesignProblem:
         object.__setattr__(self, "budget", as_rational(self.budget))
         if not self.kinds:
             raise ProblemError("kinds must be non-empty")
-        if not isinstance(self.registers, int) or self.registers < 1:
+        if not is_count(self.registers):
             raise ProblemError("registers must be >= 1")
         if self.budget < 0:
             raise ProblemError("budget must be >= 0")
@@ -183,7 +174,7 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
     for name, n in cells.items():
         if name not in known:
             raise ProblemError(f"unknown memory kind {name!r}")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        if not is_count(n, 0):
             raise ProblemError(f"cell count for {name!r} must be a non-negative integer")
     installed = (
         BoundClass(name, scale * n, check_positive_time(time, name))
@@ -246,7 +237,7 @@ def optimize_vertex(problem: MemoryDesignProblem) -> Allocation:
     """
     zero = (0,) * len(problem.kinds)
     columns = _allocation_solver(problem)
-    solved = [("none", zero, solve_capacity(problem.bound_base))]
+    solved = [("none", zero, solve_compiled(columns(zero), problem.base.name))]
     for k, kind in enumerate(problem.kinds):
         n = int(problem.budget // kind.cell_cost)
         if n > 0:
@@ -310,10 +301,10 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     each later one is, and the row's last point is taken exactly when any
     of its points would be.  Float rounding can put an earlier point of a
     row above the last one, but by under 1e-14 bits in every case
-    measured, far inside the 1e-11 tie width.  The all-zero vector is
-    solved first, as the full walk solves it first, so the errors come
-    in the same order: solve_capacity solves it on the base alone, and
-    each kind is first installed by the same row as in the full walk.
+    measured, far inside the 1e-11 tie width.  The all-zero vector, the
+    base's columns alone, is solved first, as the full walk solves it
+    first, and each kind is first installed by the same row as in the
+    full walk, so the errors come in the same order.
 
     The last row's last point L, the greatest vector, is solved next, and
     the continuous relaxation bounds every other point.  For each kind k
@@ -340,13 +331,13 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     evaluated first at the floor less warm_slack, where that lies above
     0: as g falls, a negative value puts the point's root, as
     solve_compiled certifies it, below the floor, and that one evaluation
-    decides a losing point.  Otherwise the point is solved from the
-    columns that evaluation read, as solve_capacity solves it, so each
-    decision and the result are those of solving every point.  A point
-    decided by one evaluation or by the bound is not solved at all, so a
-    root that cannot be certified there refuses no grid.
+    decides a losing point.  Otherwise solve_compiled solves the point
+    from the columns that evaluation read, so each decision and the
+    result are those of solving every point.  A point decided by one
+    evaluation or by the bound is not solved at all, so a root that
+    cannot be certified there refuses no grid.
     """
-    if isinstance(step, bool) or not isinstance(step, int) or step < 1:
+    if not is_count(step):
         raise ProblemError(f"step must be a positive integer, got {step!r}")
     points = rows = 0
     for prefix, top in _grid_rows(problem, step):
@@ -360,12 +351,12 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     solves = rows + (step * problem.kinds[-1].cell_cost <= problem.budget)
     columns = _allocation_solver(problem)
     zero = (0,) * len(problem.kinds)
-    best, best_vec = solve_capacity(problem.bound_base), zero
+    best, best_vec = solve_compiled(columns(zero), problem.base.name), zero
     last_cap = None
     try:
-        last_cap = best if last == zero else solve_compiled(columns(last), problem.base.name)
+        last_cap = solve_compiled(columns(last), problem.base.name)
         y = last_cap.capacity_bits + _TIE_WIDTH - 2 * warm_slack(last_cap.capacity_bits)
-        bounded = y > 0.0 and all(
+        bounded = all(
             root_below(columns(zero[:k] + (problem.budget / kind.cell_cost,) + zero[k + 1 :]), y)
             for k, kind in enumerate(problem.kinds)
             if step * kind.cell_cost <= problem.budget
@@ -383,9 +374,8 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
             if vec == last and last_cap is not None:
                 cap = last_cap
             else:
-                probe = floor - warm_slack(best.capacity_bits)
                 cols = columns(vec)
-                if probe > 0.0 and root_below(cols, probe):
+                if root_below(cols, floor - warm_slack(best.capacity_bits)):
                     continue
                 cap = solve_compiled(cols, problem.base.name)
             if cap.capacity_bits >= floor:

@@ -143,6 +143,11 @@ def as_rational(value: int | float | str | Fraction) -> Fraction:
         raise ModelError(f"invalid rational {value!r}: {exc}") from None
 
 
+def is_count(value: object, least: int = 1) -> bool:
+    """Whether value is an int of at least `least`; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def parse_count(value: object, where: str = "count", error: type[ValueError] = ModelError) -> int:
     """Parse an exact count: a plain integer or a product "a*2^b"; `error`
     naming the JSON path `where` if it is neither.  A rational shows as
@@ -215,7 +220,7 @@ class InstructionClass:
 
     def __post_init__(self):
         check_ident(self.name, "member name")
-        if not isinstance(self.count, int) or self.count < 1:
+        if not is_count(self.count):
             raise ModelError(f"class {self.name!r}: count must be >= 1")
 
 
@@ -235,11 +240,11 @@ class InstructionFamily:
     def __post_init__(self):
         check_ident(self.name, "member name")
         object.__setattr__(self, "step", as_rational(self.step))
-        if not isinstance(self.count_per_term, int) or self.count_per_term < 1:
+        if not is_count(self.count_per_term):
             raise ModelError(f"family {self.name!r}: count must be >= 1")
         if self.step.numerator <= 0:
             raise ModelError(f"family {self.name!r}: step must be > 0")
-        if not isinstance(self.num_terms, int) or self.num_terms < 1:
+        if not is_count(self.num_terms):
             raise ModelError(f"family {self.name!r}: terms must be >= 1")
 
 

@@ -27,26 +27,27 @@ log2 g >= 0 therefore climbs monotonically toward y*: every tangent of a
 convex curve lies below it, so in exact arithmetic no step passes the
 root.  g is at least any one member's weight, and a member's first term
 alone weighs 1 at log2 count / time, so the largest of those values is
-such a start (y = 0, where log2 g = log2(total count) > 0, is another).
-Floats round, so the result is certified by a sign change of log2 g
-across an interval no wider than TOLERANCE, 1e-12, or one float spacing
-where y is too large for that.  As g decreases, the sign of log2 g at one
-point y tells whether y* lies below y; root_below makes that one
-evaluation.
+such a start (y = 0, where log2 g = log2(total count) > 0 for two or more
+instructions, is another; one instruction has root 0).  Floats round, so
+the result is certified by a sign change of log2 g across an interval no
+wider than TOLERANCE, 1e-12, or one float spacing where y is too large
+for that.  As g decreases, the sign of log2 g at one point y > 0 tells
+whether y* lies below y; root_below makes that one evaluation.
 
 A bound set is compiled to floats once, on first use, as columns (see
 compile_columns and bound_columns): a log2 count and a base time for
 every member, and (index, step, terms) for each member of more than one
-term.  One pass over the columns, member_points, gives every member's
-log2 weight and mean time at y; the solve, the distribution, a family's
-mean time in efficiency_from_distribution() and the memory optimizer all
-evaluate through it.  The pass fixes each float operation and its order:
-a member's log2 weight is (log2 count - time * y) + log2 of its closed
-sum, its mean time is time + step * mean index, and the aggregate sums
-weights and weight * mean in member order.  So a member's figures are
-the same floats whichever caller asks and whatever members stand beside
-it, and tests compare the pass with a per-member reference by ==, not by
-a tolerance.
+term.  solve_compiled is the one solve: solve_capacity hands it a set's
+columns, and the memory optimizer those of each allocation.  One pass
+over the columns, member_points, gives every member's log2 weight and
+mean time at y; the solve, the distribution and a family's mean time in
+efficiency_from_distribution() all evaluate through it.  The pass fixes
+each float operation and its order: a member's log2 weight is (log2
+count - time * y) + log2 of its closed sum, its mean time is time + step
+* mean index, and the aggregate sums weights and weight * mean in member
+order.  So a member's figures are the same floats whichever caller asks
+and whatever members stand beside it, and tests compare the pass with a
+per-member reference by ==, not by a tolerance.
 """
 
 from __future__ import annotations
@@ -247,30 +248,23 @@ def _residual(log2_g: float) -> float:
 
 
 def solve_capacity(iset: BoundInstructionSet) -> CapacityResult:
-    """Find y* with g(y*) = 1; capacity_bits = y* = log2(X0).
-
-    Checks the total count (one instruction carries no choice: capacity
-    0), then hands the set's columns (bound_columns) to solve_compiled.
-    """
-    total = total_count(iset)
-    if total < 1:
-        raise ValueError("instruction set has no instructions")
-    if total == 1:
-        # g(0) = 1 already: a single instruction carries no choice.
-        return CapacityResult(0.0, 0.0, 0.0, 0)
+    """Find y* with g(y*) = 1; capacity_bits = y* = log2(X0): solve_compiled
+    on the set's columns (bound_columns)."""
     return solve_compiled(bound_columns(iset), iset.name)
 
 
 def root_below(columns: Columns, y: float) -> bool:
-    """Whether log2 g is negative at y, a finite y >= 0, so that the root
-    lies below y (within warm_slack of where it is certified): one
-    evaluation."""
-    return _log2_char(columns, y)[0] < 0.0
+    """Whether log2 g is negative at a finite y, so that the root lies below
+    y (within warm_slack of where it is certified): one evaluation, or none
+    where y <= 0, as the root is never below 0."""
+    return y > 0.0 and _log2_char(columns, y)[0] < 0.0
 
 
 def solve_compiled(columns: Columns, name: str) -> CapacityResult:
-    """The root y* of g for compiled columns (see compile_columns) that hold
-    at least two instructions; errors name the set `name`.
+    """The root y* of g for compiled columns (see compile_columns); errors
+    name the set `name`.  Columns of no member are refused, and one member
+    of log2 count 0.0 and one term is a single instruction, which carries
+    no choice: capacity 0, found with no evaluation.
 
     The climb starts at the largest one-member root log2 count / time, a
     family's first term standing in for the family, less its warm_slack;
@@ -286,7 +280,12 @@ def solve_compiled(columns: Columns, name: str) -> CapacityResult:
     out of float range, its residual cannot reach 1e-10 in floats, or no
     root is certified within _MAX_ITERATIONS evaluations.
     """
-    log2_counts, times, _ = columns
+    log2_counts, times, families = columns
+    if not log2_counts:
+        raise ValueError("instruction set has no instructions")
+    if log2_counts == [0.0] and not families:
+        # g(0) = 1 already
+        return CapacityResult(0.0, 0.0, 0.0, 0)
     top = max(map(truediv, log2_counts, times))
     y = top - warm_slack(top)
     if not 0.0 < y < math.inf:

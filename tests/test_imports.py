@@ -59,3 +59,19 @@ def test_package_attribute_edges():
     assert set(compucap.__all__) <= set(dir(compucap))
     with pytest.raises(FileNotFoundError, match="no-such.json"):
         compucap.data_path("no-such.json")
+
+
+@pytest.mark.parametrize("name", ["../solver.py", "../data/mix.json", "mix.json/.", "..", ""])
+def test_data_path_takes_only_a_bare_file_name(name):
+    import compucap
+
+    with pytest.raises(FileNotFoundError) as info:
+        compucap.data_path(name)
+    assert str(info.value) == f"no bundled data file named {name!r}"
+
+
+def test_data_path_refuses_even_the_absolute_path_of_a_bundled_file():
+    import compucap
+
+    with pytest.raises(FileNotFoundError, match="no bundled data file named"):
+        compucap.data_path(str(compucap.data_path("mix.json")))

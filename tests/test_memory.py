@@ -799,7 +799,7 @@ F = Fraction
             # no relaxed vertex
             4, (("A", 2, [(1, 1)]), ("B", 1, [(1, 2)]), ("C", 5, [(1, 1)])),
             [
-                ("solve", (0, 0, 0)), ("build", (2, 0, 0)), ("solve", (2, 0, 0)),
+                ("build", (0, 0, 0)), ("solve", (0, 0, 0)), ("build", (2, 0, 0)), ("solve", (2, 0, 0)),
                 ("build", (F(2), 0, 0)), ("probe", (F(2), 0, 0), True),
                 ("build", (0, F(4), 0)), ("probe", (0, F(4), 0), True),
             ],
@@ -808,7 +808,7 @@ F = Fraction
         (
             2, (("A", 1, [(1, 1)]), ("B", 1, [(1, 1)])),
             [
-                ("solve", (0, 0)), ("build", (2, 0)), ("solve", (2, 0)),
+                ("build", (0, 0)), ("solve", (0, 0)), ("build", (2, 0)), ("solve", (2, 0)),
                 ("build", (F(2), 0)), ("probe", (F(2), 0), True),
                 ("build", (0, F(2))), ("probe", (0, F(2)), True),
             ],
@@ -817,7 +817,7 @@ F = Fraction
         (
             4, (("A", 2, [(1, 2)]), ("B", 1, [(1, 1)])),
             [
-                ("solve", (0, 0)), ("build", (2, 0)), ("solve", (2, 0)),
+                ("build", (0, 0)), ("solve", (0, 0)), ("build", (2, 0)), ("solve", (2, 0)),
                 ("build", (F(2), 0)), ("probe", (F(2), 0), True),
                 ("build", (0, F(4))), ("probe", (0, F(4)), False),
                 # the walk: rows (0, 4), (1, 2), then (2, 0), whose solve is reused
@@ -829,7 +829,7 @@ F = Fraction
         (
             3, (("A", 2, [(1, 1)]), ("B", 2, [(1, 2)])),
             [
-                ("solve", (0, 0)), ("build", (1, 0)), ("solve", (1, 0)),
+                ("build", (0, 0)), ("solve", (0, 0)), ("build", (1, 0)), ("solve", (1, 0)),
                 # one and a half cells of A beat every whole allocation
                 ("build", (F(3, 2), 0)), ("probe", (F(3, 2), 0), False),
                 ("build", (0, 1)), ("probe", (0, 1), False), ("solve", (0, 1)),
@@ -840,7 +840,7 @@ F = Fraction
             2, (("Z", 1, [(1, 0)]), ("A", 1, [(1, 1)])),
             [
                 # installing Z raises, so the walk names it where it installs it
-                ("solve", (0, 0)), ("build", (2, 0)),
+                ("build", (0, 0)), ("solve", (0, 0)), ("build", (2, 0)),
                 ("build", (0, 2)), ("probe", (0, 2), False), ("solve", (0, 2)),
                 ("build", (1, 1)),
             ],
@@ -874,17 +874,12 @@ def test_grid_solves_the_base_then_the_last_point_then_bounds_it(monkeypatch, bu
         seen.append(("probe", vec_of(cols), below))
         return below
 
-    def solve_base(iset):
-        seen.append(("solve", (0,) * len(kinds)))
-        return solve_capacity(iset)
-
     def solve_point(cols, name):
         seen.append(("solve", vec_of(cols)))
         return solve_compiled(cols, name)
 
     monkeypatch.setattr(compucap.memory, "_allocation_solver", spy)
     monkeypatch.setattr(compucap.memory, "root_below", probe)
-    monkeypatch.setattr(compucap.memory, "solve_capacity", solve_base)
     monkeypatch.setattr(compucap.memory, "solve_compiled", solve_point)
     if cells is None:
         with pytest.raises(BindingError, match="'Z/0': evaluated time 0 is not positive"):
@@ -961,3 +956,42 @@ def test_problem_count_errors_name_their_path(registers, count, message):
         parse_problem(text)
     assert type(info.value) is ProblemError
     assert str(info.value) == message
+
+
+ONE_INSTRUCTION = '{"name": "o", "classes": [{"name": "a", "count": 1, "time": %s}]}'
+
+
+def one_instruction_problem(time="3"):
+    """A one-instruction base and one kind that cannot afford a cell."""
+    kind = MemoryKind("K", Fraction(2), (AccessClass(1, TimeExpression(base=1)),))
+    return MemoryDesignProblem(
+        base=parse_model(ONE_INSTRUCTION % time), registers=1, kinds=(kind,), budget=Fraction(1),
+        binding=ParameterBinding({}),
+    )
+
+
+@pytest.mark.parametrize("optimize", [optimize_vertex, optimize_grid], ids=["vertex", "grid"])
+def test_a_one_instruction_base_is_solved_from_its_columns(monkeypatch, optimize):
+    import compucap.memory
+
+    solved = []
+
+    def spy(cols, name):
+        solved.append(cols)
+        return solve_compiled(cols, name)
+
+    monkeypatch.setattr(compucap.memory, "solve_compiled", spy)
+    best = optimize(one_instruction_problem())
+    assert (best.cells, best.total_cost) == ({"K": 0}, 0)
+    assert best.capacity == CapacityResult(0.0, 0.0, 0.0, 0)
+    assert solved and all(cols == ([0.0], [3.0], []) for cols in solved)
+
+
+@pytest.mark.parametrize("optimize", [optimize_vertex, optimize_grid], ids=["vertex", "grid"])
+def test_a_one_instruction_base_past_the_float_range_is_refused(optimize):
+    # as solve_capacity and `compucap capacity` refuse the base itself,
+    # whether or not a kind affords a cell
+    with pytest.raises(ValueError, match="^time of 'a' lies outside the float range"):
+        optimize(one_instruction_problem('"1e400"'))
+    with pytest.raises(ValueError, match="^time of 'a' lies outside the float range"):
+        solve_capacity(one_instruction_problem('"1e400"').bound_base)

@@ -16,6 +16,7 @@ from compucap import (
     serialize_model,
     total_count,
 )
+from compucap.memory import AccessClass, MemoryDesignProblem, MemoryKind, ProblemError
 from compucap.model import as_rational, brief_int, brief_rational, parse_count
 
 TOY = """
@@ -241,6 +242,44 @@ def test_serialize_round_trip():
         ' "family": {"step": "2/3", "terms": 5}}]}'
     )
     assert parse_model(serialize_model(iset)) == iset
+
+
+ONE = TimeExpression(base=1)
+
+
+def _problem(registers):
+    kind = MemoryKind("k", Fraction(1), (AccessClass(1, ONE),))
+    return MemoryDesignProblem(parse_model(TOY), registers, (kind,), Fraction(1), ParameterBinding())
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda n: InstructionClass("a", n, ONE), ModelError, "class 'a': count must be >= 1"),
+        (lambda n: InstructionFamily("f", n, ONE, Fraction(1), 2), ModelError, "family 'f': count must be >= 1"),
+        (lambda n: InstructionFamily("f", 1, ONE, Fraction(1), n), ModelError, "family 'f': terms must be >= 1"),
+        (lambda n: AccessClass(n, ONE), ProblemError, "access-class count must be >= 1"),
+        (_problem, ProblemError, "registers must be >= 1"),
+    ],
+    ids=["class-count", "family-count", "family-terms", "access-count", "registers"],
+)
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_counts_are_refused(build, error, message, flag):
+    with pytest.raises(error) as info:
+        build(flag)
+    assert str(info.value) == message
+    build(1)
+
+
+def test_serialize_never_writes_a_bool_count():
+    # a set built with count True once serialized as "count": true, which
+    # parse_model refuses
+    with pytest.raises(ModelError, match="count must be >= 1"):
+        InstructionClass("a", True, ONE)
+    iset = InstructionSet("s", (), (InstructionClass("a", 1, ONE),))
+    text = serialize_model(iset)
+    assert '"count": 1,' in text
+    assert parse_model(text) == iset
 
 
 def test_serialize_round_trip_bundled_models():

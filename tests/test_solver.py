@@ -116,6 +116,33 @@ def test_capacity_single_instruction_is_zero():
 def test_capacity_empty_set_raises():
     with pytest.raises(ValueError, match="instruction set has no instructions"):
         solve_capacity(BoundInstructionSet("empty", ()))
+    with pytest.raises(ValueError, match="^instruction set has no instructions$"):
+        solver.solve_compiled(compile_columns(()), "empty")
+    # counts below 1 are refused where the columns compile, before any solve
+    with pytest.raises(ValueError):
+        solve_capacity(classes((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "member",
+    [BoundClass("a", 1, Fraction(5)), BoundFamily("f", 1, Fraction(5), Fraction(10**400), 1)],
+    ids=["class", "one-term-family"],
+)
+def test_one_instruction_columns_solve_to_zero_with_no_evaluation(monkeypatch, member):
+    iset = BoundInstructionSet("one", (member,))
+    columns = compile_columns(iset.members)
+    monkeypatch.setattr(solver, "_log2_char", None)  # an evaluation would fail
+    expected = solver.CapacityResult(0.0, 0.0, 0.0, 0)
+    assert solver.solve_compiled(columns, "one") == solve_capacity(iset) == expected
+
+
+def test_root_below_reads_false_at_or_below_zero_with_no_evaluation(monkeypatch):
+    columns = solver.bound_columns(bound_model("mix.json"))
+    # evaluated, the closed sum of mix's 2**25 + 1-term family overflows at -1.0
+    assert solver.root_below(columns, -1.0) is False
+    monkeypatch.setattr(solver, "_log2_char", None)
+    for y in (0.0, -0.0, -1e-300, -1e308):
+        assert solver.root_below(columns, y) is False
 
 
 def test_capacity_two_speed_closed_form():
