@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
@@ -28,13 +28,18 @@ from .solver import CapacityResult, bound_columns, compile_columns, member_point
 _MASS_SLACK = 1e-10
 # a token of more characters is quoted in a message by its ends (_quote)
 _QUOTE_CHARS = 60
-# counting k-grams costs time and memory of about length * (order + 1)**2
-# (25 ms and 5 MB per 10**6 on a 2-vCPU host); past this bound it is refused
+# counting k-grams costs time and memory that grow with length * (order +
+# 1)**2; at this bound, on a 2-vCPU host, from 12 ms and 0.6 MB per 10**6
+# (a 25-symbol Markov trace at order 3) to 130 ms and 18 MB per 10**6 (256
+# symbols drawn uniformly, order 3: nearly every window distinct); past
+# this bound it is refused
 _MAX_KGRAM_WORK = 25_000_000
 # split_trace splits a trace in chunks of about this many characters, each
 # cut at a character \s matches: exactly the ones str.split() splits on
 _TRACE_CHUNK = 1 << 16
 _SPACE = re.compile(r"\s")
+# memoryview formats of the machine words a k-gram's symbol numbers are packed into
+_WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class DistributionError(ValueError):
@@ -213,15 +218,20 @@ class TraceStatistics:
                 raise TraceError(f"order-{order} counts do not cover the trace")
 
     @classmethod
-    def from_symbols(cls, symbols: Sequence[str], max_order: int) -> "TraceStatistics":
-        """k-gram counts at orders 0..max_order, read from `symbols` in place.
+    def from_symbols(cls, symbols: Sequence[Hashable] | bytes, max_order: int) -> "TraceStatistics":
+        """k-gram counts at orders 0..max_order of `symbols`.
 
         The window at position i runs over the trace and on into its first
-        max_order symbols again; the trace itself is never copied.  Checks
-        the order, then the length, then the k-gram work bound.
+        max_order symbols again.  Where a window's symbol numbers fit one
+        8-byte word, the symbols are numbered 0, 1, ... in order of first
+        occurrence (a bytes object is its own numbering) and the numbers
+        are kept, one byte each for up to 256 distinct symbols, else 2 or 4;
+        each window's numbers are then packed into one machine word, so the
+        count hashes one int per window, not a tuple of symbols.  A wider
+        window is counted as a tuple, read in place.  Checks the order, then
+        the length, then the k-gram work bound.
         """
-        if max_order < 0:
-            raise TraceError(f"order must be >= 0, got {max_order}")
+        _check_order(max_order)
         n = len(symbols)
         if n < max_order + 1:
             raise TraceError(
@@ -232,15 +242,24 @@ class TraceStatistics:
                 f"trace of length {n} at order {max_order} is past the k-gram bound: "
                 f"length * (order + 1)^2 must be at most {_MAX_KGRAM_WORK:,}"
             )
-        # count at the top order only, over windows read in place: the n -
-        # max_order that fit in the trace, then the max_order that wrap,
-        # read from a copy of its last and first max_order symbols.  With
-        # wrapped windows each k-gram is the prefix of the (k+1)-gram at the
-        # same position, so summing over the last symbol is exact and keeps
-        # each order's first-occurrence key order
-        top = Counter(zip(*(islice(symbols, i, None) for i in range(max_order + 1))))
-        tail = [*symbols[n - max_order :], *symbols[:max_order]]
-        top.update(zip(*(islice(tail, i, None) for i in range(max_order + 1))))
+        k = max_order + 1
+        if isinstance(symbols, bytes):
+            numbers, names = (symbols if k <= 8 else None), None
+        else:
+            numbers, names = _numbered(symbols, k)
+        if numbers is None:
+            # a window wider than a word counts as a tuple of symbols, read
+            # in place: the n - max_order windows that fit in the trace,
+            # then the max_order that wrap, read from a copy of its last
+            # and first max_order symbols
+            top = Counter(zip(*(islice(symbols, i, None) for i in range(k))))
+            tail = [*symbols[n - max_order :], *symbols[:max_order]]
+            top.update(zip(*(islice(tail, i, None) for i in range(k))))
+        else:
+            top = _word_counts(numbers, k, names)
+        # with wrapped windows each k-gram is the prefix of the (k+1)-gram
+        # at the same position, so summing over the last symbol is exact
+        # and keeps each order's first-occurrence key order
         counts = [top]
         for _ in range(max_order):
             lower = Counter()
@@ -256,14 +275,77 @@ class TraceStatistics:
         )
 
 
+def _numbered(symbols: Sequence[Hashable], k: int) -> tuple[Sequence[int] | None, list | None]:
+    """The symbols numbered 0, 1, ... in order of first occurrence, as bytes
+    for up to 256 distinct symbols, else as an array of 2- or 4-byte ints,
+    and the symbol of each number; (None, None) where a window of k numbers
+    does not fit one 8-byte word."""
+    if k > 8:
+        return None, None
+    numbering = Spellings(lambda symbol: len(numbering))
+    numbers = list(map(numbering.__getitem__, symbols))
+    names = list(numbering)
+    if len(names) <= 256:
+        return bytes(numbers), names
+    width = 2 if len(names) <= 1 << 16 else 4
+    if k * width > 8:
+        return None, None
+    from array import array
+
+    return array(_WORD_FORMATS[width], numbers), names
+
+
+def _word_counts(numbers: Sequence[int], k: int, names: list | None) -> Counter:
+    """Counts of the k-grams of the wrapped windows of `numbers` (bytes, or
+    an array of 2- or 4-byte ints), each window's k numbers fitting one
+    8-byte word, keyed by tuples of names[number] (of the numbers where
+    names is None), in first-occurrence key order.
+
+    Byte b of the window at position i is byte i * width + b of the numbers
+    run on into their first k - 1, so one strided slice copy moves byte b
+    of every window into its word.  The words are counted in position
+    order, then the distinct ones are laid out in an array again and read
+    back in columns, one per position in the window.
+    """
+    view = memoryview(numbers)
+    n, width = len(view), view.itemsize
+    span = k * width
+    size = 1 << (span - 1).bit_length()  # 1, 2, 4 or 8 bytes
+    ext = b"".join((view, view[: k - 1]))
+    buf = bytearray(n * size)
+    for b in range(span):
+        buf[b::size] = ext[b : b + width * n : width]
+    counts = Counter(memoryview(buf).cast(_WORD_FORMATS[size]))
+    from array import array
+
+    words, tallies = array(_WORD_FORMATS[size], counts), list(counts.values())
+    # where most windows are distinct, the words' dict is as large as the
+    # grams' about to be built: free it first
+    del counts, buf, ext
+    distinct = memoryview(words).cast("B").cast(view.format)
+    columns = [distinct[j :: size // width] for j in range(k)]
+    if names is not None:
+        columns = [map(names.__getitem__, column) for column in columns]
+    grams = Counter()  # filled as a dict: its keys are distinct, as the words were
+    dict.update(grams, zip(zip(*columns), tallies))
+    return grams
+
+
+def _check_order(order: int) -> None:
+    """TraceError unless order is an int, not a bool, of at least 0."""
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise TraceError(f"order must be an integer, got {order!r}")
+    if order < 0:
+        raise TraceError(f"order must be >= 0, got {order}")
+
+
 def entropy_order_n(stats: TraceStatistics, n: int) -> float:
     """Plug-in order-n entropy in bits per instruction.
 
     The empirical (n+1)-gram frequencies stand in for the true gram
     probabilities; unseen grams contribute nothing (0 * log 0 = 0).
     """
-    if n < 0:
-        raise TraceError(f"order must be >= 0, got {n}")
+    _check_order(n)
     if n > stats.max_order:
         raise TraceError(f"statistics were collected only up to order {stats.max_order}")
     if stats.length < n + 1:
@@ -349,15 +431,17 @@ def efficiency_from_trace(
     first bad token in trace order, whatever is wrong with it; after that
     come an empty trace, then the order, length and k-gram work checks.
     `symbols` (raw tokens or parse_trace's) is read once, each token
-    resolved as it is read, and only the resolved symbols are kept, so a
-    lazy stream such as split_trace(text) never holds every token string
-    at once.
+    resolved as it is read to its symbol's number, and only the numbers
+    are kept, one byte each for up to 256 distinct symbols, so a lazy
+    stream such as split_trace(text) never holds every token string at
+    once.
     """
     members = _member_index(iset)
-    # symbol -> (time, log2 of how many equally likely instructions it stands for)
-    table = {}
+    numbering = {}  # symbol -> 0, 1, ... in order of first occurrence
+    # number -> (time, log2 of how many equally likely instructions it stands for)
+    table = []
 
-    def resolve(token: str) -> str:
+    def resolve(token: str) -> int:
         symbol, time = _canonical_token(token)
         name = symbol.partition("@")[0]
         member = members.get(name)
@@ -369,17 +453,21 @@ def efficiency_from_trace(
             count = member.count
         else:
             count = member.count_per_term
-        table[symbol] = (time_as_float(time, symbol), math.log2(count))
-        return symbol
+        number = numbering.setdefault(symbol, len(table))
+        if number == len(table):
+            table.append((time_as_float(time, symbol), math.log2(count)))
+        return number
 
     resolved = list(map(Spellings(resolve).__getitem__, symbols))
     if not resolved:
         raise TraceError("trace is empty")
+    if len(table) <= 256:
+        resolved = bytes(resolved)
     stats = TraceStatistics.from_symbols(resolved, max_order)
     mean_time = within_member = 0
-    for (symbol,), count in stats.kgram_counts[0].items():
+    for (number,), count in stats.kgram_counts[0].items():
         freq = count / stats.length
-        time, bits = table[symbol]
+        time, bits = table[number]
         mean_time += freq * time
         within_member += freq * bits
     cap_bits = solve_capacity(iset).capacity_bits

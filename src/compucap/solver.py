@@ -151,20 +151,23 @@ Columns = tuple[list[float], list[float], list[tuple[int, float, float, float, i
 
 def compile_columns(members: Iterable[BoundMember]) -> Columns:
     """The members compiled to floats in order, so the first member that
-    does not compile is the one named, and laid out as columns: log2
-    count and base time, one entry per member, a class taken as one term,
-    and (index, step, ln 2 * step, float terms, terms) for each member of
-    more than one term; terms stays an exact int, as it may exceed the
-    float range.  A one-term family's step enters no sum and is not
-    compiled.  solve_compiled and member_points take these; neither
-    changes them."""
+    does not compile (a count below 1, or a time or step outside the float
+    range) is the one named, and laid out as columns: log2 count and base
+    time, one entry per member, a class taken as one term, and (index,
+    step, ln 2 * step, float terms, terms) for each member of more than
+    one term; terms stays an exact int, as it may exceed the float range.
+    A one-term family's step enters no sum and is not compiled.
+    solve_compiled and member_points take these; neither changes them."""
     log2_counts: list[float] = []
     times: list[float] = []
     families: list[tuple[int, float, float, float, int]] = []
     for index, member in enumerate(members):
         family = not isinstance(member, BoundClass)
         time = member.time_base if family else member.time
-        log2_counts.append(math.log2(member.count_per_term if family else member.count))
+        try:
+            log2_counts.append(math.log2(member.count_per_term if family else member.count))
+        except ValueError:  # an int count below 1, in a hand-built set: the parser refuses it first
+            raise ValueError(f"count of {member.name!r} must be >= 1") from None
         times.append(time_as_float(time, member.name))
         if family and member.num_terms != 1:
             step = time_as_float(member.step, member.name, "step")

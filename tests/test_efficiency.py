@@ -189,6 +189,19 @@ def test_entropy_order_errors():
         entropy_order_n(short, 1)
 
 
+@pytest.mark.parametrize("order", [1.5, 1.0, True, None, "1"])
+def test_an_order_that_is_not_an_int_is_refused(order):
+    # a TraceError, as the CLI expects of every package error, and a bool
+    # is not taken as order 0 or 1
+    message = re.escape(f"order must be an integer, got {order!r}")
+    with pytest.raises(TraceError, match=f"^{message}$"):
+        TraceStatistics.from_symbols(["a", "b", "a"], order)
+    with pytest.raises(TraceError, match=f"^{message}$"):
+        entropy_order_n(TraceStatistics.from_symbols(["a", "b", "a"], 1), order)
+    with pytest.raises(TraceError, match=f"^{message}$"):
+        efficiency_from_trace(class_and_family(), ["c", "c"], order)
+
+
 @pytest.mark.parametrize(
     "max_order, order0, message",
     [

@@ -1,12 +1,27 @@
-"""Property test: the one-pass k-gram count equals counting every order."""
+"""The one-pass k-gram count equals counting every order, and a trace's
+report equals one computed from those per-order counts."""
 
+import math
+import random
 from collections import Counter
+from fractions import Fraction
 from itertools import islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compucap import TraceStatistics
+from compucap import (
+    BoundClass,
+    BoundFamily,
+    BoundInstructionSet,
+    OrderEstimate,
+    TraceEfficiencyReport,
+    TraceStatistics,
+    efficiency_from_trace,
+    parse_trace,
+    solve_capacity,
+)
 
 
 def per_order_counts(symbols, max_order):
@@ -23,16 +38,78 @@ def per_order_counts(symbols, max_order):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_one_pass_counts_match_per_order_counts(data):
-    max_order = data.draw(st.integers(0, 5))
-    alphabet = [f"s{i}" for i in range(data.draw(st.integers(1, 6)))]
-    symbols = data.draw(
-        st.lists(st.sampled_from(alphabet), min_size=max_order + 1, max_size=300)
+    # up to 300 symbols and order 9: windows of 1-byte and of 2-byte symbol
+    # numbers, of one machine word and of more than 8 bytes, all occur
+    max_order = data.draw(st.integers(0, 9))
+    size = data.draw(st.integers(1, 300))
+    codes = data.draw(
+        st.lists(st.integers(0, size - 1), min_size=max_order + 1, max_size=300)
     )
-    stats = TraceStatistics.from_symbols(symbols, max_order)
-    expected = per_order_counts(symbols, max_order)
-    assert list(stats.kgram_counts) == list(expected)
-    for order, counts in expected.items():
-        assert type(stats.kgram_counts[order]) is Counter
-        assert list(stats.kgram_counts[order].items()) == list(counts.items())
-    assert stats.alphabet == tuple(sorted(set(symbols)))
+    if data.draw(st.booleans()):
+        # every symbol occurs, so past 256 of them the numbers take 2 bytes
+        codes += data.draw(st.permutations(range(size)))
+    traces = [[f"s{code}" for code in codes], codes]
+    if size <= 256:
+        traces.append(bytes(codes))
+    for symbols in traces:
+        stats = TraceStatistics.from_symbols(symbols, max_order)
+        expected = per_order_counts(list(symbols), max_order)
+        assert list(stats.kgram_counts) == list(expected)
+        for order, counts in expected.items():
+            assert type(stats.kgram_counts[order]) is Counter
+            assert list(stats.kgram_counts[order].items()) == list(counts.items())
+        assert stats.alphabet == tuple(sorted(set(symbols)))
 
+
+def reference_report(iset, tokens, max_order):
+    """efficiency_from_trace's report computed from per_order_counts over
+    the canonical symbols: every sum runs in those counts' key order."""
+    members = {m.name: m for m in iset.members}
+    symbols = []
+    for symbol in parse_trace(" ".join(tokens)):
+        name = symbol.partition("@")[0]
+        symbols.append(name if isinstance(members[name], BoundClass) else symbol)
+    counts = per_order_counts(symbols, max_order)
+    n = len(symbols)
+    mean_time = within_member = 0.0
+    for (symbol,), count in counts[0].items():
+        name, _, time = symbol.partition("@")
+        member = members[name]
+        if isinstance(member, BoundClass):
+            time, instructions = member.time, member.count
+        else:
+            time, instructions = Fraction(time), member.count_per_term
+        mean_time += count / n * float(time)
+        within_member += count / n * math.log2(instructions)
+    capacity = solve_capacity(iset).capacity_bits
+    orders = []
+    for order, grams in counts.items():
+        acc = 0.0
+        for count in grams.values():
+            acc -= count / n * math.log2(count / n)
+        h = acc / (order + 1) + within_member
+        orders.append(OrderEstimate(order, h, h / mean_time, h / mean_time / capacity))
+    return TraceEfficiencyReport(n, mean_time, capacity, tuple(orders))
+
+
+@pytest.mark.parametrize("max_order", [0, 3, 4])
+def test_trace_report_matches_the_per_order_reference(max_order):
+    # a family of 400 terms, over 300 of them in the trace: the symbols are
+    # numbered in 2 bytes, so an order-3 window fills one 8-byte word and an
+    # order-4 window is wider than one word
+    iset = BoundInstructionSet(
+        "wide",
+        (BoundClass("c", 3, Fraction(2)), BoundFamily("f", 5, Fraction(1), Fraction(1, 2), 400)),
+    )
+    rng = random.Random(37)
+    terms = [Fraction(1) + index * Fraction(1, 2) for index in range(400)]
+    tokens = []
+    for _ in range(3000):
+        if rng.random() < 0.1:
+            tokens.append(rng.choice(["c", "c@2", "c@4/2"]))
+        else:
+            time = rng.choice(terms[:320])
+            tokens.append(f"f@{rng.choice([str(time), f'{float(time)}'])}")
+    report = efficiency_from_trace(iset, tokens, max_order)
+    assert len(set(parse_trace(" ".join(tokens)))) > 256
+    assert report == reference_report(iset, tokens, max_order)

@@ -11,6 +11,8 @@ import pytest
 from compucap import (
     AccessClass,
     BindingError,
+    BoundClass,
+    BoundInstructionSet,
     CapacityResult,
     MemoryDesignProblem,
     MemoryKind,
@@ -985,6 +987,14 @@ def test_a_one_instruction_base_is_solved_from_its_columns(monkeypatch, optimize
     assert (best.cells, best.total_cost) == ({"K": 0}, 0)
     assert best.capacity == CapacityResult(0.0, 0.0, 0.0, 0)
     assert solved and all(cols == ([0.0], [3.0], []) for cols in solved)
+
+
+def test_a_hand_built_base_count_below_one_is_named():
+    # a bound base built by hand, past the parser's own count check
+    problem = one_instruction_problem()
+    object.__setattr__(problem, "bound_base", BoundInstructionSet("o", (BoundClass("a", 0, Fraction(3)),)))
+    with pytest.raises(ValueError, match="^count of 'a' must be >= 1$"):
+        optimize_vertex(problem)
 
 
 @pytest.mark.parametrize("optimize", [optimize_vertex, optimize_grid], ids=["vertex", "grid"])

@@ -624,6 +624,25 @@ def test_family_step_outside_float_range_raises(step):
         solve_capacity(BoundInstructionSet("s", (family, BoundClass("c", 1, Fraction(1)))))
 
 
+@pytest.mark.parametrize(
+    "members",
+    [
+        (BoundClass("a", 0, Fraction(1)),),
+        (
+            BoundClass("c", 1, Fraction(1)),
+            BoundFamily("a", 0, Fraction(1), Fraction(1), 3),
+            BoundClass("b", -1, Fraction(1)),
+        ),
+    ],
+    ids=["class", "family-second"],
+)
+def test_a_hand_built_count_below_one_is_named(members):
+    # the first member at fault, in member order, and not math.log2's bare
+    # "math domain error"
+    with pytest.raises(ValueError, match="^count of 'a' must be >= 1$"):
+        solve_capacity(BoundInstructionSet("s", members))
+
+
 def _float_time_reference(value: Fraction) -> float:
     """time_as_float written with float(value)."""
     try:
