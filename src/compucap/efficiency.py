@@ -29,8 +29,8 @@ _MASS_SLACK = 1e-10
 # a token of more characters is quoted in a message by its ends (_quote)
 _QUOTE_CHARS = 60
 # counting k-grams costs time and memory that grow with length * (order +
-# 1)**2; at this bound, on a 2-vCPU host, from 12 ms and 0.6 MB per 10**6
-# (a 25-symbol Markov trace at order 3) to 130 ms and 18 MB per 10**6 (256
+# 1)**2; at this bound, on a 2-vCPU host, from 13 ms and 0.6 MB per 10**6
+# (a 25-symbol Markov trace at order 3) to 116 ms and 18 MB per 10**6 (256
 # symbols drawn uniformly, order 3: nearly every window distinct); past
 # this bound it is refused
 _MAX_KGRAM_WORK = 25_000_000
@@ -40,6 +40,11 @@ _TRACE_CHUNK = 1 << 16
 _SPACE = re.compile(r"\s")
 # memoryview formats of the machine words a k-gram's symbol numbers are packed into
 _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# _word_counts falls back to tuples where more than half of this many
+# first windows are distinct: over 500,000 uniform bytes, packed words took
+# 0.52-0.79 of the tuple count's time with at most 13% of the windows
+# distinct, 0.95-1.01 at 45%, and 1.4-1.8 times as long at 80-99%
+_WORD_SAMPLE = 4096
 
 
 class DistributionError(ValueError):
@@ -204,10 +209,10 @@ class TraceStatistics:
     estimates never increase with n.
     """
 
-    alphabet: tuple[str, ...]
+    alphabet: tuple[Hashable, ...]
     length: int
     max_order: int
-    kgram_counts: Mapping[int, Mapping[tuple[str, ...], int]]
+    kgram_counts: Mapping[int, Mapping[tuple[Hashable, ...], int]]
 
     def __post_init__(self):
         for order in range(self.max_order + 1):
@@ -218,18 +223,17 @@ class TraceStatistics:
                 raise TraceError(f"order-{order} counts do not cover the trace")
 
     @classmethod
-    def from_symbols(cls, symbols: Sequence[Hashable] | bytes, max_order: int) -> "TraceStatistics":
+    def from_symbols(cls, symbols: Sequence[Hashable], max_order: int) -> "TraceStatistics":
         """k-gram counts at orders 0..max_order of `symbols`.
 
         The window at position i runs over the trace and on into its first
-        max_order symbols again.  Where a window's symbol numbers fit one
-        8-byte word, the symbols are numbered 0, 1, ... in order of first
-        occurrence (a bytes object is its own numbering) and the numbers
-        are kept, one byte each for up to 256 distinct symbols, else 2 or 4;
-        each window's numbers are then packed into one machine word, so the
-        count hashes one int per window, not a tuple of symbols.  A wider
-        window is counted as a tuple, read in place.  Checks the order, then
-        the length, then the k-gram work bound.
+        max_order symbols again.  A bytes object (one symbol number per
+        byte, as efficiency_from_trace hands it) whose windows fit one
+        8-byte word has each window packed into one word and counted as
+        that word, unless a sample of its first windows is mostly distinct
+        (_word_counts); any other trace is counted as tuples of symbols,
+        read in place.  Checks the order, then the length, then the k-gram
+        work bound.
         """
         _check_order(max_order)
         n = len(symbols)
@@ -243,20 +247,14 @@ class TraceStatistics:
                 f"length * (order + 1)^2 must be at most {_MAX_KGRAM_WORK:,}"
             )
         k = max_order + 1
-        if isinstance(symbols, bytes):
-            numbers, names = (symbols if k <= 8 else None), None
-        else:
-            numbers, names = _numbered(symbols, k)
-        if numbers is None:
-            # a window wider than a word counts as a tuple of symbols, read
-            # in place: the n - max_order windows that fit in the trace,
-            # then the max_order that wrap, read from a copy of its last
-            # and first max_order symbols
+        top = _word_counts(symbols, k) if isinstance(symbols, bytes) and k <= 8 else None
+        if top is None:
+            # the n - max_order windows that fit in the trace, then the
+            # max_order that wrap, read from a copy of its last and first
+            # max_order symbols
             top = Counter(zip(*(islice(symbols, i, None) for i in range(k))))
             tail = [*symbols[n - max_order :], *symbols[:max_order]]
             top.update(zip(*(islice(tail, i, None) for i in range(k))))
-        else:
-            top = _word_counts(numbers, k, names)
         # with wrapped windows each k-gram is the prefix of the (k+1)-gram
         # at the same position, so summing over the last symbol is exact
         # and keeps each order's first-occurrence key order
@@ -275,57 +273,39 @@ class TraceStatistics:
         )
 
 
-def _numbered(symbols: Sequence[Hashable], k: int) -> tuple[Sequence[int] | None, list | None]:
-    """The symbols numbered 0, 1, ... in order of first occurrence, as bytes
-    for up to 256 distinct symbols, else as an array of 2- or 4-byte ints,
-    and the symbol of each number; (None, None) where a window of k numbers
-    does not fit one 8-byte word."""
-    if k > 8:
-        return None, None
-    numbering = Spellings(lambda symbol: len(numbering))
-    numbers = list(map(numbering.__getitem__, symbols))
-    names = list(numbering)
-    if len(names) <= 256:
-        return bytes(numbers), names
-    width = 2 if len(names) <= 1 << 16 else 4
-    if k * width > 8:
-        return None, None
-    from array import array
+def _word_counts(numbers: bytes, k: int) -> Counter | None:
+    """Counts of the k-grams of the wrapped windows of `numbers`, k <= 8,
+    keyed by tuples of ints in first-occurrence key order; None where there
+    are more than _WORD_SAMPLE windows and over half of the first
+    _WORD_SAMPLE are distinct.
 
-    return array(_WORD_FORMATS[width], numbers), names
-
-
-def _word_counts(numbers: Sequence[int], k: int, names: list | None) -> Counter:
-    """Counts of the k-grams of the wrapped windows of `numbers` (bytes, or
-    an array of 2- or 4-byte ints), each window's k numbers fitting one
-    8-byte word, keyed by tuples of names[number] (of the numbers where
-    names is None), in first-occurrence key order.
-
-    Byte b of the window at position i is byte i * width + b of the numbers
-    run on into their first k - 1, so one strided slice copy moves byte b
-    of every window into its word.  The words are counted in position
-    order, then the distinct ones are laid out in an array again and read
-    back in columns, one per position in the window.
+    Byte b of the word of the window at position i is byte i + b of the
+    numbers run on into their first k - 1, so one strided slice copy moves
+    byte b of every window into its word.  The words are counted in
+    position order, then the distinct ones are laid out in an array again
+    and read back in columns, one per position in the window.  Decoding
+    costs about as much per distinct word as counting a tuple, so where
+    most windows are distinct the tuple count is faster.
     """
-    view = memoryview(numbers)
-    n, width = len(view), view.itemsize
-    span = k * width
-    size = 1 << (span - 1).bit_length()  # 1, 2, 4 or 8 bytes
-    ext = b"".join((view, view[: k - 1]))
+    n = len(numbers)
+    size = 1 << (k - 1).bit_length()  # 1, 2, 4 or 8 bytes
+    ext = numbers + numbers[: k - 1]
     buf = bytearray(n * size)
-    for b in range(span):
-        buf[b::size] = ext[b : b + width * n : width]
-    counts = Counter(memoryview(buf).cast(_WORD_FORMATS[size]))
+    for b in range(k):
+        buf[b::size] = ext[b : b + n]
+    words = memoryview(buf).cast(_WORD_FORMATS[size])
+    counts = Counter(words[:_WORD_SAMPLE])
+    if n > _WORD_SAMPLE and 2 * len(counts) > _WORD_SAMPLE:
+        return None
+    counts.update(words[_WORD_SAMPLE:])
     from array import array
 
-    words, tallies = array(_WORD_FORMATS[size], counts), list(counts.values())
-    # where most windows are distinct, the words' dict is as large as the
-    # grams' about to be built: free it first
-    del counts, buf, ext
-    distinct = memoryview(words).cast("B").cast(view.format)
-    columns = [distinct[j :: size // width] for j in range(k)]
-    if names is not None:
-        columns = [map(names.__getitem__, column) for column in columns]
+    distinct = array(_WORD_FORMATS[size], counts)
+    tallies = list(counts.values())
+    # where many windows are distinct, the words' dict is large: free it
+    # before the grams' is built
+    del counts, words, buf, ext
+    columns = [memoryview(distinct).cast("B")[j::size] for j in range(k)]
     grams = Counter()  # filled as a dict: its keys are distinct, as the words were
     dict.update(grams, zip(zip(*columns), tallies))
     return grams
@@ -432,7 +412,8 @@ def efficiency_from_trace(
     come an empty trace, then the order, length and k-gram work checks.
     `symbols` (raw tokens or parse_trace's) is read once, each token
     resolved as it is read to its symbol's number, and only the numbers
-    are kept, one byte each for up to 256 distinct symbols, so a lazy
+    are kept, as bytes for up to 256 distinct symbols (which from_symbols
+    can count as packed words) and else as a list of ints, so a lazy
     stream such as split_trace(text) never holds every token string at
     once.
     """

@@ -22,6 +22,7 @@ from compucap import (
     parse_trace,
     solve_capacity,
 )
+from compucap.efficiency import _WORD_SAMPLE, _word_counts
 
 
 def per_order_counts(symbols, max_order):
@@ -38,15 +39,16 @@ def per_order_counts(symbols, max_order):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_one_pass_counts_match_per_order_counts(data):
-    # up to 300 symbols and order 9: windows of 1-byte and of 2-byte symbol
-    # numbers, of one machine word and of more than 8 bytes, all occur
+    # up to 300 symbols and order 9: bytes whose windows fit one machine
+    # word and bytes whose windows do not, and lists of more than 256
+    # symbols, all occur
     max_order = data.draw(st.integers(0, 9))
     size = data.draw(st.integers(1, 300))
     codes = data.draw(
         st.lists(st.integers(0, size - 1), min_size=max_order + 1, max_size=300)
     )
     if data.draw(st.booleans()):
-        # every symbol occurs, so past 256 of them the numbers take 2 bytes
+        # every symbol occurs, so past 256 of them no bytes can hold them
         codes += data.draw(st.permutations(range(size)))
     traces = [[f"s{code}" for code in codes], codes]
     if size <= 256:
@@ -94,9 +96,8 @@ def reference_report(iset, tokens, max_order):
 
 @pytest.mark.parametrize("max_order", [0, 3, 4])
 def test_trace_report_matches_the_per_order_reference(max_order):
-    # a family of 400 terms, over 300 of them in the trace: the symbols are
-    # numbered in 2 bytes, so an order-3 window fills one 8-byte word and an
-    # order-4 window is wider than one word
+    # a family of 400 terms, over 300 of them in the trace: the symbols'
+    # numbers do not fit one byte, so every order counts tuples
     iset = BoundInstructionSet(
         "wide",
         (BoundClass("c", 3, Fraction(2)), BoundFamily("f", 5, Fraction(1), Fraction(1, 2), 400)),
@@ -113,3 +114,20 @@ def test_trace_report_matches_the_per_order_reference(max_order):
     report = efficiency_from_trace(iset, tokens, max_order)
     assert len(set(parse_trace(" ".join(tokens)))) > 256
     assert report == reference_report(iset, tokens, max_order)
+
+
+@pytest.mark.parametrize("max_order", [1, 3, 7])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_packed_words_fall_back_to_tuples_where_windows_are_distinct(max_order, distinct):
+    # a trace of more windows than the sample: uniform over 256 symbols its
+    # first windows are nearly all distinct and the count falls back to
+    # tuples; over 4 symbols at orders below 7 they repeat and pack
+    rng = random.Random(max_order)
+    size = 256 if distinct else 4
+    symbols = bytes(rng.randrange(size) for _ in range(3 * _WORD_SAMPLE))
+    packs = not distinct and max_order < 7
+    assert (_word_counts(symbols, max_order + 1) is not None) == packs
+    stats = TraceStatistics.from_symbols(symbols, max_order)
+    for order, counts in per_order_counts(list(symbols), max_order).items():
+        assert type(stats.kgram_counts[order]) is Counter
+        assert list(stats.kgram_counts[order].items()) == list(counts.items())
