@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import BoundClass, BoundInstructionSet, brief_int
+from .model import BoundClass, BoundInstructionSet, brief_int, is_count
 
 _MAX_TIME = 100_000
 _MAX_PAIRS = 1_000_000
@@ -60,8 +60,8 @@ class CountTable:
             raise ValueError("counts must be non-negative")
 
     def count(self, time: int) -> int:
-        if not 0 <= time <= self.max_time:
-            raise ValueError(f"time {time} outside table range 0..{self.max_time}")
+        if not (is_count(time, 0) and time <= self.max_time):
+            raise ValueError(f"time {time!r} outside table range 0..{self.max_time}")
         return self.counts[time]
 
 
@@ -119,8 +119,8 @@ def count_sequences(iset: BoundInstructionSet, max_time: int) -> CountTable:
     sequence and are ignored.  Rational times are rejected rather than
     silently rescaled (see CountingError.suggested_scale).
     """
-    if max_time < 0:
-        raise ValueError(f"max_time must be >= 0, got {max_time}")
+    if not is_count(max_time, 0):
+        raise ValueError(f"max_time must be an int >= 0, got {max_time!r}")
     if max_time > _MAX_TIME:
         raise CountingError(f"max_time {max_time} exceeds the limit {_MAX_TIME}")
     mult = _multiplicities(iset, max_time)
@@ -143,8 +143,8 @@ def capacity_estimate(table: CountTable, time: int) -> float:
     Approaches the solved capacity from a bounded gap as T grows; raises
     UnreachableTimeError when N(T) = 0 (there is nothing to estimate).
     """
-    if not 1 <= time <= table.max_time:
-        raise ValueError(f"time must be in 1..{table.max_time}, got {time}")
+    if not (is_count(time) and time <= table.max_time):
+        raise ValueError(f"time must be an int in 1..{table.max_time}, got {time!r}")
     n = table.counts[time]
     if n == 0:
         raise UnreachableTimeError(time)

@@ -14,13 +14,14 @@ vertex of the budget simplex: the entire budget on one kind.
 optimize_vertex compares exactly those pure allocations; optimize_grid
 gives the exact answer over an integer grid, deciding one point per row
 and, where the relaxation bounds every allocation below the grid's last
-point, that point alone (see its docstring).  instantiate and the
-optimizers read the access classes an allocation installs from one
-table, problem.accesses.  An optimizer appends them, in instantiate's
-order, to the base's columns (compiled once per problem, kept on
-bound_base) and hands those to solve_compiled, the all-zero allocation
-included, so each result is the one solve_capacity gives for
-instantiate's set.
+point, that point alone (see its docstring).  A problem checks and
+compiles every time once, when it is built.  instantiate and the
+optimizers read the access classes an allocation installs, each with
+its exact and float time, from one table, problem.accesses.  An
+optimizer appends them, in instantiate's order, to the base's columns
+(compiled once per problem, kept on bound_base) and hands those to
+solve_compiled, the all-zero allocation included, so each result is the
+one solve_capacity gives for instantiate's set.
 """
 
 from __future__ import annotations
@@ -100,10 +101,12 @@ class MemoryKind:
 class MemoryDesignProblem:
     """Base instructions, candidate memory kinds, and a spending budget.
 
-    bound_base is the base set, bound once under its share of the binding;
-    accesses holds per kind one (kind/index, registers * count_per_cell,
-    time) entry per access class, its time evaluated once under the binding
-    and checked positive only when a cell of the kind is installed.
+    bound_base is the base set, bound once under its share of the binding
+    and compiled to its columns; accesses holds per kind one (kind/index,
+    registers * count_per_cell, time, float time) entry per access class.
+    The base is checked first, then each access time in declaration order,
+    each evaluated once under the binding, checked positive and made a
+    float, so the first fault declared is the one named.
     """
 
     base: InstructionSet
@@ -112,7 +115,7 @@ class MemoryDesignProblem:
     budget: Fraction
     binding: ParameterBinding
     bound_base: BoundInstructionSet = field(init=False, compare=False, repr=False)
-    accesses: tuple[tuple[tuple[str, int, Fraction], ...], ...] = field(
+    accesses: tuple[tuple[tuple[str, int, Fraction, float], ...], ...] = field(
         init=False, compare=False, repr=False
     )
 
@@ -136,12 +139,15 @@ class MemoryDesignProblem:
         check_binding(needed, self.binding)
         base_values = {p: self.binding.values[p] for p in self.base.parameters}
         object.__setattr__(self, "bound_base", bind(self.base, ParameterBinding(base_values)))
+        bound_columns(self.bound_base)
         values = self.binding.values
+
+        def access(name: str, ac: AccessClass) -> tuple[str, int, Fraction, float]:
+            time = check_positive_time(ac.time.evaluate(values), name)
+            return name, self.registers * ac.count_per_cell, time, time_as_float(time, name)
+
         accesses = tuple(
-            tuple(
-                (f"{kind.name}/{index}", self.registers * ac.count_per_cell, ac.time.evaluate(values))
-                for index, ac in enumerate(kind.access_classes)
-            )
+            tuple(access(f"{kind.name}/{index}", ac) for index, ac in enumerate(kind.access_classes))
             for kind in self.kinds
         )
         object.__setattr__(self, "accesses", accesses)
@@ -167,8 +173,7 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
 
     Every access class of a kind with n cells becomes a plain class of
     count registers * count_per_cell * n; kinds at zero cells contribute
-    nothing, so the all-zero allocation is exactly the base set.  Each
-    installed access time is checked positive, in declaration order.
+    nothing, so the all-zero allocation is exactly the base set.
     """
     known = {kind.name for kind in problem.kinds}
     for name, n in cells.items():
@@ -177,45 +182,30 @@ def instantiate(problem: MemoryDesignProblem, cells: Mapping[str, int]) -> Bound
         if not is_count(n, 0):
             raise ProblemError(f"cell count for {name!r} must be a non-negative integer")
     installed = (
-        BoundClass(name, scale * n, check_positive_time(time, name))
+        BoundClass(name, scale * n, time)
         for kind, accesses in zip(problem.kinds, problem.accesses)
         if (n := cells.get(kind.name, 0))
-        for name, scale, time in accesses
+        for name, scale, time, _ in accesses
     )
     return BoundInstructionSet(problem.base.name, (*problem.bound_base.members, *installed))
 
 
-def _allocation_solver(problem: MemoryDesignProblem):
-    """columns(vec), equal to compile_columns(instantiate(problem, cells).members)
-    for the cells vector vec in kind-declaration order: the base's columns
-    (bound_columns) and the log2 count and float time of each installed
-    access class.  A cell count may also be a Fraction, as in a relaxed
-    vertex: each log2 count is the log2 of its numerator less that of its
-    denominator (0.0 for an int), as float() of a Fraction overflows past
-    2**1024.  A kind's times are checked positive and become floats on its
-    first install, after the base compiles, and are kept per builder: a
-    fault is named as solve_capacity(instantiate(...)) names it, but of two
-    faults in new inputs the other may be named first.
+def _allocation_columns(problem: MemoryDesignProblem, vec: tuple[int | Fraction, ...]) -> Columns:
+    """compile_columns(instantiate(problem, cells).members) for the cells
+    vector vec in kind-declaration order: the base's columns (bound_columns)
+    and the log2 count and float time of each installed access class.  A
+    cell count may also be a Fraction, as in a relaxed vertex: each log2
+    count is the log2 of its numerator less that of its denominator (0.0
+    for an int), as float() of a Fraction overflows past 2**1024.
     """
-    kind_times: dict[int, list[float]] = {}  # kind index -> float access times
-
-    def columns(vec: tuple[int | Fraction, ...]) -> Columns:
-        kinds = [k for k, n in enumerate(vec) if n]
-        log2_counts, times, families = bound_columns(problem.bound_base)
-        for k in kinds:
-            if k not in kind_times:
-                kind_times[k] = [
-                    time_as_float(check_positive_time(time, name), name)
-                    for name, _, time in problem.accesses[k]
-                ]
-        log2_counts = log2_counts + [
-            math.log2(scale * vec[k].numerator) - math.log2(vec[k].denominator)
-            for k in kinds
-            for _, scale, _ in problem.accesses[k]
-        ]
-        return log2_counts, times + [time for k in kinds for time in kind_times[k]], families
-
-    return columns
+    installed = [(n, problem.accesses[k]) for k, n in enumerate(vec) if n]
+    log2_counts, times, families = bound_columns(problem.bound_base)
+    log2_counts = log2_counts + [
+        math.log2(scale * n.numerator) - math.log2(n.denominator)
+        for n, accesses in installed
+        for _, scale, _, _ in accesses
+    ]
+    return log2_counts, times + [time for _, accesses in installed for _, _, _, time in accesses], families
 
 
 def _allocation(problem: MemoryDesignProblem, vec: tuple[int, ...], **fields) -> Allocation:
@@ -236,13 +226,13 @@ def optimize_vertex(problem: MemoryDesignProblem) -> Allocation:
     within the tie width of the winner are reported in tie_with.
     """
     zero = (0,) * len(problem.kinds)
-    columns = _allocation_solver(problem)
-    solved = [("none", zero, solve_compiled(columns(zero), problem.base.name))]
+    solved = [("none", zero, solve_compiled(_allocation_columns(problem, zero), problem.base.name))]
     for k, kind in enumerate(problem.kinds):
         n = int(problem.budget // kind.cell_cost)
         if n > 0:
             vec = zero[:k] + (n,) + zero[k + 1 :]
-            solved.append((kind.name, vec, solve_compiled(columns(vec), problem.base.name)))
+            cap = solve_compiled(_allocation_columns(problem, vec), problem.base.name)
+            solved.append((kind.name, vec, cap))
 
     best_label, best_vec, best_cap = solved[0]
     for label, vec, cap in solved[1:]:
@@ -303,12 +293,12 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     row above the last one, but by under 1e-14 bits in every case
     measured, far inside the 1e-11 tie width.  The all-zero vector, the
     base's columns alone, is solved first, as the full walk solves it
-    first, and each kind is first installed by the same row as in the
-    full walk, so the errors come in the same order.
+    first.
 
-    The last row's last point L, the greatest vector, is solved next, and
-    the continuous relaxation bounds every other point.  For each kind k
-    the grid installs, the relaxed vertex k is the base plus the
+    The last row's last point L, the greatest vector, is solved next (the
+    all-zero vector's solve is reused where no kind affords step cells, so
+    that L is the all-zero vector), and the continuous relaxation bounds
+    every other point.  For each kind k the grid installs, the relaxed vertex k is the base plus the
     fractional budget / cell_cost_k cells of k.  An allocation of n_k
     cells, costing at most the budget B, has at every y
     g = g_base + sum over k of (n_k c_k / B) (B / c_k) a_k, where a_k is
@@ -323,9 +313,9 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     the tie rule L displaces whatever the walk held before it and, as the
     last point, is the answer: the rows before it are decided by the
     bound.  Otherwise the rows are walked, as below, and L's solve is
-    reused when the walk reaches it.  A ValueError in building, solving
-    or bounding L abandons the bound, and the walk then names every fault
-    as it would without it.
+    reused when the walk reaches it.  A ValueError in solving or
+    bounding L, a solver's refusal, abandons the bound, and the walk then
+    names every fault as it would without it.
 
     A row's last point is decided from below the floor.  log2 g is
     evaluated first at the floor less warm_slack, where that lies above
@@ -349,15 +339,18 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     # each row decides one point; the first row's, of all-zero prefix, is
     # the all-zero vector itself unless the last kind affords step cells
     solves = rows + (step * problem.kinds[-1].cell_cost <= problem.budget)
-    columns = _allocation_solver(problem)
     zero = (0,) * len(problem.kinds)
-    best, best_vec = solve_compiled(columns(zero), problem.base.name), zero
+    best, best_vec = solve_compiled(_allocation_columns(problem, zero), problem.base.name), zero
     last_cap = None
     try:
-        last_cap = solve_compiled(columns(last), problem.base.name)
+        last_cap = (
+            best if last == zero else solve_compiled(_allocation_columns(problem, last), problem.base.name)
+        )
         y = last_cap.capacity_bits + _TIE_WIDTH - 2 * warm_slack(last_cap.capacity_bits)
         bounded = all(
-            root_below(columns(zero[:k] + (problem.budget / kind.cell_cost,) + zero[k + 1 :]), y)
+            root_below(
+                _allocation_columns(problem, zero[:k] + (problem.budget / kind.cell_cost,) + zero[k + 1 :]), y
+            )
             for k, kind in enumerate(problem.kinds)
             if step * kind.cell_cost <= problem.budget
         )
@@ -374,7 +367,7 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
             if vec == last and last_cap is not None:
                 cap = last_cap
             else:
-                cols = columns(vec)
+                cols = _allocation_columns(problem, vec)
                 if root_below(cols, floor - warm_slack(best.capacity_bits)):
                     continue
                 cap = solve_compiled(cols, problem.base.name)

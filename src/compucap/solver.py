@@ -234,7 +234,7 @@ def _log2_char(columns: Columns, y: float) -> tuple[float, float]:
 
 def eval_characteristic(iset: BoundInstructionSet, y: float) -> float:
     """Evaluate g(y) = sum over instructions of 2**(-tau * y), y >= 0."""
-    if y < 0:
+    if not y >= 0:
         raise ValueError(f"y must be >= 0, got {y}")
     if y == 0.0:
         return _float(total_count(iset))

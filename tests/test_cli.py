@@ -283,6 +283,23 @@ def test_step_is_refused_outside_grid_mode(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [["--mode", "vertex"], ["--mode", "grid"], ["--mode", "grid", "--step", "3"]],
+    ids=["vertex", "grid", "grid-step-3"],
+)
+def test_a_zero_access_time_exits_3_whatever_the_mode_and_step(capsys, tmp_path, argv):
+    # at step 3 no cell of A fits the budget, and the problem is refused all the same
+    problem = tmp_path / "zero.json"
+    problem.write_text(json.dumps({
+        "base": {"name": "b", "classes": [{"name": "x", "count": 2, "time": 1}]},
+        "registers": 1,
+        "budget": 2,
+        "kinds": [{"name": "A", "cell_cost": 1, "access_classes": [{"count": 1, "time": 0}]}],
+    }))
+    code, out, err = run_cli(capsys, "optimize-memory", str(problem), *argv)
+    assert (code, out, err) == (3, "", "error: member 'A/0': evaluated time 0 is not positive\n")
+
+
 def test_param_override_merges_into_problem(capsys):
     code_base, out_base, _ = run_cli(capsys, "optimize-memory", MEMORY, "--json")
     code_ovr, out_ovr, _ = run_cli(

@@ -112,6 +112,23 @@ def test_unreachable_time():
         assert exc.time == 5
 
 
+@pytest.mark.parametrize("time", [2.5, True, -1], ids=["float", "bool", "negative"])
+def test_count_time_must_be_a_non_negative_int(time):
+    # a bool is not a count, so True does not count to 1
+    with pytest.raises(ValueError, match=f"^max_time must be an int >= 0, got {time!r}$"):
+        count_sequences(TOY, time)
+
+
+@pytest.mark.parametrize("time", [1.5, True, 0, 5], ids=["float", "bool", "zero", "past-table"])
+def test_a_table_time_must_be_an_int_in_the_table(time):
+    table = count_sequences(TOY, 4)
+    with pytest.raises(ValueError, match=f"^time must be an int in 1..4, got {time!r}$"):
+        capacity_estimate(table, time)
+    if time != 0:
+        with pytest.raises(ValueError, match=f"^time {time!r} outside table range 0..4$"):
+            table.count(time)
+
+
 def test_rational_times_rejected_with_scale_hint():
     iset = classes((1, Fraction(3, 2)), (1, 2))
     with pytest.raises(CountingError, match="by 2") as info:

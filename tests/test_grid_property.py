@@ -1,14 +1,16 @@
-"""Property test: optimize_grid on extreme problems equals a walk that
-solves every grid point."""
+"""Property tests: optimize_grid on extreme problems equals a walk that
+solves every grid point, and a problem with a bad access time is refused
+when it is built, whatever an optimizer would install."""
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compucap import optimize_grid, parse_problem
-from compucap.memory import _allocation_solver
+from compucap import BindingError, optimize_grid, optimize_vertex, parse_problem
+from compucap.memory import _allocation_columns
 from compucap.solver import root_below
 from test_memory import full_walk_grid
 
@@ -31,25 +33,36 @@ def base_classes(draw):
     return {"name": "b", "classes": classes}
 
 
-kinds = st.lists(
-    st.fixed_dictionaries({
-        "cell_cost": st.integers(1, 3),
-        "access_classes": st.lists(
-            st.fixed_dictionaries({"count": counts, "time": times}), min_size=1, max_size=2
-        ),
-    }),
-    min_size=1,
-    max_size=3,
-)
-problems = st.builds(
-    lambda base, registers, budget, kinds: {
-        "base": base,
-        "registers": registers,
-        "budget": budget,
-        "kinds": [{"name": f"K{k}", **kind} for k, kind in enumerate(kinds)],
-    },
-    base_classes(), st.integers(1, 4), st.integers(0, 8), kinds,
-)
+def problem_docs(access_times):
+    """Problem documents whose access classes draw their times from access_times."""
+    kinds = st.lists(
+        st.fixed_dictionaries({
+            "cell_cost": st.integers(1, 3),
+            "access_classes": st.lists(
+                st.fixed_dictionaries({"count": counts, "time": access_times}), min_size=1, max_size=2
+            ),
+        }),
+        min_size=1,
+        max_size=3,
+    )
+    return st.builds(
+        lambda base, registers, budget, kinds: {
+            "base": base,
+            "registers": registers,
+            "budget": budget,
+            "kinds": [{"name": f"K{k}", **kind} for k, kind in enumerate(kinds)],
+        },
+        base_classes(), st.integers(1, 4), st.integers(0, 8), kinds,
+    )
+
+
+problems = problem_docs(times)
+# zero, below the float range and past it
+BAD_TIMES = {
+    "0": (BindingError, "member '{}': evaluated time 0 is not positive"),
+    "1e-400": (ValueError, "time of '{}' lies outside the float range"),
+    "1e400": (ValueError, "time of '{}' lies outside the float range"),
+}
 
 
 @settings(max_examples=300, deadline=None)
@@ -71,6 +84,31 @@ def test_grid_on_extreme_problems_equals_the_full_walk(doc):
     assert grid.justification == justification
     # the one difference: a point whose root no solve certifies, where the
     # walk refuses, lies below the winner, as one evaluation shows
-    columns = _allocation_solver(problem)
+    columns = partial(_allocation_columns, problem)
     for vec in refused:
         assert root_below(columns(vec), grid.capacity.capacity_bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem_docs(times | st.sampled_from(sorted(BAD_TIMES))))
+def test_a_bad_access_time_refuses_the_problem_whatever_is_installed(doc):
+    bad = [
+        (f"{kind['name']}/{j}", ac["time"])
+        for kind in doc["kinds"]
+        for j, ac in enumerate(kind["access_classes"])
+        if ac["time"] in BAD_TIMES
+    ]
+    if bad:
+        name, time = bad[0]  # the first declared is named
+        error, message = BAD_TIMES[time]
+        with pytest.raises(error) as info:
+            parse_problem(json.dumps(doc))
+        assert str(info.value).startswith(message.format(name))
+        return
+    problem = parse_problem(json.dumps(doc))
+    for optimize in (optimize_vertex, *(partial(optimize_grid, step=step) for step in (1, 2, 3))):
+        try:
+            optimize(problem)
+        except ValueError as exc:
+            # a solver's refusal names the set, never an input
+            assert type(exc) is ValueError and str(exc).startswith("set 'b': "), exc

@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from compucap import (
     solve_capacity,
     total_count,
 )
-from compucap.memory import Allocation, _allocation_solver, _grid_rows
+from compucap.memory import Allocation, _allocation_columns, _grid_rows
 from compucap.solver import compile_columns, root_below, solve_compiled, warm_slack
 
 # Pure-allocation capacities of the bundled two-kind example, solved
@@ -452,19 +453,24 @@ def test_instantiate_reuses_the_bound_base(monkeypatch):
 
 
 def test_access_time_must_be_positive():
+    # the problem checks every access time when it is built, under the
+    # binding it is built with
     kind = MemoryKind(
         "A", Fraction(1), (AccessClass(1, TimeExpression(base=0, coeffs={"mu": 1})),)
     )
-    problem = MemoryDesignProblem(
-        base=parse_model(BASE_TWO),
-        registers=1,
-        kinds=(kind,),
-        budget=Fraction(1),
-        binding=ParameterBinding({"mu": 0}),
-    )
-    assert instantiate(problem, {"A": 0}).members == problem.bound_base.members
+
+    def problem(mu):
+        return MemoryDesignProblem(
+            base=parse_model(BASE_TWO),
+            registers=1,
+            kinds=(kind,),
+            budget=Fraction(1),
+            binding=ParameterBinding({"mu": mu}),
+        )
+
+    assert instantiate(problem(2), {"A": 1}).members[-1] == BoundClass("A/0", 1, Fraction(2))
     with pytest.raises(BindingError, match="'A/0': evaluated time 0 is not positive"):
-        instantiate(problem, {"A": 1})
+        problem(0)
 
 
 # --- the optimizers' compiled path against one solve_capacity per instance ---
@@ -525,7 +531,7 @@ def test_every_grid_point_matches_solve_capacity(step):
     rng = random.Random(0xC0DE + step)
     for _ in range(12):
         problem = random_problem(rng)
-        columns = _allocation_solver(problem)
+        columns = partial(_allocation_columns, problem)
         points = walked_grid(problem, step)
         assert points == fraction_grid(problem, step)
         reference = {vec: solve_vec(problem, vec) for vec in points}
@@ -539,7 +545,7 @@ def test_every_grid_point_matches_solve_capacity(step):
 def test_vertex_candidates_match_solve_capacity():
     # the builder's columns are those compile_columns gives instantiate's set
     problem = parse_problem(data_path("memory-example.json").read_text())
-    columns = _allocation_solver(problem)
+    columns = partial(_allocation_columns, problem)
     for vec in [(0, 0), (2**30, 0), (0, 2**34), (1, 3)]:
         cells = dict(zip(("kind1", "kind2"), vec))
         assert columns(vec) == compile_columns(instantiate(problem, cells).members)
@@ -557,21 +563,18 @@ def zero_time_problem(cost) -> MemoryDesignProblem:
     )
 
 
-def test_unaffordable_kind_with_zero_time_raises_nothing():
-    problem = zero_time_problem(2)
-    assert optimize_vertex(problem).label == "none"
-    assert optimize_grid(problem).cells == {"A": 0}
-    affordable = zero_time_problem(1)
-    for optimize in (optimize_vertex, optimize_grid):
+def test_a_zero_access_time_is_refused_whether_or_not_a_cell_is_affordable():
+    # the problem is refused when it is built, so no optimizer, step or
+    # budget decides whether the fault is seen
+    for cost in (2, 1):
         with pytest.raises(BindingError, match="'A/0': evaluated time 0 is not positive"):
-            optimize(affordable)
+            zero_time_problem(cost)
 
 
-@pytest.mark.parametrize("optimize", [optimize_vertex, optimize_grid])
-def test_access_time_past_float_range_names_the_class(optimize):
-    problem = small_problem(1, ("A", 1, [(1, Fraction(10) ** 400)]))
+@pytest.mark.parametrize("budget", [0, 1], ids=["unaffordable", "affordable"])
+def test_access_time_past_float_range_names_the_class(budget):
     with pytest.raises(ValueError, match="time of 'A/0' lies outside the float range"):
-        optimize(problem)
+        small_problem(budget, ("A", 1, [(1, Fraction(10) ** 400)]))
 
 
 @pytest.mark.parametrize("optimize", [optimize_vertex, optimize_grid])
@@ -785,7 +788,7 @@ def test_a_relaxed_count_past_the_float_range_takes_its_log2_exactly():
         "budget": 8,
         "kinds": [{"name": "K", "cell_cost": 3, "access_classes": [{"count": "1*2^1024", "time": 1}]}],
     }))
-    log2_counts, _, _ = _allocation_solver(problem)((Fraction(8, 3),))
+    log2_counts, _, _ = _allocation_columns(problem, (Fraction(8, 3),))
     assert log2_counts[-1] == 1024 + math.log2(8) - math.log2(3)
     assert assert_grid_matches_full_walk(problem, 1).cells == {"K": 2}
 
@@ -839,14 +842,9 @@ F = Fraction
             {"A": 1, "B": 0},
         ),
         (
-            2, (("Z", 1, [(1, 0)]), ("A", 1, [(1, 1)])),
-            [
-                # installing Z raises, so the walk names it where it installs it
-                ("build", (0, 0)), ("solve", (0, 0)), ("build", (2, 0)),
-                ("build", (0, 2)), ("probe", (0, 2), False), ("solve", (0, 2)),
-                ("build", (1, 1)),
-            ],
-            None,
+            # the problem refuses Z's zero time when it is built, so no
+            # allocation is built or solved
+            2, (("Z", 1, [(1, 0)]), ("A", 1, [(1, 1)])), [], None,
         ),
     ],
     ids=["last-point-wins", "identical-kinds-tie", "last-kind-wins", "fractional-cells", "zero-access-time"],
@@ -854,22 +852,16 @@ F = Fraction
 def test_grid_solves_the_base_then_the_last_point_then_bounds_it(monkeypatch, budget, kinds, events, cells):
     import compucap.memory
 
-    problem = small_problem(budget, *kinds)
-    make_columns = compucap.memory._allocation_solver
+    make_columns = compucap.memory._allocation_columns
     seen, built = [], []  # built: (vec, its columns), to name what a probe or solve reads
 
     def vec_of(cols):
         return next(vec for vec, built_cols in built if built_cols is cols)
 
-    def spy(problem):
-        columns = make_columns(problem)
-
-        def counted(vec):
-            seen.append(("build", vec))
-            built.append((vec, columns(vec)))
-            return built[-1][1]
-
-        return counted
+    def spy(problem, vec):
+        seen.append(("build", vec))
+        built.append((vec, make_columns(problem, vec)))
+        return built[-1][1]
 
     def probe(cols, y):
         below = root_below(cols, y)
@@ -880,15 +872,14 @@ def test_grid_solves_the_base_then_the_last_point_then_bounds_it(monkeypatch, bu
         seen.append(("solve", vec_of(cols)))
         return solve_compiled(cols, name)
 
-    monkeypatch.setattr(compucap.memory, "_allocation_solver", spy)
+    monkeypatch.setattr(compucap.memory, "_allocation_columns", spy)
     monkeypatch.setattr(compucap.memory, "root_below", probe)
     monkeypatch.setattr(compucap.memory, "solve_compiled", solve_point)
     if cells is None:
         with pytest.raises(BindingError, match="'Z/0': evaluated time 0 is not positive"):
-            optimize_grid(problem)
-        with pytest.raises(BindingError, match="'Z/0': evaluated time 0 is not positive"):
-            full_walk_grid(problem, 1)
+            small_problem(budget, *kinds)
     else:
+        problem = small_problem(budget, *kinds)
         grid = optimize_grid(problem)
         assert grid.cells == cells
         assert (grid.cells, grid.total_cost, grid.capacity, grid.justification) == full_walk_grid(problem, 1)
@@ -901,23 +892,24 @@ def test_base_time_past_float_range_is_named_before_a_zero_access_time():
         ' {"name": "far", "count": 1, "time": "1e400"}]}'
     )
     kind = MemoryKind("A", Fraction(1), (AccessClass(1, TimeExpression(base=0)),))
-    problem = MemoryDesignProblem(
-        base=base, registers=1, kinds=(kind,), budget=Fraction(1), binding=ParameterBinding({})
-    )
+    # the base is compiled before any access time is checked
     with pytest.raises(ValueError, match="time of 'far' lies outside the float range"):
-        optimize_grid(problem)
+        MemoryDesignProblem(
+            base=base, registers=1, kinds=(kind,), budget=Fraction(1), binding=ParameterBinding({})
+        )
 
 
-def test_zero_access_time_names_the_kind_the_first_row_installs():
+def test_zero_access_times_name_the_first_declared_kind():
+    # of two faults the one declared first is named, though the grid's
+    # first row would install B first
     kinds = tuple(
         MemoryKind(name, Fraction(1), (AccessClass(1, TimeExpression(base=0)),)) for name in "AB"
     )
-    problem = MemoryDesignProblem(
-        base=parse_model(BASE_TWO), registers=1, kinds=kinds, budget=Fraction(2),
-        binding=ParameterBinding({}),
-    )
-    with pytest.raises(BindingError, match="'B/0': evaluated time 0 is not positive"):
-        optimize_grid(problem)
+    with pytest.raises(BindingError, match="'A/0': evaluated time 0 is not positive"):
+        MemoryDesignProblem(
+            base=parse_model(BASE_TWO), registers=1, kinds=kinds, budget=Fraction(2),
+            binding=ParameterBinding({}),
+        )
 
 
 KIND_B = '{"name": "B", "cell_cost": 1, "access_classes": [{"count": 1, "time": 1}, {"count": %s, "time": 1}]}'
@@ -987,6 +979,7 @@ def test_a_one_instruction_base_is_solved_from_its_columns(monkeypatch, optimize
     assert (best.cells, best.total_cost) == ({"K": 0}, 0)
     assert best.capacity == CapacityResult(0.0, 0.0, 0.0, 0)
     assert solved and all(cols == ([0.0], [3.0], []) for cols in solved)
+    assert len(solved) == 1  # the grid's last point is the all-zero vector, solved once
 
 
 def test_a_hand_built_base_count_below_one_is_named():

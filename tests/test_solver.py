@@ -82,9 +82,10 @@ def test_eval_at_zero_is_total_count():
     assert eval_characteristic(fam, 0.0) == 33.0
 
 
-def test_eval_rejects_negative_argument():
-    with pytest.raises(ValueError):
-        eval_characteristic(TOY, -0.5)
+@pytest.mark.parametrize("y", [-0.5, math.nan], ids=["negative", "nan"])
+def test_eval_rejects_negative_argument(y):
+    with pytest.raises(ValueError, match=f"^y must be >= 0, got {y}$"):
+        eval_characteristic(TOY, y)
 
 
 def test_eval_where_every_weight_underflows_is_zero():
