@@ -6,9 +6,9 @@ count, optimize-memory.  Reports render either as readable text or, with
 digits, no timestamps — identical inputs produce byte-identical output.
 A report is printed only once it is complete, so failures never leave a
 partial JSON object on stdout.  Each subcommand imports only the layers
-it runs, so a command starts without loading the others.  A subcommand
-returns its inputs, results and warnings; `main` alone builds the report
-around them and names the command.
+it runs: capacity and distribution load the solver, never the trace
+module.  A subcommand returns its inputs, results and warnings; `main`
+alone builds the report around them and names the command.
 """
 
 from __future__ import annotations
@@ -134,8 +134,7 @@ def _load_bound(args) -> tuple[BoundInstructionSet, dict]:
 
 def _load_and_solve(args):
     """The bound model, its inputs, its capacity and its optimal distribution."""
-    from .efficiency import optimal_distribution
-    from .solver import solve_capacity
+    from .solver import optimal_distribution, solve_capacity
 
     bound, inputs = _load_bound(args)
     cap = solve_capacity(bound)

@@ -1,9 +1,9 @@
-"""Instruction distributions, empirical entropy, and efficiency.
+"""Empirical entropy and efficiency of instruction distributions and traces.
 
 The capacity-achieving way to use an instruction set draws instructions
 i.i.d. with probability 2**(-tau(x) * y*) each, where y* is the solved
-capacity; under that distribution the entropy produced per unit of
-execution time equals the capacity, and no other distribution does better.
+capacity (the solver's optimal_distribution); under it the entropy per
+unit of execution time equals the capacity, and no other does better.
 
 Real workloads are measured instead: a trace of executed instruction
 symbols yields plug-in entropy estimates of increasing order, and the
@@ -23,9 +23,9 @@ from itertools import chain, islice
 from .model import (
     BoundClass, BoundInstructionSet, BoundMember, Spellings, brief_rational, decimal_fraction, is_ident,
 )
-from .solver import CapacityResult, bound_columns, compile_columns, member_points, solve_capacity, time_as_float
+from .solver import DistributionError, InstructionDistribution, compile_columns, member_points, optimal_distribution
+from .solver import solve_capacity, time_as_float
 
-_MASS_SLACK = 1e-10
 # a token of more characters is quoted in a message by its ends (_quote)
 _QUOTE_CHARS = 60
 # counting k-grams costs time and memory that grow with length * (order +
@@ -47,65 +47,8 @@ _WORD_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _WORD_SAMPLE = 4096
 
 
-class DistributionError(ValueError):
-    """A probability assignment is inconsistent with the instruction set."""
-
-
 class TraceError(ValueError):
     """A trace is malformed or does not match the instruction set."""
-
-
-@dataclass(frozen=True)
-class InstructionDistribution:
-    """Probability mass per member (families carry their aggregate mass).
-
-    When log2_x0 is set, each individual instruction of time tau holds
-    probability 2**(-tau * log2_x0); the member masses are the per-count
-    (and, for families, per-term) totals of that rule.
-    """
-
-    masses: Mapping[str, float]
-    log2_x0: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "masses", dict(self.masses))
-        total = 0.0
-        for name, mass in self.masses.items():
-            if not mass >= 0.0:
-                raise DistributionError(f"mass of {name!r} is negative: {mass}")
-            total += mass
-        if abs(total - 1.0) > _MASS_SLACK:
-            raise DistributionError(f"masses sum to {total!r}, not 1")
-
-    def mass(self, name: str) -> float:
-        return self.masses.get(name, 0.0)
-
-    def instruction_probability(self, time: float | Fraction) -> float:
-        """Per-individual-instruction probability at the given time; a time
-        past the float range gives the value the formula rounds to, 0.0
-        (or 1.0 where log2_x0 is 0)."""
-        if self.log2_x0 is None:
-            raise DistributionError("distribution carries no per-instruction rule")
-        try:
-            exponent = -float(time) * self.log2_x0
-        except OverflowError:
-            exponent = -math.inf * self.log2_x0 if self.log2_x0 else 0.0
-        return 2.0 ** exponent
-
-
-def optimal_distribution(
-    iset: BoundInstructionSet, cap: CapacityResult
-) -> InstructionDistribution:
-    """The capacity-achieving distribution at the solved root.
-
-    Class mass is count * 2**(-tau * y*); a family's mass is the closed
-    geometric total over its terms.  The masses sum to 1 up to the solver
-    residual, since their sum is exactly the characteristic value g(y*).
-    """
-    y = cap.capacity_bits
-    log2_weights, _ = member_points(bound_columns(iset), y)
-    masses = {m.name: 2.0 ** w for m, w in zip(iset.members, log2_weights)}
-    return InstructionDistribution(masses=masses, log2_x0=y)
 
 
 # --- traces and empirical statistics ---
@@ -143,6 +86,8 @@ def split_trace(text: str) -> Iterator[str]:
     """The tokens of text.split(), made one chunk of about _TRACE_CHUNK
     characters at a time, each chunk cut at whitespace so that no token is
     cut: only one chunk's token strings are held at once."""
+    if not isinstance(text, str):
+        raise TraceError(f"trace text must be a str, not {type(text).__name__}")
     return chain.from_iterable(map(str.split, _chunks(text)))
 
 
@@ -358,6 +303,8 @@ def efficiency_from_distribution(
     members = _member_index(iset)
     mean_time = 0.0
     for token, mass in dist.masses.items():
+        if not isinstance(token, str):
+            raise DistributionError(f"distribution key {token!r} is not a str member name")
         if mass == 0.0:
             continue
         name, sep, _ = token.partition("@")
@@ -412,17 +359,21 @@ def efficiency_from_trace(
     come an empty trace, then the order, length and k-gram work checks.
     `symbols` (raw tokens or parse_trace's) is read once, each token
     resolved as it is read to its symbol's number, and only the numbers
-    are kept, as bytes for up to 256 distinct symbols (which from_symbols
-    can count as packed words) and else as a list of ints, so a lazy
+    are kept: a list of ints, copied to bytes for up to 256 distinct
+    symbols (which from_symbols can count as packed words), so a lazy
     stream such as split_trace(text) never holds every token string at
     once.
     """
+    if isinstance(symbols, (str, bytes)):
+        raise TraceError(f"trace is one {type(symbols).__name__} object, not its str tokens: pass split_trace(text)")
     members = _member_index(iset)
     numbering = {}  # symbol -> 0, 1, ... in order of first occurrence
     # number -> (time, log2 of how many equally likely instructions it stands for)
     table = []
 
     def resolve(token: str) -> int:
+        if not isinstance(token, str):
+            raise TraceError(f"trace token {token!r} is not a str: pass the tokens of split_trace(text)")
         symbol, time = _canonical_token(token)
         name = symbol.partition("@")[0]
         member = members.get(name)

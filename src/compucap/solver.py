@@ -1,4 +1,4 @@
-"""Capacity of a bound instruction set.
+"""Capacity of a bound instruction set, and the distribution that achieves it.
 
 An instruction set whose instructions x take positive times tau(x) has a
 characteristic equation
@@ -40,21 +40,21 @@ every member, and (index, step, terms) for each member of more than one
 term.  solve_compiled is the one solve: solve_capacity hands it a set's
 columns, and the memory optimizer those of each allocation.  One pass
 over the columns, member_points, gives every member's log2 weight and
-mean time at y; the solve, the distribution and a family's mean time in
-efficiency_from_distribution() all evaluate through it.  The pass fixes
-each float operation and its order: a member's log2 weight is (log2
-count - time * y) + log2 of its closed sum, its mean time is time + step
-* mean index, and the aggregate sums weights and weight * mean in member
-order.  So a member's figures are the same floats whichever caller asks
-and whatever members stand beside it, and tests compare the pass with a
-per-member reference by ==, not by a tolerance.
+mean time at y; the solve, optimal_distribution and a family's mean time
+in efficiency_from_distribution() all evaluate through it.  The pass
+fixes each float operation and its order: a member's log2 weight is
+(log2 count - time * y) + log2 of its closed sum, its mean time is time
++ step * mean index, and the aggregate sums weights and weight * mean in
+member order.  So a member's figures are the same floats whichever
+caller asks and whatever members stand beside it, and tests compare the
+pass with a per-member reference by ==, not by a tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, truediv
@@ -65,6 +65,7 @@ _LN2 = math.log(2.0)
 _MAX_ITERATIONS = 10_000
 TOLERANCE = 1e-12  # widest certified bracket, in bits per time unit
 _RESIDUAL_LIMIT = 1e-10
+_MASS_SLACK = 1e-10
 _FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
@@ -204,6 +205,63 @@ def member_points(columns: Columns, y: float) -> tuple[list[float], list[float]]
         values[index] += log2_sum
         means[index] += step * mean_index
     return values, means
+
+
+class DistributionError(ValueError):
+    """A probability assignment is inconsistent with the instruction set."""
+
+
+@dataclass(frozen=True)
+class InstructionDistribution:
+    """Probability mass per member (families carry their aggregate mass).
+
+    When log2_x0 is set, each individual instruction of time tau holds
+    probability 2**(-tau * log2_x0); the member masses are the per-count
+    (and, for families, per-term) totals of that rule.
+    """
+
+    masses: Mapping[str, float]
+    log2_x0: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "masses", dict(self.masses))
+        total = 0.0
+        for name, mass in self.masses.items():
+            if not mass >= 0.0:
+                raise DistributionError(f"mass of {name!r} is negative: {mass}")
+            total += mass
+        if abs(total - 1.0) > _MASS_SLACK:
+            raise DistributionError(f"masses sum to {total!r}, not 1")
+
+    def mass(self, name: str) -> float:
+        return self.masses.get(name, 0.0)
+
+    def instruction_probability(self, time: float | Fraction) -> float:
+        """Per-individual-instruction probability at the given time; a time
+        past the float range gives the value the formula rounds to, 0.0
+        (or 1.0 where log2_x0 is 0)."""
+        if self.log2_x0 is None:
+            raise DistributionError("distribution carries no per-instruction rule")
+        try:
+            exponent = -float(time) * self.log2_x0
+        except OverflowError:
+            exponent = -math.inf * self.log2_x0 if self.log2_x0 else 0.0
+        return 2.0 ** exponent
+
+
+def optimal_distribution(
+    iset: BoundInstructionSet, cap: CapacityResult
+) -> InstructionDistribution:
+    """The capacity-achieving distribution at the solved root.
+
+    Class mass is count * 2**(-tau * y*); a family's mass is the closed
+    geometric total over its terms.  The masses sum to 1 up to the solver
+    residual, since their sum is exactly the characteristic value g(y*).
+    """
+    y = cap.capacity_bits
+    log2_weights, _ = member_points(bound_columns(iset), y)
+    masses = {m.name: 2.0 ** w for m, w in zip(iset.members, log2_weights)}
+    return InstructionDistribution(masses=masses, log2_x0=y)
 
 
 def _log2_char(columns: Columns, y: float) -> tuple[float, float]:

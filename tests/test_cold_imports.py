@@ -71,14 +71,16 @@ def test_importing_the_cli_loads_only_the_model():
     assert run_fresh("import compucap.cli\n")["loaded"] == ["compucap.cli", "compucap.model"]
 
 
-SOLVE = ["compucap.cli", "compucap.efficiency", "compucap.model", "compucap.solver"]
+SOLVE = ["compucap.cli", "compucap.model", "compucap.solver"]
+TRACE = ["compucap.cli", "compucap.efficiency", "compucap.model", "compucap.solver"]
+EFFICIENCY_ARGV = ["efficiency", str(DATA / "toy.json"), str(DATA / "toy-trace.txt")]
 
 
 # (argv, the package modules it loads) for each subcommand on bundled data
 SUBCOMMANDS = [
     (["capacity", str(DATA / "toy.json")], SOLVE),
     (["distribution", str(DATA / "toy.json")], SOLVE),
-    (["efficiency", str(DATA / "toy.json"), str(DATA / "toy-trace.txt")], SOLVE),
+    (EFFICIENCY_ARGV, TRACE),
     (
         ["count", str(DATA / "toy.json"), "--max-time", "8"],
         ["compucap.cli", "compucap.counting", "compucap.model"],
@@ -121,8 +123,24 @@ def test_efficiency_is_the_module_whatever_loads_it(code):
 
 
 def test_efficiency_is_the_module_after_a_cli_command():
-    report = run_fresh(cli_code("capacity", str(DATA / "toy.json")) + EFFICIENCY_IS_THE_MODULE)
-    assert report["loaded"] == SOLVE
+    report = run_fresh(cli_code(*EFFICIENCY_ARGV) + EFFICIENCY_IS_THE_MODULE)
+    assert report["loaded"] == TRACE
+
+
+MOVED_TO_THE_SOLVER = ["DistributionError", "InstructionDistribution", "optimal_distribution"]
+
+
+@pytest.mark.parametrize("name", MOVED_TO_THE_SOLVER)
+def test_the_distribution_names_are_the_solvers_objects(name):
+    # the solver defines them; the package and the efficiency module export the same objects
+    report = run_fresh(
+        "import compucap\n"
+        f"value = getattr(compucap, {name!r})\n"
+        "import compucap.efficiency, compucap.solver\n"
+        f"assert value is getattr(compucap.efficiency, {name!r}) is getattr(compucap.solver, {name!r})\n"
+        f"assert {name!r} in compucap.__all__\n"
+    )
+    assert report["loaded"] == ["compucap.efficiency", "compucap.model", "compucap.solver"]
 
 
 def test_importlib_reaches_the_same_module():

@@ -592,6 +592,54 @@ def test_huge_time_annotation_is_a_trace_error_naming_the_token(annotation):
     assert time.perf_counter() - start < 1.0
 
 
+# --- traces and distributions handed over in the wrong form ---
+
+SPLIT_TRACE_HINT = "is not a str: pass the tokens of split_trace(text)"
+
+
+@pytest.mark.parametrize("symbols", ["fast slow fast", b"fast slow fast"], ids=["str", "bytes"])
+def test_a_whole_trace_text_is_refused_naming_split_trace(symbols):
+    # a str was scored character by character, and bytes number by number
+    with pytest.raises(TraceError) as info:
+        efficiency_from_trace(two_speed(), symbols, 0)
+    kind = type(symbols).__name__
+    assert str(info.value) == f"trace is one {kind} object, not its str tokens: pass split_trace(text)"
+
+
+@pytest.mark.parametrize(
+    "symbols, token",
+    [(["fast", 2], "2"), (["fast", b"slow"], "b'slow'"), (bytearray(b"fast"), "102"), (iter(["slow", 1.5]), "1.5")],
+)
+def test_a_trace_token_that_is_not_a_str_is_refused_naming_split_trace(symbols, token):
+    with pytest.raises(TraceError) as info:
+        efficiency_from_trace(two_speed(), symbols, 0)
+    assert str(info.value) == f"trace token {token} {SPLIT_TRACE_HINT}"
+
+
+def test_a_token_that_is_not_a_str_is_named_in_trace_order():
+    with pytest.raises(TraceError, match=re.escape(f"trace token 2 {SPLIT_TRACE_HINT}")):
+        efficiency_from_trace(two_speed(), ["fast", 2, "zz"], 0)
+    with pytest.raises(TraceError, match="unknown instruction symbol 'zz'"):
+        efficiency_from_trace(two_speed(), ["fast", "zz", 2], 0)
+
+
+@pytest.mark.parametrize("text", [b"fast slow", bytearray(b"fast"), ["fast", "slow"]], ids=["bytes", "bytearray", "list"])
+def test_a_trace_text_that_is_not_a_str_is_refused(text):
+    message = f"trace text must be a str, not {type(text).__name__}"
+    for call in (parse_trace, efficiency_module.split_trace):
+        with pytest.raises(TraceError) as info:
+            call(text)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("masses", [{1: 1.0}, {"fast": 1.0, 2: 0.0}, {("fast",): 1.0}])
+def test_a_distribution_key_that_is_not_a_str_is_refused(masses):
+    key = next(k for k in masses if not isinstance(k, str))
+    with pytest.raises(DistributionError) as info:
+        efficiency_from_distribution(two_speed(), masses, 1.0)
+    assert str(info.value) == f"distribution key {key!r} is not a str member name"
+
+
 # --- chunked parsing and counting in place ---
 
 CHUNK = efficiency_module._TRACE_CHUNK
