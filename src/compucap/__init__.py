@@ -26,8 +26,6 @@ _EXPORTS = {
         "count_sequences",
     ),
     "efficiency": (
-        "DistributionError",
-        "InstructionDistribution",
         "OrderEstimate",
         "TraceEfficiencyReport",
         "TraceError",
@@ -35,7 +33,6 @@ _EXPORTS = {
         "efficiency_from_distribution",
         "efficiency_from_trace",
         "entropy_order_n",
-        "optimal_distribution",
         "parse_trace",
     ),
     "memory": (
@@ -68,7 +65,10 @@ _EXPORTS = {
     ),
     "solver": (
         "CapacityResult",
+        "DistributionError",
+        "InstructionDistribution",
         "eval_characteristic",
+        "optimal_distribution",
         "solve_capacity",
     ),
 }

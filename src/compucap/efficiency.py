@@ -390,7 +390,13 @@ def efficiency_from_trace(
             table.append((time_as_float(time, symbol), math.log2(count)))
         return number
 
-    resolved = list(map(Spellings(resolve).__getitem__, symbols))
+    tokens, resolved = map(Spellings(resolve).__getitem__, symbols), []
+    try:
+        resolved.extend(tokens)
+    except TypeError as exc:  # the spelling table cannot hash the token after the last resolved
+        raise TraceError(
+            f"trace token number {len(resolved) + 1} ({exc}) is not a str: pass the tokens of split_trace(text)"
+        ) from exc
     if not resolved:
         raise TraceError("trace is empty")
     if len(table) <= 256:

@@ -251,9 +251,10 @@ def optimize_vertex(problem: MemoryDesignProblem) -> Allocation:
 
 
 def _grid_rows(problem: MemoryDesignProblem, step: int):
-    """Yield every feasible cells vector on the step grid as rows (prefix,
-    top): a row stands for the vectors prefix + (n,), for n in
-    range(0, top + 1, step).  Vectors come in kind-declaration order,
+    """Yield every feasible cells vector on the step grid as rows (greatest
+    point, number of points): a row of c points stands for the vectors that
+    differ from its greatest point only in the last kind's count, which runs
+    0, step, ..., (c - 1) * step.  Vectors come in kind-declaration order,
     depth-first.  The budget and cell costs are scaled by the lcm of their
     denominators, to integers that divide exactly as the rationals do.
     Each kind but the last extends every partial row (prefix, remaining
@@ -268,7 +269,8 @@ def _grid_rows(problem: MemoryDesignProblem, step: int):
     rows = iter([((), int(problem.budget * scale))])
     for cost in heads:
         rows = extend(rows, cost)
-    return ((prefix, remaining // last) for prefix, remaining in rows)
+    per_point = last * step  # the scaled cost of step cells of the last kind
+    return ((p + (r // per_point * step,), r // per_point + 1) for p, r in rows)
 
 
 def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
@@ -291,16 +293,19 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     each later one is, and the row's last point is taken exactly when any
     of its points would be.  Float rounding can put an earlier point of a
     row above the last one, but by under 1e-14 bits in every case
-    measured, far inside the 1e-11 tie width.  The all-zero vector, the
-    base's columns alone, is solved first, as the full walk solves it
-    first.
+    measured, far inside the 1e-11 tie width.
 
-    The last row's last point L, the greatest vector, is solved next (the
-    all-zero vector's solve is reused where no kind affords step cells, so
-    that L is the all-zero vector), and the continuous relaxation bounds
-    every other point.  For each kind k the grid installs, the relaxed vertex k is the base plus the
-    fractional budget / cell_cost_k cells of k.  An allocation of n_k
-    cells, costing at most the budget B, has at every y
+    No vector is solved twice: each solve's result is kept in one table,
+    vector -> CapacityResult, and the walk reads a vector found there
+    instead of probing or solving it.  A refused solve keeps nothing, so
+    the walk decides that vector afresh and names the refusal.
+
+    The all-zero vector, the base's columns alone, is solved first, as the
+    full walk solves it first.  The last row's last point L, the greatest
+    vector, is solved next, and the continuous relaxation bounds every
+    other point.  For each kind k the grid installs, the relaxed vertex k
+    is the base plus the fractional budget / cell_cost_k cells of k.  An
+    allocation of n_k cells, costing at most the budget B, has at every y
     g = g_base + sum over k of (n_k c_k / B) (B / c_k) a_k, where a_k is
     one cell's share of g; the weights n_k c_k / B sum to at most 1, so g
     is at most the largest relaxed vertex's g.  log2 g of each relaxed
@@ -312,10 +317,9 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     certifies it, lies below L's capacity plus the tie width, so under
     the tie rule L displaces whatever the walk held before it and, as the
     last point, is the answer: the rows before it are decided by the
-    bound.  Otherwise the rows are walked, as below, and L's solve is
-    reused when the walk reaches it.  A ValueError in solving or
-    bounding L, a solver's refusal, abandons the bound, and the walk then
-    names every fault as it would without it.
+    bound.  Otherwise the rows are walked, as below.  A ValueError in
+    solving or bounding L, a solver's refusal, abandons the bound, and
+    the walk then names every fault as it would without it.
 
     A row's last point is decided from below the floor.  log2 g is
     evaluated first at the floor less warm_slack, where that lies above
@@ -330,23 +334,21 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     if not is_count(step):
         raise ProblemError(f"step must be a positive integer, got {step!r}")
     points = rows = 0
-    for prefix, top in _grid_rows(problem, step):
-        points += top // step + 1
+    for last, count in _grid_rows(problem, step):
+        points += count
         rows += 1
         if points > _MAX_GRID_POINTS:
             raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
-    last = prefix + (top - top % step,)
     # each row decides one point; the first row's, of all-zero prefix, is
     # the all-zero vector itself unless the last kind affords step cells
     solves = rows + (step * problem.kinds[-1].cell_cost <= problem.budget)
     zero = (0,) * len(problem.kinds)
-    best, best_vec = solve_compiled(_allocation_columns(problem, zero), problem.base.name), zero
-    last_cap = None
+    solved = {zero: solve_compiled(_allocation_columns(problem, zero), problem.base.name)}
+    best_vec = zero
     try:
-        last_cap = (
-            best if last == zero else solve_compiled(_allocation_columns(problem, last), problem.base.name)
-        )
-        y = last_cap.capacity_bits + _TIE_WIDTH - 2 * warm_slack(last_cap.capacity_bits)
+        if last not in solved:
+            solved[last] = solve_compiled(_allocation_columns(problem, last), problem.base.name)
+        y = solved[last].capacity_bits + _TIE_WIDTH - 2 * warm_slack(solved[last].capacity_bits)
         bounded = all(
             root_below(
                 _allocation_columns(problem, zero[:k] + (problem.budget / kind.cell_cost,) + zero[k + 1 :]), y
@@ -357,24 +359,20 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     except ValueError:
         bounded = False
     if bounded:
-        best, best_vec = last_cap, last
+        best_vec = last
     else:
-        for prefix, top in _grid_rows(problem, step):
-            vec = prefix + (top - top % step,)
-            if vec == zero:  # the first row holds the all-zero vector alone
-                continue
-            floor = best.capacity_bits - _TIE_WIDTH
-            if vec == last and last_cap is not None:
-                cap = last_cap
-            else:
+        for vec, _ in _grid_rows(problem, step):
+            best = solved[best_vec].capacity_bits
+            cap = solved.get(vec)
+            if cap is None:
                 cols = _allocation_columns(problem, vec)
-                if root_below(cols, floor - warm_slack(best.capacity_bits)):
+                if root_below(cols, best - _TIE_WIDTH - warm_slack(best)):
                     continue
-                cap = solve_compiled(cols, problem.base.name)
-            if cap.capacity_bits >= floor:
-                best, best_vec = cap, vec
+                cap = solved[vec] = solve_compiled(cols, problem.base.name)
+            if cap.capacity_bits >= best - _TIE_WIDTH:
+                best_vec = vec
     return _allocation(
-        problem, best_vec, capacity=best, label="grid",
+        problem, best_vec, capacity=solved[best_vec], label="grid",
         justification=f"evaluated {points} feasible allocations on a step-{step} grid "
         f"by solving {solves}: capacity never falls as a cell is added, "
         "so each row's last point stands for its row",

@@ -14,6 +14,7 @@ import pytest
 
 from compucap import data_path
 from compucap.cli import build_parser, main, render_json
+from test_memory import OVERFLOW_PROBLEM
 
 TOY = str(data_path("toy.json"))
 MIX = str(data_path("mix.json"))
@@ -298,6 +299,16 @@ def test_a_zero_access_time_exits_3_whatever_the_mode_and_step(capsys, tmp_path,
     }))
     code, out, err = run_cli(capsys, "optimize-memory", str(problem), *argv)
     assert (code, out, err) == (3, "", "error: member 'A/0': evaluated time 0 is not positive\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--mode", "vertex"], ["--mode", "grid"], ["--mode", "grid", "--json"]], ids=["vertex", "grid", "grid-json"]
+)
+def test_a_capacity_past_the_float_range_exits_2_in_either_mode(capsys, tmp_path, argv):
+    problem = tmp_path / "overflow.json"
+    problem.write_text(json.dumps(OVERFLOW_PROBLEM))
+    code, out, err = run_cli(capsys, "optimize-memory", str(problem), *argv)
+    assert (code, out, err) == (2, "", "error: set 'b': the capacity lies outside the float range\n")
 
 
 def test_param_override_merges_into_problem(capsys):

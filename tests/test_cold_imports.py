@@ -112,7 +112,7 @@ def test_each_subcommand_without_site_skips_typing(argv):
     [
         "import compucap.efficiency\n",
         "import types\nimport compucap.efficiency as m\nassert isinstance(m, types.ModuleType)\n",
-        "from compucap import optimal_distribution\n",
+        "from compucap import efficiency_from_distribution\n",
         "from compucap import efficiency\nimport compucap.efficiency as m\nassert efficiency is m\n",
     ],
     ids=["import-submodule", "import-as", "from-import", "from-import-module"],
@@ -141,6 +141,13 @@ def test_the_distribution_names_are_the_solvers_objects(name):
         f"assert {name!r} in compucap.__all__\n"
     )
     assert report["loaded"] == ["compucap.efficiency", "compucap.model", "compucap.solver"]
+
+
+@pytest.mark.parametrize("name", MOVED_TO_THE_SOLVER)
+def test_the_distribution_names_load_only_the_solver(name):
+    # the package resolves each name from the module that defines it
+    report = run_fresh(f"import compucap\ncompucap.{name}\n")
+    assert report["loaded"] == ["compucap.model", "compucap.solver"]
 
 
 def test_importlib_reaches_the_same_module():

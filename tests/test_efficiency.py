@@ -608,7 +608,12 @@ def test_a_whole_trace_text_is_refused_naming_split_trace(symbols):
 
 @pytest.mark.parametrize(
     "symbols, token",
-    [(["fast", 2], "2"), (["fast", b"slow"], "b'slow'"), (bytearray(b"fast"), "102"), (iter(["slow", 1.5]), "1.5")],
+    [
+        (["fast", 2], "2"), (["fast", b"slow"], "b'slow'"), (bytearray(b"fast"), "102"), (iter(["slow", 1.5]), "1.5"),
+        # an unhashable token is named by its place, as the spelling table cannot look it up
+        (["fast", ["x"]], "number 2 (unhashable type: 'list')"),
+        (iter(["slow", "fast", {}]), "number 3 (unhashable type: 'dict')"),
+    ],
 )
 def test_a_trace_token_that_is_not_a_str_is_refused_naming_split_trace(symbols, token):
     with pytest.raises(TraceError) as info:
@@ -621,6 +626,10 @@ def test_a_token_that_is_not_a_str_is_named_in_trace_order():
         efficiency_from_trace(two_speed(), ["fast", 2, "zz"], 0)
     with pytest.raises(TraceError, match="unknown instruction symbol 'zz'"):
         efficiency_from_trace(two_speed(), ["fast", "zz", 2], 0)
+    with pytest.raises(TraceError, match="unknown instruction symbol 'zz'"):
+        efficiency_from_trace(two_speed(), ["fast", "zz", ["x"]], 0)
+    with pytest.raises(TraceError, match=re.escape("trace token number 2 (unhashable type: 'list')")):
+        efficiency_from_trace(two_speed(), ["fast", ["x"], "zz"], 0)
 
 
 @pytest.mark.parametrize("text", [b"fast slow", bytearray(b"fast"), ["fast", "slow"]], ids=["bytes", "bytearray", "list"])

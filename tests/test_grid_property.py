@@ -1,6 +1,7 @@
 """Property tests: optimize_grid on extreme problems equals a walk that
-solves every grid point, and a problem with a bad access time is refused
-when it is built, whatever an optimizer would install."""
+solves every grid point and solves no point twice, and a problem with a
+bad access time is refused when it is built, whatever an optimizer would
+install."""
 
 import json
 from functools import partial
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from compucap import BindingError, optimize_grid, optimize_vertex, parse_problem
 from compucap.memory import _allocation_columns
 from compucap.solver import root_below
-from test_memory import full_walk_grid
+from test_memory import full_walk_grid, grid_events
 
 counts = st.builds("{}*2^{}".format, st.integers(1, 9), st.integers(0, 3000))
 times = st.builds("{}e{}".format, st.integers(1, 9), st.integers(-300, 300))
@@ -87,6 +88,25 @@ def test_grid_on_extreme_problems_equals_the_full_walk(doc):
     columns = partial(_allocation_columns, problem)
     for vec in refused:
         assert root_below(columns(vec), grid.capacity.capacity_bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems, st.integers(1, 3))
+def test_the_grid_solves_no_point_twice_and_probes_none_it_solved(doc, step):
+    problem = parse_problem(json.dumps(doc))
+    with grid_events() as events:
+        try:
+            optimize_grid(problem, step)
+        except ValueError:
+            pass
+    solved = set()
+    for event, vec, *_ in events:
+        # the bound probes relaxed vertices, whose Fraction cells compare
+        # equal to a grid point's int cells; only grid points are checked
+        if event != "build" and all(type(n) is int for n in vec):
+            assert vec not in solved, (event, vec)
+        if event == "solve":
+            solved.add(vec)
 
 
 @settings(max_examples=300, deadline=None)

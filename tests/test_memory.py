@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -513,7 +514,7 @@ def solve_vec(problem: MemoryDesignProblem, vec: tuple[int, ...]) -> CapacityRes
 
 def walked_grid(problem: MemoryDesignProblem, step: int) -> list[tuple[int, ...]]:
     """Every cells vector the grid walker's rows stand for, in walk order."""
-    return [prefix + (n,) for prefix, top in _grid_rows(problem, step) for n in range(0, top + 1, step)]
+    return [last[:-1] + (n * step,) for last, count in _grid_rows(problem, step) for n in range(count)]
 
 
 def fraction_grid(problem: MemoryDesignProblem, step: int) -> list[tuple[int, ...]]:
@@ -747,8 +748,8 @@ def test_capacity_never_falls_along_a_grid_row(step):
         rng = random.Random(seed)
         for _ in range(10):
             problem = random_problem(rng)
-            for prefix, top in _grid_rows(problem, step):
-                caps = [solve_vec(problem, prefix + (n,)).capacity_bits for n in range(0, top + 1, step)]
+            for last, count in _grid_rows(problem, step):
+                caps = [solve_vec(problem, last[:-1] + (n * step,)).capacity_bits for n in range(count)]
                 assert max(caps) - caps[-1] <= 1e-13
 
 
@@ -884,6 +885,68 @@ def test_grid_solves_the_base_then_the_last_point_then_bounds_it(monkeypatch, bu
         assert grid.cells == cells
         assert (grid.cells, grid.total_cost, grid.capacity, grid.justification) == full_walk_grid(problem, 1)
     assert seen == events
+
+
+@contextmanager
+def grid_events():
+    """Record, in order, what the memory optimizers do to each cells vector:
+    ("build", vec) for its columns, ("probe", vec, below) for a root_below
+    on them, and ("solve", vec) for a solve, or ("refused", vec) where the
+    solver raises ValueError."""
+    import compucap.memory
+
+    make_columns = compucap.memory._allocation_columns
+    events, built = [], {}  # built: id of columns -> (vec, the columns, kept alive)
+
+    def build(problem, vec):
+        events.append(("build", vec))
+        cols = make_columns(problem, vec)
+        built[id(cols)] = (vec, cols)
+        return cols
+
+    def probe(cols, y):
+        below = root_below(cols, y)
+        events.append(("probe", built[id(cols)][0], below))
+        return below
+
+    def solve(cols, name):
+        vec = built[id(cols)][0]
+        try:
+            result = solve_compiled(cols, name)
+        except ValueError:
+            events.append(("refused", vec))
+            raise
+        events.append(("solve", vec))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compucap.memory, "_allocation_columns", build)
+        patch.setattr(compucap.memory, "root_below", probe)
+        patch.setattr(compucap.memory, "solve_compiled", solve)
+        yield events
+
+
+# one cell installs 2**1000 instructions of time 1e-307: a root past the float range
+OVERFLOW_PROBLEM = {
+    "base": {"name": "b", "classes": [{"name": "x", "count": 2, "time": 1}]},
+    "registers": 1,
+    "budget": 1,
+    "kinds": [{"name": "K", "cell_cost": 1, "access_classes": [{"count": "1*2^1000", "time": "1e-307"}]}],
+}
+
+
+def test_a_refused_last_point_abandons_the_bound_and_is_refused_again_by_the_walk():
+    problem = parse_problem(json.dumps(OVERFLOW_PROBLEM))
+    for optimize in (optimize_vertex, optimize_grid):
+        with pytest.raises(ValueError, match="^set 'b': the capacity lies outside the float range$"):
+            optimize(problem)
+    with grid_events() as events, pytest.raises(ValueError, match="outside the float range"):
+        optimize_grid(problem)
+    # a refused solve keeps nothing, so the walk decides the last point afresh
+    assert events == [
+        ("build", (0,)), ("solve", (0,)), ("build", (1,)), ("refused", (1,)),
+        ("build", (1,)), ("probe", (1,), False), ("refused", (1,)),
+    ]
 
 
 def test_base_time_past_float_range_is_named_before_a_zero_access_time():
