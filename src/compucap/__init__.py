@@ -13,8 +13,6 @@ resolved from its submodule on first access (PEP 562), so a program pays
 only for the layers it uses.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -81,7 +79,7 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     globals()[name] = value
     return value
 

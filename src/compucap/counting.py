@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import BoundClass, BoundInstructionSet, brief_int, is_count
+from .model import BoundInstructionSet, brief_int, is_count
 
 _MAX_TIME = 100_000
 _MAX_PAIRS = 1_000_000
@@ -67,18 +67,11 @@ class CountTable:
 
 def _multiplicities(iset: BoundInstructionSet, max_time: int) -> dict[int, int]:
     """Total instruction multiplicity per integer time value <= max_time."""
-    # each member as a run (name, count per term, first time, step, terms);
-    # a class is a family of one term
-    runs = [
-        (m.name, m.count, m.time, 0, 1) if isinstance(m, BoundClass)
-        else (m.name, m.count_per_term, m.time_base, m.step, m.num_terms)
-        for m in iset.members
-    ]
     denominators = {}  # denominator -> the first member that has it
-    for name, _, first, step, terms in runs:
-        denominators.setdefault(first.denominator, name)
-        if terms > 1:
-            denominators.setdefault(step.denominator, name)
+    for m in iset.members:
+        denominators.setdefault(m.time_base.denominator, m.name)
+        if m.num_terms > 1:
+            denominators.setdefault(m.step.denominator, m.name)
     scale = math.lcm(*denominators)
     if scale != 1:
         brief = brief_int(scale)
@@ -97,13 +90,13 @@ def _multiplicities(iset: BoundInstructionSet, max_time: int) -> dict[int, int]:
         raise CountingError(message, suggested_scale=scale)
     mult: dict[int, int] = {}
     pairs = 0
-    for _, count, first, step, terms in runs:
-        first, step = int(first), int(step)
-        for index in range(terms):
+    for m in iset.members:
+        first, step = int(m.time_base), int(m.step)
+        for index in range(m.num_terms):
             t = first + index * step
             if t > max_time:
                 break
-            mult[t] = mult.get(t, 0) + count
+            mult[t] = mult.get(t, 0) + m.count_per_term
             pairs += 1
         if pairs > _MAX_PAIRS:
             raise CountingError(

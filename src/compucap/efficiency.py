@@ -382,12 +382,9 @@ def efficiency_from_trace(
         time = _token_time(member, symbol, time)
         if isinstance(member, BoundClass):
             symbol = name  # `c` and `c@2` are one symbol when c executes in time 2
-            count = member.count
-        else:
-            count = member.count_per_term
         number = numbering.setdefault(symbol, len(table))
         if number == len(table):
-            table.append((time_as_float(time, symbol), math.log2(count)))
+            table.append((time_as_float(time, symbol), math.log2(member.count_per_term)))
         return number
 
     tokens, resolved = map(Spellings(resolve).__getitem__, symbols), []

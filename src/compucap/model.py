@@ -1,9 +1,9 @@
 """Declarative instruction-set models.
 
 A model describes a machine's instruction set as (count, execution-time)
-aggregates: plain classes group `count` instructions sharing one time, and
-families group instructions whose times form an arithmetic progression
-(base, base+step, ..., base+(terms-1)*step), `count` instructions per term.
+aggregates: families of instructions at times base, base+step, ...,
+base+(terms-1)*step, `count` per term, and classes of `count` instructions
+sharing one time, which read as families of one term (num_terms 1, step 0).
 
 Times are exact rationals and may be affine in named parameters (e.g. a
 memory-reference time measured in clock cycles); binding the parameters
@@ -210,9 +210,18 @@ def check_positive_time(time: Fraction, member: str) -> Fraction:
     return time
 
 
+class _OneTerm:
+    """An instruction class read as a family of one term, by four names that are not dataclass fields."""
+
+    num_terms = 1
+    step = 0
+    count_per_term = property(lambda self: self.count)
+    time_base = property(lambda self: self.time)
+
+
 @dataclass(frozen=True)
-class InstructionClass:
-    """`count` distinct instructions sharing one execution time."""
+class InstructionClass(_OneTerm):
+    """`count` distinct instructions sharing one execution time: a family of one term."""
 
     name: str
     count: int
@@ -276,7 +285,7 @@ class InstructionSet:
             if m.name in names:
                 raise ModelError(f"duplicate member name {m.name!r}")
             names.add(m.name)
-            for ref in (m.time if isinstance(m, InstructionClass) else m.time_base).coeffs:
+            for ref in m.time_base.coeffs:
                 if ref not in seen:
                     raise ModelError(
                         f"member {m.name!r} references undeclared parameter {ref!r}"
@@ -314,7 +323,9 @@ class ParameterBinding:
 
 
 @dataclass(frozen=True)
-class BoundClass:
+class BoundClass(_OneTerm):
+    """An InstructionClass with its time evaluated: a family of one term."""
+
     name: str
     count: int
     time: Fraction
@@ -376,13 +387,7 @@ def bind(iset: InstructionSet, binding: ParameterBinding) -> BoundInstructionSet
 
 def total_count(iset: InstructionSet | BoundInstructionSet) -> int:
     """Exact total number of individual instructions in the set."""
-    total = 0
-    for m in iset.members:
-        if isinstance(m, (InstructionClass, BoundClass)):
-            total += m.count
-        else:
-            total += m.count_per_term * m.num_terms
-    return total
+    return sum(m.count_per_term * m.num_terms for m in iset.members)
 
 
 # --- model file (JSON) parsing and serialization ---
@@ -510,16 +515,9 @@ def serialize_model(iset: InstructionSet) -> str:
     """Render a set back to model-file JSON; parse_model round-trips it."""
     classes = []
     for m in iset.members:
-        if isinstance(m, InstructionClass):
-            classes.append({"name": m.name, "count": m.count, "time": _time_json(m.time)})
-        else:
-            classes.append(
-                {
-                    "name": m.name,
-                    "count": m.count_per_term,
-                    "time": _time_json(m.time_base),
-                    "family": {"step": _rational_json(m.step), "terms": m.num_terms},
-                }
-            )
+        entry = {"name": m.name, "count": m.count_per_term, "time": _time_json(m.time_base)}
+        if isinstance(m, InstructionFamily):
+            entry["family"] = {"step": _rational_json(m.step), "terms": m.num_terms}
+        classes.append(entry)
     doc = {"name": iset.name, "parameters": list(iset.parameters), "classes": classes}
     return json.dumps(doc, indent=2) + "\n"

@@ -94,8 +94,11 @@ class CapacityResult:
 
 
 def _float(n: int) -> float:
-    """n as a float, or inf once n has more bits than a float can hold."""
-    return float(n) if n.bit_length() <= 1023 else math.inf
+    """n as a float, rounded to nearest, or inf where it rounds past the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
 
 
 def _geom(u: float, n: float, terms: int) -> tuple[float, float]:
@@ -163,6 +166,8 @@ def compile_columns(members: Iterable[BoundMember]) -> Columns:
     times: list[float] = []
     families: list[tuple[int, float, float, float, int]] = []
     for index, member in enumerate(members):
+        # a class test, not the one-term view's properties: through them 2,000
+        # members compiled in 0.95 ms against 0.77 (medians, CPython 3.11, Xeon)
         family = not isinstance(member, BoundClass)
         time = member.time_base if family else member.time
         try:

@@ -158,3 +158,18 @@ def test_importlib_reaches_the_same_module():
         + EFFICIENCY_IS_THE_MODULE
     )
     assert "compucap.efficiency" in report["loaded"]
+
+
+def test_the_import_record_times_the_module_a_package_name_loads():
+    # -X importtime times what the import system loads; a submodule loaded
+    # past it (importlib.import_module) would be missing from the record
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c", "import compucap; compucap.optimal_distribution"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        cwd=ROOT,
+        check=True,
+    )
+    timed = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "compucap.solver" in timed

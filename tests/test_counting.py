@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,11 @@ from compucap import (
     BoundInstructionSet,
     CountTable,
     CountingError,
+    InstructionClass,
+    InstructionFamily,
+    InstructionSet,
     ParameterBinding,
+    TimeExpression,
     UnreachableTimeError,
     bind,
     capacity_estimate,
@@ -17,6 +22,7 @@ from compucap import (
     data_path,
     parse_model,
     solve_capacity,
+    total_count,
 )
 
 LOG2_SILVER = 1.2715533031636120
@@ -273,3 +279,50 @@ def test_printable_scale_message_is_unchanged():
         "counting needs integer times; multiplying every time by 6 would make "
         "them integers (and divide the resulting capacity estimate's time unit by 6)"
     )
+
+
+def random_member_specs(rng: random.Random, max_time: int) -> list[tuple]:
+    """(kind, count, base time, step, terms) per member: classes, families of
+    2-30 terms, one-term families with a fractional step, and members
+    slower than max_time."""
+    specs = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(["class", "family", "one-term", "slow"])
+        count, base = rng.randint(1, 4), rng.randint(1, 12)
+        if kind == "class":
+            specs.append((kind, count, base, 0, 1))
+        elif kind == "family":
+            specs.append((kind, count, base, rng.randint(1, 4), rng.randint(2, 30)))
+        elif kind == "one-term":
+            specs.append((kind, count, base, Fraction(rng.randint(1, 9), rng.randint(2, 7)), 1))
+        else:
+            specs.append(("class", count, max_time + rng.randint(1, 5), 0, 1))
+    return specs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_counts_and_totals_match_the_expanded_instruction_times(seed):
+    rng = random.Random(seed)
+    max_time = rng.randint(0, 40)
+    specs = random_member_specs(rng, max_time)
+    # one entry per individual instruction; int() reads a one-term family's Fraction
+    times = [
+        int(base + index * step)
+        for _, count, base, step, terms in specs
+        for index in range(terms)
+        for _ in range(count)
+    ]
+    expected = [1] + [0] * max_time
+    for total in range(1, max_time + 1):
+        expected[total] = sum(expected[total - t] for t in times if t <= total)
+    members = tuple(
+        InstructionClass(f"m{i}", count, TimeExpression(base, {"p": 1}))
+        if kind == "class"
+        else InstructionFamily(f"m{i}", count, TimeExpression(base, {"p": 1}), step, terms)
+        for i, (kind, count, base, step, terms) in enumerate(specs)
+    )
+    iset = InstructionSet("random", ("p",), members)
+    # p = 0 leaves every time at its base
+    bound = bind(iset, ParameterBinding({"p": 0}))
+    assert list(count_sequences(bound, max_time).counts) == expected
+    assert total_count(iset) == total_count(bound) == len(times)

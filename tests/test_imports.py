@@ -1,10 +1,17 @@
 """Modules of the package share only public names with each other."""
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from compucap import (
+    BoundClass, InstructionClass, ParameterBinding, TimeExpression, bind, count_sequences, data_path, parse_model,
+)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "compucap"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -75,3 +82,34 @@ def test_data_path_refuses_even_the_absolute_path_of_a_bundled_file():
 
     with pytest.raises(FileNotFoundError, match="no bundled data file named"):
         compucap.data_path(str(compucap.data_path("mix.json")))
+
+
+def load_tracer():
+    if not TRACER.exists():
+        pytest.skip("perfbench/tracer.py is absent")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, terms, digits", [("toy.json", 60, 12), ("mix.json", 540, 255)])
+def test_the_tracer_counts_a_class_as_a_family_of_one_term(name, terms, digits):
+    # _count_counters takes any member that answers num_terms for a family
+    tracer = load_tracer()
+    bound = bind(parse_model(data_path(name).read_text()), ParameterBinding())
+    counters = tracer._count_counters((bound, 30), {}, count_sequences(bound, 30))
+    assert counters == {"counting.recurrence_terms": terms, "counting.max_digits": digits}
+
+
+@pytest.mark.parametrize(
+    "member",
+    [InstructionClass("c", 3, TimeExpression(2)), BoundClass("c", 3, Fraction(2))],
+    ids=["InstructionClass", "BoundClass"],
+)
+def test_a_class_answers_as_a_family_of_one_term_outside_its_fields(member):
+    assert member.count_per_term == member.count
+    assert member.time_base == member.time
+    assert (member.num_terms, member.step) == (1, 0)
+    assert [f.name for f in dataclasses.fields(member)] == ["name", "count", "time"]
+    assert dataclasses.asdict(member).keys() == {"name", "count", "time"}

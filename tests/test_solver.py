@@ -82,6 +82,19 @@ def test_eval_at_zero_is_total_count():
     assert eval_characteristic(fam, 0.0) == 33.0
 
 
+@pytest.mark.parametrize(
+    "count, expected",
+    [
+        (2**1023, 2.0**1023),
+        (2**1024 - 2**971, sys.float_info.max),
+        (2**1024 - 2**970, math.inf),  # halfway to 2**1024, rounds to it
+    ],
+    ids=["2^1023", "float-max", "rounds-to-2^1024"],
+)
+def test_eval_at_zero_rounds_a_total_count_of_1024_bits(count, expected):
+    assert eval_characteristic(classes((count, 1)), 0.0) == expected
+
+
 @pytest.mark.parametrize("y", [-0.5, math.nan], ids=["negative", "nan"])
 def test_eval_rejects_negative_argument(y):
     with pytest.raises(ValueError, match=f"^y must be >= 0, got {y}$"):
