@@ -12,16 +12,24 @@ At any fixed root X the characteristic sum is linear and increasing in
 each cell count, so a continuous-relaxation optimum always sits at a
 vertex of the budget simplex: the entire budget on one kind.
 optimize_vertex compares exactly those pure allocations; optimize_grid
-gives the exact answer over an integer grid, deciding one point per row
-and, where the relaxation bounds every allocation below the grid's last
-point, that point alone (see its docstring).  A problem checks and
-compiles every time once, when it is built.  instantiate and the
-optimizers read the access classes an allocation installs, each with
-its exact and float time, from one table, problem.accesses.  An
-optimizer appends them, in instantiate's order, to the base's columns
-(compiled once per problem, kept on bound_base) and hands those to
-solve_compiled, the all-zero allocation included, so each result is the
-one solve_capacity gives for instantiate's set.
+gives the exact answer over an integer grid.  Each solves only the
+allocations that can still win or tie: a candidate is first decided,
+where it can be, by one evaluation of log2 g below the best capacity so
+far, and optimize_grid settles on one point where the relaxation bounds
+every other (see the docstrings).  An allocation so decided is never
+solved, so a root that cannot be certified there, the base's included,
+refuses no design.
+
+A problem checks and compiles every time once, when it is built, and
+scales its budget and cell costs once to integers (problem.units), in
+which the optimizers count cells, test what the budget affords and
+price an allocation.  instantiate and the optimizers read the access
+classes an allocation installs, each with its exact and float time, from
+one table, problem.accesses.  An optimizer appends them, in
+instantiate's order, to the base's columns (compiled once per problem,
+kept on bound_base) and hands those to solve_compiled, the all-zero
+allocation included, so each result is the one solve_capacity gives for
+instantiate's set.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from .model import (
@@ -103,10 +112,14 @@ class MemoryDesignProblem:
 
     bound_base is the base set, bound once under its share of the binding
     and compiled to its columns; accesses holds per kind one (kind/index,
-    registers * count_per_cell, time, float time) entry per access class.
-    The base is checked first, then each access time in declaration order,
-    each evaluated once under the binding, checked positive and made a
-    float, so the first fault declared is the one named.
+    registers * count_per_cell, time, float time) entry per access class;
+    units is (scale, budget, cell cost per kind) in integer units: scale
+    is the lcm of the budget's and the costs' denominators, and the budget
+    and each cost are scaled by it, so they divide and compare exactly as
+    the rationals do.  The base is checked first, then each access time
+    in declaration order, each evaluated once under the binding, checked
+    positive and made a float, so the first fault declared is the one
+    named.
     """
 
     base: InstructionSet
@@ -118,6 +131,7 @@ class MemoryDesignProblem:
     accesses: tuple[tuple[tuple[str, int, Fraction, float], ...], ...] = field(
         init=False, compare=False, repr=False
     )
+    units: tuple[int, int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(self.kinds))
@@ -151,6 +165,10 @@ class MemoryDesignProblem:
             for kind in self.kinds
         )
         object.__setattr__(self, "accesses", accesses)
+        scale = math.lcm(self.budget.denominator, *(kind.cell_cost.denominator for kind in self.kinds))
+        budget = self.budget.numerator * (scale // self.budget.denominator)
+        costs = tuple(kind.cell_cost.numerator * (scale // kind.cell_cost.denominator) for kind in self.kinds)
+        object.__setattr__(self, "units", (scale, budget, costs))
 
 
 @dataclass(frozen=True)
@@ -210,42 +228,79 @@ def _allocation_columns(problem: MemoryDesignProblem, vec: tuple[int | Fraction,
 
 def _allocation(problem: MemoryDesignProblem, vec: tuple[int, ...], **fields) -> Allocation:
     """The Allocation of cells vector vec: its cells by kind name and its exact cost."""
+    scale, _, costs = problem.units
     return Allocation(
         cells={kind.name: n for kind, n in zip(problem.kinds, vec)},
-        total_cost=sum((kind.cell_cost * n for kind, n in zip(problem.kinds, vec)), Fraction(0)),
+        total_cost=Fraction(sum(map(mul, costs, vec)), scale),
         **fields,
     )
+
+
+def _floor(capacity: float) -> float:
+    """Where root_below reading True puts a root below capacity less the
+    tie width: where a point cannot displace, or tie with, an incumbent of
+    that capacity."""
+    return capacity - _TIE_WIDTH - warm_slack(capacity)
 
 
 def optimize_vertex(problem: MemoryDesignProblem) -> Allocation:
     """Pick the best pure allocation: the whole budget on one kind, or none.
 
-    Candidates are evaluated in declaration order ("none" first); a later
+    Candidates are compared in declaration order ("none" first); a later
     candidate must beat the incumbent by more than the tie width to
     displace it, so ties resolve to the earliest declared.  Candidates
     within the tie width of the winner are reported in tie_with.
-    """
-    zero = (0,) * len(problem.kinds)
-    solved = [("none", zero, solve_compiled(_allocation_columns(problem, zero), problem.base.name))]
-    for k, kind in enumerate(problem.kinds):
-        n = int(problem.budget // kind.cell_cost)
-        if n > 0:
-            vec = zero[:k] + (n,) + zero[k + 1 :]
-            cap = solve_compiled(_allocation_columns(problem, vec), problem.base.name)
-            solved.append((kind.name, vec, cap))
 
-    best_label, best_vec, best_cap = solved[0]
-    for label, vec, cap in solved[1:]:
-        if cap.capacity_bits > best_cap.capacity_bits + _TIE_WIDTH:
-            best_label, best_vec, best_cap = label, vec, cap
+    The first affordable kind's allocation is solved first.  "none" and
+    each later candidate is then probed: log2 g is evaluated once at the
+    incumbent's capacity less the tie width and warm_slack, and where it
+    is negative the candidate's root lies below the incumbent's less the
+    tie width, so it neither displaces the incumbent nor, as the
+    incumbent only rises, ties with the winner; it is not solved.  Every
+    other candidate is solved, so the result is that of solving every
+    candidate, and a root that cannot be certified where one evaluation
+    decides refuses no design.  Where the first solve is refused, every
+    candidate is solved in declaration order, and the first fault met is
+    the one named.
+    """
+    _, budget, costs = problem.units
+    zero = (0,) * len(costs)
+    labels, vecs = ["none"], [zero]
+    for k, (kind, cost) in enumerate(zip(problem.kinds, costs)):
+        if cost <= budget:
+            labels.append(kind.name)
+            vecs.append(zero[:k] + (budget // cost,) + zero[k + 1 :])
+    first = min(1, len(vecs) - 1)  # the first affordable kind, or "none" where no kind is
+    try:
+        solved = {first: solve_compiled(_allocation_columns(problem, vecs[first]), problem.base.name)}
+    except ValueError:
+        for vec in vecs:
+            solve_compiled(_allocation_columns(problem, vec), problem.base.name)
+        raise
+    best = first
+    for i, vec in enumerate(vecs):
+        if i == first:
+            continue
+        incumbent = solved[best].capacity_bits
+        columns = _allocation_columns(problem, vec)
+        if root_below(columns, _floor(incumbent)):
+            continue
+        cap = solved[i] = solve_compiled(columns, problem.base.name)
+        if i < best:
+            # "none", declared before the first kind, keeps the lead unless
+            # that kind beats it by more than the tie width
+            if not incumbent > cap.capacity_bits + _TIE_WIDTH:
+                best = i
+        elif cap.capacity_bits > incumbent + _TIE_WIDTH:
+            best = i
     ties = tuple(
-        label
-        for label, _, cap in solved
-        if label != best_label
-        and abs(cap.capacity_bits - best_cap.capacity_bits) <= _TIE_WIDTH
+        labels[i]
+        for i, cap in sorted(solved.items())
+        if labels[i] != labels[best]
+        and abs(cap.capacity_bits - solved[best].capacity_bits) <= _TIE_WIDTH
     )
     return _allocation(
-        problem, best_vec, capacity=best_cap, label=best_label, tie_with=ties,
+        problem, vecs[best], capacity=solved[best], label=labels[best], tie_with=ties,
         justification=_VERTEX_JUSTIFICATION,
     )
 
@@ -255,28 +310,80 @@ def _grid_rows(problem: MemoryDesignProblem, step: int):
     point, number of points): a row of c points stands for the vectors that
     differ from its greatest point only in the last kind's count, which runs
     0, step, ..., (c - 1) * step.  Vectors come in kind-declaration order,
-    depth-first.  The budget and cell costs are scaled by the lcm of their
-    denominators, to integers that divide exactly as the rationals do.
-    Each kind but the last extends every partial row (prefix, remaining
-    budget) by its counts, one chained generator per kind, so a row costs
-    no generator of its own."""
-    scale = math.lcm(problem.budget.denominator, *(k.cell_cost.denominator for k in problem.kinds))
-    *heads, last = [int(k.cell_cost * scale) for k in problem.kinds]
+    depth-first, in the problem's integer units.  Each kind but the last
+    extends every partial row (prefix, remaining budget) by its counts,
+    one chained generator per kind, so a row costs no generator of its
+    own."""
+    _, budget, costs = problem.units
+    *heads, last = costs
 
     def extend(rows, cost):
         return ((p + (n,), r - cost * n) for p, r in rows for n in range(0, r // cost + 1, step))
 
-    rows = iter([((), int(problem.budget * scale))])
+    rows = iter([((), budget)])
     for cost in heads:
         rows = extend(rows, cost)
-    per_point = last * step  # the scaled cost of step cells of the last kind
+    per_point = last * step  # the cost of step cells of the last kind
     return ((p + (r // per_point * step,), r // per_point + 1) for p, r in rows)
+
+
+def _settled(
+    problem: MemoryDesignProblem, step: int, last: tuple[int, ...], solved: dict
+) -> tuple[int, ...] | None:
+    """The point the walk of every grid point ends at, where a bound shows
+    it without the walk, else None; see optimize_grid.  Each solve's result
+    goes into solved."""
+    _, budget, costs = problem.units
+    zero = (0,) * len(costs)
+    kinds = range(len(costs))
+    affordable = [k for k in kinds if step * costs[k] <= budget]
+
+    def capacity(vec):
+        if vec not in solved:
+            solved[vec] = solve_compiled(_allocation_columns(problem, vec), problem.base.name)
+        return solved[vec].capacity_bits
+
+    vertices = {}  # LP vertex -> its columns, built once however many y read them
+
+    def below(y, fixed, spent_on):
+        # whether log2 g reads negative at y at every LP vertex: fixed plus
+        # the rest of the budget, in fractional cells, on one kind of spent_on
+        rest = budget - sum(map(mul, costs, fixed))
+        for k in spent_on:
+            vertex = fixed[:k] + (Fraction(fixed[k] * costs[k] + rest, costs[k]),) + fixed[k + 1 :]
+            if vertex not in vertices:
+                vertices[vertex] = _allocation_columns(problem, vertex)
+            if not root_below(vertices[vertex], y):
+                return False
+        return True
+
+    def settles(c):
+        cap = capacity(c)
+        slack = 2 * warm_slack(cap)
+        # for (b): c's counts before kind i, and step more cells of i
+        exceeding = (c[:i] + (c[i] + step,) + zero[i + 1 :] for i in kinds)
+        return below(cap + _TIE_WIDTH - slack, zero, affordable) and all(
+            below(cap - _TIE_WIDTH - slack, fixed, [k for k in affordable if k >= i])
+            for i, fixed in enumerate(exceeding)
+            if sum(map(mul, costs, fixed)) <= budget
+        )
+
+    if settles(last):
+        return last
+    ends = []
+    for k in affordable:
+        end = list(zero)
+        end[k] = n = budget // (step * costs[k]) * step
+        end[-1] += (budget - n * costs[k]) // (step * costs[-1]) * step
+        ends.append(tuple(end))
+    best = max([last, *ends], key=lambda vec: (capacity(vec), vec))
+    return best if best != last and settles(best) else None
 
 
 def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     """The best allocation on a step grid: every feasible allocation is
-    counted, and the all-zero vector and one point per grid row are
-    decided; the justification gives both numbers.
+    counted, and at most the all-zero vector and one point per grid row
+    are decided; the justification gives both numbers.
 
     Capacity ties (within the tie width) resolve to the lexicographically
     greatest cell vector in kind-declaration order, which keeps the result
@@ -300,26 +407,39 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     instead of probing or solving it.  A refused solve keeps nothing, so
     the walk decides that vector afresh and names the refusal.
 
-    The all-zero vector, the base's columns alone, is solved first, as the
-    full walk solves it first.  The last row's last point L, the greatest
-    vector, is solved next, and the continuous relaxation bounds every
-    other point.  For each kind k the grid installs, the relaxed vertex k
-    is the base plus the fractional budget / cell_cost_k cells of k.  An
-    allocation of n_k cells, costing at most the budget B, has at every y
-    g = g_base + sum over k of (n_k c_k / B) (B / c_k) a_k, where a_k is
-    one cell's share of g; the weights n_k c_k / B sum to at most 1, so g
-    is at most the largest relaxed vertex's g.  log2 g of each relaxed
-    vertex is evaluated once, at L's capacity plus the tie width less
-    twice warm_slack, where that lies above 0: one warm_slack covers a
-    root certified above a point where root_below reads True, the other
-    the rounding between a point's columns and a relaxed vertex's.  Where
-    every value is negative, each point's root, as solve_compiled
-    certifies it, lies below L's capacity plus the tie width, so under
-    the tie rule L displaces whatever the walk held before it and, as the
-    last point, is the answer: the rows before it are decided by the
-    bound.  Otherwise the rows are walked, as below.  A ValueError in
-    solving or bounding L, a solver's refusal, abandons the bound, and
-    the walk then names every fault as it would without it.
+    The walk ends at a point C when (a) no allocation's capacity reaches
+    C's plus the tie width, so C displaces whatever the walk held before
+    it, and (b) every allocation after C in walk order lies below C's
+    capacity less the tie width, so none displaces C.  The continuous
+    relaxation shows both.  An allocation of n_k cells, costing at most
+    the budget B, has at every y g = g_fixed + sum over k of (e_k c_k /
+    B') (B' / c_k) a_k, where the e_k cells lie beyond a fixed part that
+    leaves B' of the budget and a_k is one cell's share of g; the weights
+    e_k c_k / B' sum to at most 1, so g is at most the largest g of an LP
+    vertex: the fixed part plus B' / c_k fractional cells of one kind k.
+    For (a) the fixed part is empty, and the LP vertices are the relaxed
+    vertices, one per kind the grid installs.  An allocation after C
+    first exceeds C at some kind i, by at least step cells, so for (b)
+    the fixed part is C's counts before i plus C's count of i and step,
+    and k runs over i and the later kinds the grid installs; an i that
+    fixed part cannot afford has no such allocation.  Each LP vertex's
+    columns are built once, and log2 g is evaluated on them once per
+    check, at C's capacity plus the tie width for (a), less it for (b),
+    each less twice warm_slack: one warm_slack covers a root certified
+    above a point where root_below reads True, the other the rounding
+    between a point's columns and an LP vertex's.  Where every value is
+    negative, C is the answer and no other point is decided.
+
+    C is first the last row's last point L, the greatest vector, where
+    (b) holds with no evaluation: L is solved first.  Otherwise each
+    kind's single-kind row end is solved: the last point of the row whose
+    prefix buys only that kind, as many cells of it as the grid affords
+    (for the last kind, the first row's last point).  C is then the point
+    of greatest capacity among L and the row ends, the greater vector on
+    a tie.  A ValueError in solving or bounding these, a solver's refusal,
+    abandons the bound.  Where no C is shown, the all-zero vector is
+    solved, as the full walk solves it first, and the rows are walked
+    from the same table, naming every fault as they would without it.
 
     A row's last point is decided from below the floor.  log2 g is
     evaluated first at the floor less warm_slack, where that lies above
@@ -328,8 +448,9 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
     decides a losing point.  Otherwise solve_compiled solves the point
     from the columns that evaluation read, so each decision and the
     result are those of solving every point.  A point decided by one
-    evaluation or by the bound is not solved at all, so a root that
-    cannot be certified there refuses no grid.
+    evaluation or by the bound, the all-zero vector included, is not
+    solved at all, so a root that cannot be certified there refuses no
+    grid.
     """
     if not is_count(step):
         raise ProblemError(f"step must be a positive integer, got {step!r}")
@@ -339,34 +460,25 @@ def optimize_grid(problem: MemoryDesignProblem, step: int = 1) -> Allocation:
         rows += 1
         if points > _MAX_GRID_POINTS:
             raise ProblemError(f"grid exceeds {_MAX_GRID_POINTS} points")
+    _, budget, costs = problem.units
     # each row decides one point; the first row's, of all-zero prefix, is
     # the all-zero vector itself unless the last kind affords step cells
-    solves = rows + (step * problem.kinds[-1].cell_cost <= problem.budget)
-    zero = (0,) * len(problem.kinds)
-    solved = {zero: solve_compiled(_allocation_columns(problem, zero), problem.base.name)}
-    best_vec = zero
+    solves = rows + (step * costs[-1] <= budget)
+    solved = {}
     try:
-        if last not in solved:
-            solved[last] = solve_compiled(_allocation_columns(problem, last), problem.base.name)
-        y = solved[last].capacity_bits + _TIE_WIDTH - 2 * warm_slack(solved[last].capacity_bits)
-        bounded = all(
-            root_below(
-                _allocation_columns(problem, zero[:k] + (problem.budget / kind.cell_cost,) + zero[k + 1 :]), y
-            )
-            for k, kind in enumerate(problem.kinds)
-            if step * kind.cell_cost <= problem.budget
-        )
+        best_vec = _settled(problem, step, last, solved)
     except ValueError:
-        bounded = False
-    if bounded:
-        best_vec = last
-    else:
+        best_vec = None
+    if best_vec is None:
+        best_vec = (0,) * len(costs)
+        if best_vec not in solved:
+            solved[best_vec] = solve_compiled(_allocation_columns(problem, best_vec), problem.base.name)
         for vec, _ in _grid_rows(problem, step):
             best = solved[best_vec].capacity_bits
             cap = solved.get(vec)
             if cap is None:
                 cols = _allocation_columns(problem, vec)
-                if root_below(cols, best - _TIE_WIDTH - warm_slack(best)):
+                if root_below(cols, _floor(best)):
                     continue
                 cap = solved[vec] = solve_compiled(cols, problem.base.name)
             if cap.capacity_bits >= best - _TIE_WIDTH:

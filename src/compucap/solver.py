@@ -296,13 +296,18 @@ def _log2_char(columns: Columns, y: float) -> tuple[float, float]:
 
 
 def eval_characteristic(iset: BoundInstructionSet, y: float) -> float:
-    """Evaluate g(y) = sum over instructions of 2**(-tau * y), y >= 0."""
+    """Evaluate g(y) = sum over instructions of 2**(-tau * y), y >= 0.
+
+    g never rises with y, so a value is capped at g(0), the total count
+    rounded to a float: log2 g rounds up to 1024.0 where the count lies
+    just below 2**1024, and 2**log2 g would read inf at a tiny y."""
     if not y >= 0:
         raise ValueError(f"y must be >= 0, got {y}")
+    at_zero = _float(total_count(iset))
     if y == 0.0:
-        return _float(total_count(iset))
+        return at_zero
     log2_g = _log2_char(bound_columns(iset), y)[0]
-    return 2.0 ** log2_g if log2_g < 1024.0 else math.inf
+    return min(2.0 ** log2_g if log2_g < 1024.0 else math.inf, at_zero)
 
 
 def _residual(log2_g: float) -> float:

@@ -14,7 +14,7 @@ import pytest
 
 from compucap import data_path
 from compucap.cli import build_parser, main, render_json
-from test_memory import OVERFLOW_PROBLEM
+from test_memory import OVERFLOW_PROBLEM, REFUSED_BASE_PROBLEM
 
 TOY = str(data_path("toy.json"))
 MIX = str(data_path("mix.json"))
@@ -309,6 +309,16 @@ def test_a_capacity_past_the_float_range_exits_2_in_either_mode(capsys, tmp_path
     problem.write_text(json.dumps(OVERFLOW_PROBLEM))
     code, out, err = run_cli(capsys, "optimize-memory", str(problem), *argv)
     assert (code, out, err) == (2, "", "error: set 'b': the capacity lies outside the float range\n")
+
+
+@pytest.mark.parametrize("mode", ["vertex", "grid"])
+def test_a_base_whose_root_is_refused_exits_0_where_the_design_settles_without_it(capsys, tmp_path, mode):
+    problem = tmp_path / "refused-base.json"
+    problem.write_text(json.dumps(REFUSED_BASE_PROBLEM))
+    code, out, err = run_cli(capsys, "optimize-memory", str(problem), "--mode", mode, "--json")
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert (results["cells"], results["capacity_bits"]) == ({"K": 4}, 3.58496250072116)
 
 
 def test_param_override_merges_into_problem(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -148,6 +149,19 @@ def test_vertex_tie_prefers_declaration_order():
     best = optimize_vertex(problem)
     assert best.label == "A"
     assert best.tie_with == ("B",)
+
+
+def test_vertex_probes_below_the_leader_not_the_greatest_capacity():
+    # K2 lies 0.86 tie widths above K1 and does not displace it; K3 lies 0.67
+    # tie widths below K1, so it ties with the winner, though it lies more
+    # than a tie width below K2: a probe below K2 would rule it out
+    problem = small_problem(
+        1, *((name, 1, [(2, 1), (1, Fraction(t))]) for name, t in [("K1", 17), ("K2", "16.93"), ("K3", "17.06")])
+    )
+    k1, k2, k3 = (solve_vec(problem, vec).capacity_bits for vec in [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert 0 < k2 - k1 < 1e-11 and 0 < k1 - k3 < 1e-11 < k2 - k3
+    best = optimize_vertex(problem)
+    assert (best.label, best.tie_with) == ("K1", ("K2", "K3"))
 
 
 def test_vertex_unaffordable_kinds_fall_back_to_base():
@@ -543,6 +557,20 @@ def test_every_grid_point_matches_solve_capacity(step):
         assert grid.capacity == reference[tuple(grid.cells.values())]
 
 
+def test_a_replaced_budget_recomputes_the_integer_units():
+    # dataclasses.replace builds the problem anew, so its units follow the
+    # new budget, as a problem parsed with that budget has them
+    example = data_path("memory-example.json")
+    problem = parse_problem(example.read_text())
+    small = dataclasses.replace(problem, budget=Fraction(1, 2**27))
+    fresh = parse_problem(json.dumps({**json.loads(example.read_text()), "budget": "1/134217728"}))
+    assert small.units == fresh.units == (2**34, 2**7, (2**4, 1))
+    assert problem.units == (2**34, 2**34, (2**4, 1))
+    assert optimize_vertex(small) == optimize_vertex(fresh)
+    for step in (1, 2, 3):
+        assert optimize_grid(small, step) == optimize_grid(fresh, step)
+
+
 def test_vertex_candidates_match_solve_capacity():
     # the builder's columns are those compile_columns gives instantiate's set
     problem = parse_problem(data_path("memory-example.json").read_text())
@@ -802,10 +830,10 @@ F = Fraction
     [
         (
             # C costs more than the budget: no point installs it, and it has
-            # no relaxed vertex
+            # no relaxed vertex; the all-zero vector is never solved
             4, (("A", 2, [(1, 1)]), ("B", 1, [(1, 2)]), ("C", 5, [(1, 1)])),
             [
-                ("build", (0, 0, 0)), ("solve", (0, 0, 0)), ("build", (2, 0, 0)), ("solve", (2, 0, 0)),
+                ("build", (2, 0, 0)), ("solve", (2, 0, 0)),
                 ("build", (F(2), 0, 0)), ("probe", (F(2), 0, 0), True),
                 ("build", (0, F(4), 0)), ("probe", (0, F(4), 0), True),
             ],
@@ -814,7 +842,7 @@ F = Fraction
         (
             2, (("A", 1, [(1, 1)]), ("B", 1, [(1, 1)])),
             [
-                ("build", (0, 0)), ("solve", (0, 0)), ("build", (2, 0)), ("solve", (2, 0)),
+                ("build", (2, 0)), ("solve", (2, 0)),
                 ("build", (F(2), 0)), ("probe", (F(2), 0), True),
                 ("build", (0, F(2))), ("probe", (0, F(2)), True),
             ],
@@ -823,22 +851,51 @@ F = Fraction
         (
             4, (("A", 2, [(1, 2)]), ("B", 1, [(1, 1)])),
             [
-                ("build", (0, 0)), ("solve", (0, 0)), ("build", (2, 0)), ("solve", (2, 0)),
+                ("build", (2, 0)), ("solve", (2, 0)),
                 ("build", (F(2), 0)), ("probe", (F(2), 0), True),
                 ("build", (0, F(4))), ("probe", (0, F(4)), False),
-                # the walk: rows (0, 4), (1, 2), then (2, 0), whose solve is reused
-                ("build", (0, 4)), ("probe", (0, 4), False), ("solve", (0, 4)),
-                ("build", (1, 2)), ("probe", (1, 2), True),
+                # A's row end is the last point; B's is solved and bounds
+                # (a) every allocation and (b) the one after it, (1, 2);
+                # a relaxed vertex's columns are built once
+                ("build", (0, 4)), ("solve", (0, 4)),
+                ("probe", (F(2), 0), True), ("probe", (0, F(4)), True),
+                ("probe", (F(2), 0), True),
+                ("build", (1, F(2))), ("probe", (1, F(2)), True),
             ],
             {"A": 0, "B": 4},
         ),
         (
+            4, (("A", 2, [(1, 2)]), ("B", 1, [(1, 2)]), ("C", 1, [(1, 1)])),
+            [
+                ("build", (2, 0, 0)), ("solve", (2, 0, 0)),
+                ("build", (F(2), 0, 0)), ("probe", (F(2), 0, 0), True),
+                ("build", (0, F(4), 0)), ("probe", (0, F(4), 0), False),
+                # the row ends of B and C; C's is the greatest
+                ("build", (0, 4, 0)), ("solve", (0, 4, 0)),
+                ("build", (0, 0, 4)), ("solve", (0, 0, 4)),
+                # (a): every relaxed vertex, from the columns built above
+                ("probe", (F(2), 0, 0), True), ("probe", (0, F(4), 0), True),
+                ("build", (0, 0, F(4))), ("probe", (0, 0, F(4)), True),
+                # (b): allocations that exceed (0, 0, 4) first at A, then at B
+                ("probe", (F(2), 0, 0), True),
+                ("build", (1, F(2), 0)), ("probe", (1, F(2), 0), True),
+                ("build", (1, 0, F(2))), ("probe", (1, 0, F(2)), True),
+                ("probe", (0, F(4), 0), True),
+                ("build", (0, 1, F(3))), ("probe", (0, 1, F(3)), True),
+            ],
+            {"A": 0, "B": 0, "C": 4},
+        ),
+        (
             3, (("A", 2, [(1, 1)]), ("B", 2, [(1, 2)])),
             [
-                ("build", (0, 0)), ("solve", (0, 0)), ("build", (1, 0)), ("solve", (1, 0)),
+                ("build", (1, 0)), ("solve", (1, 0)),
                 # one and a half cells of A beat every whole allocation
                 ("build", (F(3, 2), 0)), ("probe", (F(3, 2), 0), False),
-                ("build", (0, 1)), ("probe", (0, 1), False), ("solve", (0, 1)),
+                # A's row end is the last point, and B's loses to it
+                ("build", (0, 1)), ("solve", (0, 1)),
+                # the walk: the all-zero vector, then rows (0, 1) and (1, 0),
+                # both read from the table
+                ("build", (0, 0)), ("solve", (0, 0)),
             ],
             {"A": 1, "B": 0},
         ),
@@ -848,9 +905,12 @@ F = Fraction
             2, (("Z", 1, [(1, 0)]), ("A", 1, [(1, 1)])), [], None,
         ),
     ],
-    ids=["last-point-wins", "identical-kinds-tie", "last-kind-wins", "fractional-cells", "zero-access-time"],
+    ids=[
+        "last-point-wins", "identical-kinds-tie", "last-kind-wins", "last-of-three-kinds-wins",
+        "fractional-cells", "zero-access-time",
+    ],
 )
-def test_grid_solves_the_base_then_the_last_point_then_bounds_it(monkeypatch, budget, kinds, events, cells):
+def test_grid_solves_the_last_point_then_bounds_it(monkeypatch, budget, kinds, events, cells):
     import compucap.memory
 
     make_columns = compucap.memory._allocation_columns
@@ -942,11 +1002,56 @@ def test_a_refused_last_point_abandons_the_bound_and_is_refused_again_by_the_wal
             optimize(problem)
     with grid_events() as events, pytest.raises(ValueError, match="outside the float range"):
         optimize_grid(problem)
-    # a refused solve keeps nothing, so the walk decides the last point afresh
+    # a refused solve keeps nothing, so the walk solves the all-zero vector
+    # and decides the last point afresh
     assert events == [
-        ("build", (0,)), ("solve", (0,)), ("build", (1,)), ("refused", (1,)),
+        ("build", (1,)), ("refused", (1,)), ("build", (0,)), ("solve", (0,)),
         ("build", (1,)), ("probe", (1,), False), ("refused", (1,)),
     ]
+
+
+def test_a_refused_row_end_abandons_the_bound_and_is_refused_again_by_the_walk():
+    # the last point buys A; the bound fails at K's relaxed vertex, and K's
+    # row end, one cell of OVERFLOW_PROBLEM's kind, is refused
+    kind_a = {"name": "A", "cell_cost": 1, "access_classes": [{"count": 1, "time": 1}]}
+    problem = parse_problem(json.dumps({**OVERFLOW_PROBLEM, "kinds": [kind_a, *OVERFLOW_PROBLEM["kinds"]]}))
+    with grid_events() as events, pytest.raises(ValueError, match="^set 'b': the capacity lies outside the float range$"):
+        optimize_grid(problem)
+    assert events == [
+        ("build", (1, 0)), ("solve", (1, 0)),
+        ("build", (F(1), 0)), ("probe", (F(1), 0), True),
+        ("build", (0, F(1))), ("probe", (0, F(1)), False),
+        ("build", (0, 1)), ("refused", (0, 1)),
+        ("build", (0, 0)), ("solve", (0, 0)),
+        ("build", (0, 1)), ("probe", (0, 1), False), ("refused", (0, 1)),
+    ]
+
+
+# the base's two instructions of time 1e308 put its root near 1e-308, where
+# no residual reaches 1e-10; four cells of K install 12 instructions of time 1
+REFUSED_BASE_PROBLEM = {
+    "base": {"name": "b", "classes": [
+        {"name": "x", "count": 1, "time": "1e308"}, {"name": "y", "count": 1, "time": "1e308"},
+    ]},
+    "registers": 1,
+    "budget": 4,
+    "kinds": [{"name": "K", "cell_cost": 1, "access_classes": [{"count": 3, "time": 1}]}],
+}
+
+
+@pytest.mark.parametrize("optimize", [optimize_vertex, optimize_grid], ids=["vertex", "grid"])
+def test_a_base_whose_root_is_refused_refuses_no_design_settled_without_it(optimize):
+    problem = parse_problem(json.dumps(REFUSED_BASE_PROBLEM))
+    with pytest.raises(ValueError, match="^set 'b': residual above 1e-10 at float precision$"):
+        solve_capacity(problem.bound_base)
+    # vertex mode's probe and grid mode's bound each put the base below K's
+    # four cells, so the base is never solved
+    with grid_events() as events:
+        best = optimize(problem)
+    assert ("refused", (0,)) not in events and ("solve", (0,)) not in events
+    assert best.cells == {"K": 4}
+    assert best.capacity == solve_vec(problem, (4,))
+    assert best.capacity.capacity_bits == 3.584962500721156
 
 
 def test_base_time_past_float_range_is_named_before_a_zero_access_time():

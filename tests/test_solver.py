@@ -95,6 +95,22 @@ def test_eval_at_zero_rounds_a_total_count_of_1024_bits(count, expected):
     assert eval_characteristic(classes((count, 1)), 0.0) == expected
 
 
+@pytest.mark.parametrize("y", [1e-300, 1e-20])
+@pytest.mark.parametrize(
+    "counts, expected",
+    [
+        ((2**1024 - 2**971,), sys.float_info.max),
+        # the total, 2**1024 - 2**970, rounds to 2**1024 already at y = 0
+        ((2**1023, 2**1023 - 2**970), math.inf),
+    ],
+    ids=["float-max", "rounds-to-2^1024"],
+)
+def test_eval_at_a_tiny_y_never_exceeds_its_value_at_zero(counts, expected, y):
+    iset = classes(*((count, 1) for count in counts))
+    assert eval_characteristic(iset, 0.0) == expected
+    assert eval_characteristic(iset, y) == expected
+
+
 @pytest.mark.parametrize("y", [-0.5, math.nan], ids=["negative", "nan"])
 def test_eval_rejects_negative_argument(y):
     with pytest.raises(ValueError, match=f"^y must be >= 0, got {y}$"):
